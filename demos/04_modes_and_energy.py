@@ -8,6 +8,7 @@ every mode pair.
 """
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from ptdyson import (
     DriverHalf,
@@ -54,14 +55,14 @@ print("\naccumulated phase:", [round(phase_integral(0.5, driver, t), 4) for t in
 spec = ModeSpec(n=1, driver=driver, ktilde=0.5)
 x = np.linspace(-8.0, 8.0, 4001)
 psi = pedrosa_mode(spec, x, 1.3)
-norm = np.trapz(np.abs(psi) ** 2, x)
+norm = trapezoid(np.abs(psi) ** 2, x)
 print(f"mode n=1 norm at t = 1.3: {norm:.10f}")
 print(f"first-channel expectation ingredient: {k1_expectation(spec):.6f}")
 
 # the 2D product state inherits both channels
 xg, yg = np.meshgrid(np.linspace(-6, 6, 401), np.linspace(-6, 6, 401), indexing="ij")
 joint = product_state(1, 0, scenario, xg, yg, 1.3)
-norm2d = np.trapz(np.trapz(np.abs(joint) ** 2, yg[0]), xg[:, 0])
+norm2d = trapezoid(trapezoid(np.abs(joint) ** 2, yg[0]), xg[:, 0])
 print(f"2D product norm at t = 1.3: {norm2d:.8f}")
 
 # energies are real and stay O(1) over the window

@@ -177,7 +177,7 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def cmd_evolve(cfg, out_dir, profile):
+def cmd_evolve(cfg, out_dir):
     scenario = build_scenario(cfg)
     consts = scenario.ep_constants()
     inv = cfg["invariant"]
@@ -232,7 +232,7 @@ def cmd_evolve(cfg, out_dir, profile):
     return 0
 
 
-def cmd_spectrum(cfg, out_dir, profile):
+def cmd_spectrum(cfg, out_dir):
     xy_cfg = cfg["static"]["xy"]
     k_cfg = cfg["static"]["k"]
     report = []
@@ -301,7 +301,7 @@ def cmd_spectrum(cfg, out_dir, profile):
     return 0
 
 
-def cmd_modes(cfg, out_dir, profile):
+def cmd_modes(cfg, out_dir):
     scenario = build_scenario(cfg)
     mg = cfg["modes_grid"]
     axis = np.linspace(float(mg["x_min"]), float(mg["x_max"]), int(mg["points"]))
@@ -319,7 +319,7 @@ def cmd_modes(cfg, out_dir, profile):
     return 0
 
 
-def cmd_oracle(cfg, out_dir, profile):
+def cmd_oracle(cfg, out_dir):
     scenario = build_scenario(cfg)
     oracle = cfg["oracle"]
     size, buffer = int(oracle["size"]), int(oracle["buffer"])
@@ -354,8 +354,8 @@ def cmd_oracle(cfg, out_dir, profile):
     return 0
 
 
-def cmd_validate(cfg, out_dir, profile):
-    results = validation.run_all(profile)
+def cmd_validate(cfg, out_dir):
+    results = validation.run_all()
     report = validation.format_report(results)
     path = out_dir / "validate.txt"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -382,14 +382,13 @@ def main(argv=None):
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--profile", choices=("fast", "slow"), default="fast")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         validate_config(cfg)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.subcommand](cfg, out_dir, args.profile)
+        return _COMMANDS[args.subcommand](cfg, out_dir)
     except (
         ConfigError,
         ConstraintViolationError,

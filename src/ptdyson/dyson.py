@@ -185,6 +185,30 @@ def chi_closed_form(lam, constants):
     return chi
 
 
+def driver_value(profile, t):
+    """float(profile(t)); SingularEvaluationError where |profile(t)| <= EPS_DRIVER."""
+    value = float(profile(t))
+    if abs(value) <= EPS_DRIVER:
+        raise SingularEvaluationError(
+            f"driver magnitude {abs(value):.2e} <= {EPS_DRIVER} at t = {t}"
+        )
+    return value
+
+
+def central_derivatives(fn, t, h):
+    """fn(t) with its first two derivatives by 4th-order central differences.
+
+    Five-point stencil t + k h, k = -2..2; returns (value, first, second).
+    """
+    stencil = np.array([fn(t + k * h) for k in (-2, -1, 0, 1, 2)], dtype=float)
+    d1 = (stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (12 * h)
+    d2 = (
+        -stencil[0] + 16 * stencil[1] - 30 * stencil[2]
+        + 16 * stencil[3] - stencil[4]
+    ) / (12 * h**2)
+    return stencil[2], d1, d2
+
+
 def ep_dissipative_residual(chi, lam, kappa, t, fd_step=1e-2):
     """Pointwise residual of the dissipative scale-function equation.
 
@@ -193,19 +217,8 @@ def ep_dissipative_residual(chi, lam, kappa, t, fd_step=1e-2):
     Raises SingularEvaluationError where |lam(t)| <= EPS_DRIVER; callers
     treat those checkpoints as skipped, not failed.
     """
-    lam_t = float(lam(t))
-    if abs(lam_t) <= EPS_DRIVER:
-        raise SingularEvaluationError(
-            f"driver magnitude {abs(lam_t):.2e} <= {EPS_DRIVER} at t = {t}"
-        )
-    h = fd_step
-    stencil = np.array([chi(t + k * h) for k in (-2, -1, 0, 1, 2)], dtype=float)
-    chi_t = stencil[2]
-    d1 = (stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (12 * h)
-    d2 = (
-        -stencil[0] + 16 * stencil[1] - 30 * stencil[2]
-        + 16 * stencil[3] - stencil[4]
-    ) / (12 * h**2)
+    lam_t = driver_value(lam, t)
+    chi_t, d1, d2 = central_derivatives(chi, t, fd_step)
     lamdot = float(lam.derivative(t))
     res = d2 - (lamdot / lam_t) * d1 - lam_t**2 * chi_t \
         - (kappa**2) * lam_t**2 / chi_t**3

@@ -1,12 +1,16 @@
 """Truncated two-mode number-basis oracle.
 
-Everything the closed forms claim is reproducible here by dense linear
-algebra on a finite basis.  The four quadratic generators all preserve the
-total excitation number, so ordering the basis by blocks of fixed total
-makes every operator in this module exactly block diagonal: the truncation
-at total <= size introduces no error inside any block.  The only
+Everything the closed forms claim is reproducible here by linear algebra
+on a finite basis.  The four quadratic generators all preserve the total
+excitation number, so ordering the basis by blocks of fixed total makes
+every operator in this module exactly block diagonal: the truncation at
+total <= size introduces no error inside any block.  The only
 approximation anywhere is the finite-difference time derivative inside the
 two verification residuals.
+
+One routine builds a block of the map in either direction, from
+mixing-generator eigensystems computed once per call; the two verifiers
+share one residual loop over those blocks and never form a dense map.
 
 Conditioning, not truncation, is the real constraint: the group factors
 grow like exp(|gamma| * k) on block k, so checks that invert or normalize
@@ -16,6 +20,7 @@ mix blocks (position, momentum).
 """
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .dyson import scenario_params
 from .energy import f_pm
@@ -100,64 +105,104 @@ def element_matrix(elem, basis, gens=None):
     return c[0] * gens[0] + c[1] * gens[1] + c[2] * gens[2] + c[3] * gens[3]
 
 
-def _block_expm(h_block, scale):
-    # h_block Hermitian; scale real
-    vals, vecs = np.linalg.eigh(h_block)
-    return (vecs * np.exp(scale * vals)) @ vecs.conj().T
+def _block_factors(basis, gens, k_top=None):
+    """Time-independent pieces of the map on blocks 0..k_top (default: all).
+
+    Per block: the diagonals of the two number generators and the
+    eigensystems of the two mixing generators.  Computed once per public
+    call, so no eigendecomposition runs inside a time or difference loop.
+    """
+    k_top = basis.size if k_top is None else k_top
+    d1 = gens[0].diagonal().real
+    d2 = gens[1].diagonal().real
+    factors = []
+    for k in range(k_top + 1):
+        sl = basis.block_slice(k)
+        mixing = (np.linalg.eigh(gens[2][sl, sl]), np.linalg.eigh(gens[3][sl, sl]))
+        factors.append((d1[sl], d2[sl], *mixing))
+    return factors
+
+
+def _block_map(factors, params, inverse=False):
+    """One block of the ordered-product map, or of its exact inverse.
+
+    Diagonal pair first, then the two mixing factors, each a Hermitian
+    exponential through the block's eigensystem; the inverse is the
+    reversed product with negated parameters.
+    """
+    d1, d2, (vals3, vecs3), (vals4, vecs4) = factors
+    sign = -1.0 if inverse else 1.0
+    diag = np.exp(sign * (params.gamma1 * d1 + params.gamma2 * d2))
+    e3 = (vecs3 * np.exp(sign * params.gamma3 * vals3)) @ vecs3.conj().T
+    e4 = (vecs4 * np.exp(sign * params.gamma4 * vals4)) @ vecs4.conj().T
+    if inverse:
+        return (e4 @ e3) * diag[None, :]
+    return diag[:, None] * (e3 @ e4)
 
 
 def build_eta(basis, gens, params):
-    """Ordered-product group map, assembled block by block.
-
-    Diagonal pair first, then the two mixing factors; each mixing factor is
-    a Hermitian exponential done by exact eigendecomposition per block.
-    """
-    k1, k2, k3, k4 = gens
-    eta = np.zeros((basis.dim, basis.dim), dtype=complex)
-    d1 = np.real(np.diag(k1))
-    d2 = np.real(np.diag(k2))
-    for k in basis.blocks():
-        sl = basis.block_slice(k)
-        diag = np.exp(params.gamma1 * d1[sl] + params.gamma2 * d2[sl])
-        e3 = _block_expm(k3[sl, sl], params.gamma3)
-        e4 = _block_expm(k4[sl, sl], params.gamma4)
-        eta[sl, sl] = diag[:, None] * (e3 @ e4)
-    return eta
+    """Dense matrix of the ordered-product group map, assembled block by block."""
+    return block_diag(*(_block_map(f, params) for f in _block_factors(basis, gens)))
 
 
 def build_eta_inverse(basis, gens, params):
     """Exact inverse: reversed factors with negated parameters."""
-    k1, k2, k3, k4 = gens
-    inv = np.zeros((basis.dim, basis.dim), dtype=complex)
-    d1 = np.real(np.diag(k1))
-    d2 = np.real(np.diag(k2))
-    for k in basis.blocks():
-        sl = basis.block_slice(k)
-        diag = np.exp(-(params.gamma1 * d1[sl] + params.gamma2 * d2[sl]))
-        e3 = _block_expm(k3[sl, sl], -params.gamma3)
-        e4 = _block_expm(k4[sl, sl], -params.gamma4)
-        inv[sl, sl] = (e4 @ e3) * diag[None, :]
-    return inv
+    return block_diag(
+        *(_block_map(f, params, inverse=True) for f in _block_factors(basis, gens))
+    )
 
 
-def _eta_time_derivative(basis, gens, scenario, consts, t, fd_step):
-    # central difference, falling back to one-sided at the domain edges
-    t_lo, t_hi = 0.0, scenario.t_max()
+def _fd_stencil(t, fd_step, t_max):
+    """(offset, weight) pairs of a second-order first derivative times 2 fd_step.
 
-    def eta_at(s):
-        return build_eta(
-            basis, gens, scenario_params(consts, scenario.lam, s, q1=scenario.q1)
-        )
+    Central inside [0, t_max], one-sided at the domain edges.
+    """
+    h = fd_step
+    if t - h >= 0.0 and t + h <= t_max:
+        return ((h, 1.0), (-h, -1.0))
+    if t - h < 0.0:
+        return ((0.0, -3.0), (h, 4.0), (2.0 * h, -1.0))
+    return ((0.0, 3.0), (-h, -4.0), (-2.0 * h, 1.0))
 
-    if t - fd_step >= t_lo and t + fd_step <= t_hi:
-        return (eta_at(t + fd_step) - eta_at(t - fd_step)) / (2.0 * fd_step)
-    if t - fd_step < t_lo:
-        return (
-            -3.0 * eta_at(t) + 4.0 * eta_at(t + fd_step) - eta_at(t + 2.0 * fd_step)
-        ) / (2.0 * fd_step)
-    return (
-        3.0 * eta_at(t) - 4.0 * eta_at(t - fd_step) + eta_at(t - 2.0 * fd_step)
-    ) / (2.0 * fd_step)
+
+def _worst_block_residual(defect, scenario, basis, times, gens, fd_step, buffer):
+    """Worst per-block ratio of a defect to its scale, over times and blocks.
+
+    defect(eta, eta_dot, ham, herm) receives one block of the map, its
+    finite-difference time derivative, the non-Hermitian generator and the
+    Hermitian image, and returns (defect, scale); the ratio of their
+    spectral norms is the block's residual.  Only blocks 0..size - buffer
+    are built.
+    """
+    if gens is None:
+        gens = build_generators(basis)
+    consts = scenario.ep_constants()
+    k_top = basis.size - buffer
+    factors = _block_factors(basis, gens, k_top)
+    blocks = [basis.block_slice(k) for k in range(k_top + 1)]
+    ops = [tuple(g[sl, sl] for g in gens[:3]) for sl in blocks]
+
+    def params_at(s):
+        return scenario_params(consts, scenario.lam, s, q1=scenario.q1)
+
+    worst = 0.0
+    for t in np.atleast_1d(np.asarray(times, dtype=float)):
+        params = params_at(t)
+        stencil = [
+            (weight, params_at(t + offset))
+            for offset, weight in _fd_stencil(t, fd_step, scenario.t_max())
+        ]
+        a_t = float(scenario.a(t))
+        lam_t = float(scenario.lam(t))
+        f_plus, f_minus = f_pm(scenario, t)
+        for f, (k1, k2, k3) in zip(factors, ops):
+            eta = _block_map(f, params)
+            eta_dot = sum(w * _block_map(f, p) for w, p in stencil) / (2.0 * fd_step)
+            ham = a_t * (k1 + k2) + 1j * lam_t * k3
+            herm = f_plus * k1 + f_minus * k2
+            resid, scale = defect(eta, eta_dot, ham, herm)
+            worst = max(worst, np.linalg.norm(resid, 2) / np.linalg.norm(scale, 2))
+    return worst
 
 
 def verify_dyson(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
@@ -170,26 +215,11 @@ def verify_dyson(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
     dominated by the fastest-growing singular direction and the
     finite-difference step stops being the leading error there).
     """
-    if gens is None:
-        gens = build_generators(basis)
-    consts = scenario.ep_constants()
-    k_top = basis.size - buffer
-    worst = 0.0
-    for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        params = scenario_params(consts, scenario.lam, t, q1=scenario.q1)
-        eta = build_eta(basis, gens, params)
-        eta_dot = _eta_time_derivative(basis, gens, scenario, consts, t, fd_step)
-        a_t = float(scenario.a(t))
-        lam_t = float(scenario.lam(t))
-        f_plus, f_minus = f_pm(scenario, t)
-        ham = a_t * (gens[0] + gens[1]) + 1j * lam_t * gens[2]
-        herm = f_plus * gens[0] + f_minus * gens[1]
-        resid = eta @ ham + 1j * eta_dot - herm @ eta
-        for k in range(k_top + 1):
-            sl = basis.block_slice(k)
-            rel = np.linalg.norm(resid[sl, sl], 2) / np.linalg.norm(eta[sl, sl], 2)
-            worst = max(worst, rel)
-    return worst
+
+    def defect(eta, eta_dot, ham, herm):
+        return eta @ ham + 1j * eta_dot - herm @ eta, eta
+
+    return _worst_block_residual(defect, scenario, basis, times, gens, fd_step, buffer)
 
 
 def verify_quasi_hermiticity(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
@@ -199,26 +229,13 @@ def verify_quasi_hermiticity(scenario, basis, times, gens=None, fd_step=1e-5, bu
     composed with the generator, must equal i times the metric's time
     derivative; normalized per block by the metric's spectral norm.
     """
-    if gens is None:
-        gens = build_generators(basis)
-    consts = scenario.ep_constants()
-    k_top = basis.size - buffer
-    worst = 0.0
-    for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        params = scenario_params(consts, scenario.lam, t, q1=scenario.q1)
-        eta = build_eta(basis, gens, params)
-        eta_dot = _eta_time_derivative(basis, gens, scenario, consts, t, fd_step)
+
+    def defect(eta, eta_dot, ham, herm):
         rho = eta.conj().T @ eta
         rho_dot = eta_dot.conj().T @ eta + eta.conj().T @ eta_dot
-        a_t = float(scenario.a(t))
-        lam_t = float(scenario.lam(t))
-        ham = a_t * (gens[0] + gens[1]) + 1j * lam_t * gens[2]
-        resid = ham.conj().T @ rho - rho @ ham - 1j * rho_dot
-        for k in range(k_top + 1):
-            sl = basis.block_slice(k)
-            rel = np.linalg.norm(resid[sl, sl], 2) / np.linalg.norm(rho[sl, sl], 2)
-            worst = max(worst, rel)
-    return worst
+        return ham.conj().T @ rho - rho @ ham - 1j * rho_dot, rho
+
+    return _worst_block_residual(defect, scenario, basis, times, gens, fd_step, buffer)
 
 
 def sort_along_line(vals):
@@ -377,10 +394,10 @@ def map_state(basis, gens, params, psi, inverse=False, buffer=2):
                 f"state has relative support {spill / total:.3e} on the top "
                 f"{buffer} blocks; result would not be truncation safe"
             )
-    mat = build_eta_inverse(basis, gens, params) if inverse else build_eta(
-        basis, gens, params
-    )
-    return mat @ psi
+    return np.concatenate([
+        _block_map(f, params, inverse) @ psi[basis.block_slice(k)]
+        for k, f in enumerate(_block_factors(basis, gens))
+    ])
 
 
 def metric_floor(params, k):
@@ -408,12 +425,10 @@ def metric_spectrum_report(basis, gens, params):
     eigenvalue.  floors[k] <= observed[k] certifies positivity without
     trusting the numerics; the observed value shows the actual margin.
     """
-    eta = build_eta(basis, gens, params)
     floors = []
     observed = []
-    for k in basis.blocks():
-        sl = basis.block_slice(k)
+    for k, f in enumerate(_block_factors(basis, gens)):
         floors.append(metric_floor(params, k))
-        sigma = np.linalg.svd(eta[sl, sl], compute_uv=False)
+        sigma = np.linalg.svd(_block_map(f, params), compute_uv=False)
         observed.append(float(sigma[-1] ** 2))
     return floors, observed

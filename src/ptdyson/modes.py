@@ -35,13 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dyson import central_derivatives, driver_value
 from .energy import f_minus_profile, f_plus_profile
-from .errors import ConstraintViolationError, SingularEvaluationError, UnsupportedDegreeError
+from .errors import ConstraintViolationError, UnsupportedDegreeError
 
 MAX_HERMITE_DEGREE = 60
-
-# Driver magnitude below which mode evaluation counts as singular.
-EPS_DRIVER = 1e-8
 
 
 def hermite(n, x):
@@ -104,19 +102,8 @@ def ep_oscillator_residual(scale_fn, driver, t, fd_step=1e-2):
     the callable by 4th-order central differences.  Raises
     SingularEvaluationError where the driver magnitude is below EPS_DRIVER.
     """
-    d_t = float(driver(t))
-    if abs(d_t) <= EPS_DRIVER:
-        raise SingularEvaluationError(
-            f"driver magnitude {abs(d_t):.2e} <= {EPS_DRIVER} at t = {t}"
-        )
-    h = fd_step
-    stencil = np.array([scale_fn(t + k * h) for k in (-2, -1, 0, 1, 2)], dtype=float)
-    kt = stencil[2]
-    d1 = (stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (12 * h)
-    d2 = (
-        -stencil[0] + 16 * stencil[1] - 30 * stencil[2]
-        + 16 * stencil[3] - stencil[4]
-    ) / (12 * h**2)
+    d_t = driver_value(driver, t)
+    kt, d1, d2 = central_derivatives(scale_fn, t, fd_step)
     ddot = float(driver.derivative(t))
     res = d2 - (ddot / d_t) * d1 + d_t**2 * kt - d_t**2 / kt**3
     return abs(res)
@@ -129,20 +116,11 @@ def ermakov_quantity(scale_fn, driver, t, rate_fn=None, fd_step=1e-3):
     2 sqrt(1 + ktilde^2) on the closed-form scale.  The rate is analytic
     when rate_fn is given, otherwise a central difference.
     """
-    d_t = float(driver(t))
-    if abs(d_t) <= EPS_DRIVER:
-        raise SingularEvaluationError(
-            f"driver magnitude {abs(d_t):.2e} <= {EPS_DRIVER} at t = {t}"
-        )
-    kt = float(scale_fn(t))
+    d_t = driver_value(driver, t)
     if rate_fn is not None:
-        rate = float(rate_fn(t))
+        kt, rate = float(scale_fn(t)), float(rate_fn(t))
     else:
-        h = fd_step
-        rate = (
-            float(scale_fn(t - 2 * h)) - 8 * float(scale_fn(t - h))
-            + 8 * float(scale_fn(t + h)) - float(scale_fn(t + 2 * h))
-        ) / (12 * h)
+        kt, rate, _ = central_derivatives(scale_fn, t, fd_step)
     return (d_t**2 * (1.0 + kt**4) + kt**2 * rate**2) / (d_t**2 * kt**2)
 
 
@@ -162,33 +140,36 @@ def phase_integral(ktilde, driver, t):
     return out if out.ndim else float(out)
 
 
-def pedrosa_mode(spec, x, t):
-    """The normalized n-th mode at position(s) x and time t.
+def _mode_factors(spec, x, t):
+    """Pieces shared by the mode and its second derivative.
 
-    Unit L2 norm for every t; solves i d/dt psi = driver(t) K psi.  Raises
+    Returns (kt, W, amp, gauss, norm): the scale, the complex width
+    W = i ktdot/(d kt) - 1/kt^2, amp = e^{i phase_n} / sqrt(kt), the Gaussian
+    exp(W x^2 / 2) and the Hermite normalization.  Raises
     SingularEvaluationError when the driver vanishes at t (the generic
     ansatz divides by it, even though the closed-form scale cancels the
     division analytically).
     """
-    d_t = float(spec.driver(t))
-    if abs(d_t) <= EPS_DRIVER:
-        raise SingularEvaluationError(
-            f"driver magnitude {abs(d_t):.2e} <= {EPS_DRIVER} at t = {t}"
-        )
-    x = np.asarray(x, dtype=float)
+    driver_value(spec.driver, t)
     kt = ep_classical(spec.ktilde, spec.driver, t)
     a_int = float(spec.driver.cumulative(t))
     # i ktdot/(d kt) - 1/kt^2 with the driver cancelled from the ratio.
     width = (-1.0j * spec.ktilde * np.sin(2.0 * a_int) - 1.0) / kt**2
     phase = -(spec.n + 0.5) * phase_integral(spec.ktilde, spec.driver, t)
     norm = math.sqrt(2.0**spec.n * math.factorial(spec.n) * math.sqrt(math.pi))
-    out = (
-        np.exp(1.0j * phase)
-        / np.sqrt(kt)
-        * np.exp(0.5 * width * x**2)
-        * hermite(spec.n, x / kt)
-        / norm
-    )
+    amp = np.exp(1.0j * phase) / np.sqrt(kt)
+    return kt, width, amp, np.exp(0.5 * width * x**2), norm
+
+
+def pedrosa_mode(spec, x, t):
+    """The normalized n-th mode at position(s) x and time t.
+
+    Unit L2 norm for every t; solves i d/dt psi = driver(t) K psi.  Raises
+    SingularEvaluationError when the driver vanishes at t.
+    """
+    x = np.asarray(x, dtype=float)
+    kt, _, amp, gauss, norm = _mode_factors(spec, x, t)
+    out = amp * gauss * hermite(spec.n, x / kt) / norm
     return out if out.ndim else complex(out)
 
 
@@ -201,19 +182,10 @@ def pedrosa_mode_xx(spec, x, t):
                              + (4 n (n-1) / kt^2) H_{n-2} ].
     Used by the quadrature oracles; a grid check would lose too many digits.
     """
-    d_t = float(spec.driver(t))
-    if abs(d_t) <= EPS_DRIVER:
-        raise SingularEvaluationError(
-            f"driver magnitude {abs(d_t):.2e} <= {EPS_DRIVER} at t = {t}"
-        )
     x = np.asarray(x, dtype=float)
     n = spec.n
-    kt = ep_classical(spec.ktilde, spec.driver, t)
-    a_int = float(spec.driver.cumulative(t))
-    width = (-1.0j * spec.ktilde * np.sin(2.0 * a_int) - 1.0) / kt**2
-    phase = -(n + 0.5) * phase_integral(spec.ktilde, spec.driver, t)
-    norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-    pref = np.exp(1.0j * phase) / np.sqrt(kt) / norm * np.exp(0.5 * width * x**2)
+    kt, width, amp, gauss, norm = _mode_factors(spec, x, t)
+    pref = amp / norm * gauss
     xi = x / kt
     total = (width + width**2 * x**2) * hermite(n, xi)
     if n >= 1:

@@ -275,7 +275,7 @@ _BRACKET_TABLE = {
 }
 
 
-def check_algebra_closure(profile="fast"):
+def check_algebra_closure():
     worst_structure = 0.0
     worst_matrix = 0.0
     for (i, j), expected in _BRACKET_TABLE.items():
@@ -306,7 +306,7 @@ def check_algebra_closure(profile="fast"):
     )
 
 
-def check_dyson_relation(profile="fast"):
+def check_dyson_relation():
     scenario = default_scenario()
     consts = scenario.ep_constants()
     worst_analytic = 0.0
@@ -329,7 +329,7 @@ def check_dyson_relation(profile="fast"):
     )
 
 
-def check_route_equivalence(profile="fast"):
+def check_route_equivalence():
     scenario = default_scenario()
     consts = scenario.ep_constants()
     times = sample_times()
@@ -348,7 +348,7 @@ def check_route_equivalence(profile="fast"):
     )
 
 
-def check_dissipative_scale(profile="fast"):
+def check_dissipative_scale():
     scenario = default_scenario()
     consts = scenario.ep_constants()
     chi = chi_closed_form(scenario.lam, consts)
@@ -375,7 +375,7 @@ def check_dissipative_scale(profile="fast"):
     )
 
 
-def check_invariant_conservation(profile="fast"):
+def check_invariant_conservation():
     scenario = default_scenario()
     coeffs = default_invariant_coeffs()
 
@@ -411,7 +411,7 @@ def check_invariant_conservation(profile="fast"):
     )
 
 
-def check_invariant_similarity(profile="fast"):
+def check_invariant_similarity():
     scenario = default_scenario()
     coeffs = default_invariant_coeffs()
     worst_norm = 0.0
@@ -437,7 +437,7 @@ def check_invariant_similarity(profile="fast"):
     )
 
 
-def check_broken_spectrum(profile="fast"):
+def check_broken_spectrum():
     a_value, lam_value = 1.0, 0.4
     basis = FockBasis(12)
     numeric = broken_spectrum_numeric(a_value, lam_value, basis)
@@ -462,9 +462,8 @@ def check_broken_spectrum(profile="fast"):
     )
 
 
-def check_eigenstate_orthonormality(profile="fast"):
-    order = 24 if profile == "fast" else 32
-    nodes, weights = hermgauss(order)
+def check_eigenstate_orthonormality():
+    nodes, weights = hermgauss(24)
     states = [(n, m) for n in range(5) for m in range(5)]
     x, y = np.meshgrid(nodes, nodes, indexing="ij")
     bare = np.exp(0.5 * (x**2 + y**2))
@@ -480,7 +479,7 @@ def check_eigenstate_orthonormality(profile="fast"):
     )
 
 
-def check_mode_expectation_constancy(profile="fast"):
+def check_mode_expectation_constancy():
     scenario = default_scenario()
     rng = np.random.default_rng(_SEED)
     times = rng.uniform(0.3, 9.7, size=10)
@@ -500,7 +499,7 @@ def check_mode_expectation_constancy(profile="fast"):
     )
 
 
-def check_schrodinger_residual(profile="fast"):
+def check_schrodinger_residual():
     scenario = default_scenario(n=1, m=0)
     t_check = 0.7
     spec = ModeSpec(1, f_plus_profile(scenario), scenario.ktilde_plus, "+")
@@ -522,10 +521,9 @@ def check_schrodinger_residual(profile="fast"):
     )
 
 
-def check_energy_reality(profile="fast"):
+def check_energy_reality():
     scenario = default_scenario(n=1, m=0)
-    count = 6 if profile == "fast" else 10
-    times = np.linspace(0.4, 9.6, count)
+    times = np.linspace(0.4, 9.6, 6)
     spec_x = ModeSpec(scenario.n, f_plus_profile(scenario), scenario.ktilde_plus, "+")
     spec_y = ModeSpec(scenario.m, f_minus_profile(scenario), scenario.ktilde_minus, "-")
     worst_imag = 0.0
@@ -584,10 +582,10 @@ def _fock_frame_equivalence(scenario, times):
     return worst
 
 
-def check_metric_positivity(profile="fast"):
+def check_metric_positivity():
     scenario = default_scenario()
     consts = scenario.ep_constants()
-    size = 12 if profile == "fast" else 24
+    size = 12
     buffer = 2
     basis = FockBasis(size)
     gens = build_generators(basis)
@@ -608,7 +606,7 @@ def check_metric_positivity(profile="fast"):
     )
 
 
-def check_exceptional_point(profile="fast"):
+def check_exceptional_point():
     mass, omega_x, omega_y = 1.0, 1.0, math.sqrt(3.0)
     bound = mass * (omega_y**2 - omega_x**2) / 2.0
     raised_at = []
@@ -661,6 +659,6 @@ _CHECKS = (
 )
 
 
-def run_all(profile="fast"):
+def run_all():
     """All thirteen checks, in criterion order."""
-    return [fn(profile) for fn in _CHECKS]
+    return [fn() for fn in _CHECKS]

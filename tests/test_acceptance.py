@@ -18,7 +18,7 @@ CRITERIA = [
 
 @pytest.fixture(scope="module")
 def results():
-    return validation.run_all("fast")
+    return validation.run_all()
 
 
 def test_suite_shape(results):

@@ -227,6 +227,28 @@ def test_metric_compatibility_static_and_generic():
     assert verify_quasi_hermiticity(sc, basis, [0.0, 0.7, 2.5, 6.1]) < 1e-6
 
 
+def test_residuals_at_the_domain_end():
+    # t + fd_step beyond t_max forces the backward one-sided difference;
+    # evaluating the profiles past their domain would raise instead
+    sc = default_scenario(
+        a=TimeProfile.sinusoid(1.0, 0.2, 2.0, t_max=5.0),
+        lam=TimeProfile.sinusoid(0.5, 0.3, 1.0, t_max=5.0),
+    )
+    assert sc.t_max() == 5.0
+    basis = FockBasis(10)
+    assert verify_dyson(sc, basis, [5.0]) < 1e-8
+    assert verify_quasi_hermiticity(sc, basis, [5.0]) < 1e-8
+
+
+def test_residuals_detect_a_coarse_step():
+    # a step of 0.1 leaves a second-order error in the map's derivative
+    # that both residuals must report
+    sc = default_scenario()
+    basis = FockBasis(8)
+    assert verify_dyson(sc, basis, [0.7, 2.5], fd_step=0.1) > 1e-4
+    assert verify_quasi_hermiticity(sc, basis, [0.7, 2.5], fd_step=0.1) > 1e-4
+
+
 def test_metric_compatibility_needs_the_metric():
     # with the metric replaced by the identity the defect is the
     # anti-Hermitian part of the generator, block norm lam * k exactly
