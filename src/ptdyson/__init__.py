@@ -31,7 +31,6 @@ from .dyson import (
     ep_dissipative_residual,
     fit_ep_constants,
     gamma_closed_form,
-    gamma_closed_form_alt,
     gamma_rates,
     hermitian_counterpart,
     nonhermitian_hamiltonian,

@@ -14,6 +14,10 @@ In that image all group factor exponentials are closed form, so
 conjugation and the time-derivative term carry no matrix-exponential
 truncation error.  The tests verify the six brackets in both pictures
 before anything else runs.
+
+Coefficients and group parameters may be stacked along trailing axes (one
+entry per time sample, coefficient axis first); the matrix helpers then
+return (..., 2, 2) stacks and matmul carries the stacking through.
 """
 
 from dataclasses import dataclass
@@ -33,20 +37,24 @@ BASIS_MATRICES = (
     0.5 * _SIGMA1,
     0.5 * _SIGMA2,
 )
+_EYE = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
 class AlgebraElement:
     """Complex coefficient 4-vector c over the generator basis.
 
-    Represents c[0]*K1 + c[1]*K2 + c[2]*K3 + c[3]*K4.  Immutable.
+    Represents c[0]*K1 + c[1]*K2 + c[2]*K3 + c[3]*K4.  Immutable.  Each
+    coefficient may be a scalar or an array (one entry per sample); they
+    are broadcast together, so `vector` has shape (4, ...) and every
+    operation below acts sample by sample.
     """
 
     coeffs: tuple
 
     def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (4,):
+        c = np.array(np.broadcast_arrays(*coeffs), dtype=complex)
+        if c.shape[:1] != (4,):
             raise ValueError("AlgebraElement needs exactly 4 coefficients")
         object.__setattr__(self, "coeffs", tuple(c))
 
@@ -57,10 +65,11 @@ class AlgebraElement:
     def is_hermitian(self, tol=HERMITIAN_TOL):
         # Generators are self-adjoint, so Hermiticity is reality of the
         # coefficients.
-        return max(abs(c.imag) for c in self.coeffs) < tol
+        return np.max(np.abs(self.vector.imag), axis=0) < tol
 
     def norm(self):
-        return float(np.linalg.norm(self.vector))
+        """Euclidean norm over the coefficient axis, per sample."""
+        return np.linalg.norm(self.vector, axis=0)[()]
 
     def __add__(self, other):
         return AlgebraElement(self.vector + other.vector)
@@ -91,7 +100,8 @@ class DysonParams:
         eta = exp(g1 K1) exp(g2 K2) exp(g3 K3) exp(g4 K4).
 
     For a valid map of the time-dependent model g1 = g2 = const; the
-    constructor does not enforce that, the dyson module does.
+    constructor does not enforce that, the dyson module does.  Parameters
+    may be arrays (one entry per sample) that broadcast together.
     """
 
     gamma1: float
@@ -100,7 +110,11 @@ class DysonParams:
     gamma4: float
 
     def as_array(self):
-        return np.array([self.gamma1, self.gamma2, self.gamma3, self.gamma4])
+        """The four parameters broadcast together, shape (4, ...)."""
+        return np.array(
+            np.broadcast_arrays(self.gamma1, self.gamma2, self.gamma3, self.gamma4),
+            dtype=float,
+        )
 
 
 def commutator(a, b):
@@ -114,36 +128,33 @@ def commutator(a, b):
 
 
 def to_matrix(a):
-    """2x2 image of an element."""
-    m = np.zeros((2, 2), dtype=complex)
-    for c, basis in zip(a.coeffs, BASIS_MATRICES):
-        m = m + c * basis
-    return m
+    """2x2 image of an element, shape (..., 2, 2)."""
+    return np.einsum("i...,ijk->...jk", a.vector, BASIS_MATRICES)
 
 
 def from_matrix(m):
-    """Inverse of to_matrix; the coefficient map is a bijection."""
+    """Inverse of to_matrix on (..., 2, 2); the coefficient map is a bijection."""
     m = np.asarray(m, dtype=complex)
-    c1 = m[0, 0]
-    c2 = m[1, 1]
-    c3 = m[0, 1] + m[1, 0]
-    c4 = -1.0j * (m[1, 0] - m[0, 1])
+    c1 = m[..., 0, 0]
+    c2 = m[..., 1, 1]
+    c3 = m[..., 0, 1] + m[..., 1, 0]
+    c4 = -1.0j * (m[..., 1, 0] - m[..., 0, 1])
     return AlgebraElement([c1, c2, c3, c4])
 
 
 def factor_matrix(i, gamma):
-    """Closed-form exp(gamma K_i) in the 2x2 image, i in 1..4, gamma real."""
-    g = float(gamma)
-    if i == 1:
-        return np.diag([np.exp(g), 1.0]).astype(complex)
-    if i == 2:
-        return np.diag([1.0, np.exp(g)]).astype(complex)
-    half = 0.5 * g
-    eye = np.eye(2, dtype=complex)
+    """Closed-form exp(gamma K_i) in the 2x2 image, i in 1..4, gamma real.
+
+    Broadcasts over gamma: the result has shape gamma.shape + (2, 2).
+    """
+    g = np.asarray(gamma, dtype=float)[..., None, None]
+    if i in (1, 2):
+        # exp(gamma) on the generator's one diagonal entry, 1 on the other
+        return np.where(BASIS_MATRICES[i - 1] != 0.0, np.exp(g), _EYE)
     if i == 3:
-        return np.cosh(half) * eye + np.sinh(half) * _SIGMA1
+        return np.cosh(0.5 * g) * _EYE + np.sinh(0.5 * g) * _SIGMA1
     if i == 4:
-        return np.cosh(half) * eye + np.sinh(half) * _SIGMA2
+        return np.cosh(0.5 * g) * _EYE + np.sinh(0.5 * g) * _SIGMA2
     raise ValueError("generator index out of range")
 
 
@@ -184,11 +195,11 @@ def time_term(params, params_dot):
     """
     g = params.as_array()
     gdot = np.asarray(params_dot, dtype=float)
-    prefix = np.eye(2, dtype=complex)
-    prefix_inv = np.eye(2, dtype=complex)
-    total = np.zeros((2, 2), dtype=complex)
+    prefix = _EYE
+    prefix_inv = _EYE
+    total = 0.0
     for i in (1, 2, 3, 4):
-        total = total + gdot[i - 1] * (
+        total = total + gdot[i - 1][..., None, None] * (
             prefix @ BASIS_MATRICES[i - 1] @ prefix_inv
         )
         prefix = prefix @ factor_matrix(i, g[i - 1])

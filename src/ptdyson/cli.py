@@ -8,12 +8,13 @@ time or dict iteration order.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 config violation
 (message names the invariant), 3 numerical failure (message carries the
-context).
+context; a NaN or inf in an output table is one).
 """
 
 import argparse
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .errors import (
     DomainError,
     ExceptionalPointError,
     IntegrationError,
+    NonFiniteOutputError,
     SingularEvaluationError,
     TruncationError,
     UnsupportedDegreeError,
@@ -118,8 +120,32 @@ def load_config(path):
     return _merge(DEFAULT_CONFIG, user)
 
 
+def _check_types(cfg, defaults, prefix=""):
+    """ConfigError naming the key path of a value whose type misfits its default.
+
+    A number must be a finite int or float (not a bool or a string), and an
+    integral one where the default is an int.
+    """
+    for key, default in defaults.items():
+        path, value = prefix + key, cfg[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path} must be an object, got {value!r}")
+            _check_types(value, default, path + ".")
+        elif isinstance(default, (int, float)):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+            ):
+                raise ConfigError(f"{path} must be a finite number, got {value!r}")
+            if isinstance(default, int) and not float(value).is_integer():
+                raise ConfigError(f"{path} must be an integer, got {value!r}")
+
+
 def validate_config(cfg):
     """Raise ConfigError naming the first violated invariant."""
+    _check_types(cfg, DEFAULT_CONFIG)
     sc = cfg["scenario"]
     if not abs(sc["q3"]) < 1.0:
         raise ConfigError(
@@ -171,9 +197,20 @@ def grid_times(cfg):
 
 
 def _write_csv(path, header, rows):
+    """Write a table; NonFiniteOutputError, and no file, if a value is NaN or inf."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, j = bad[0]
+        where = f"row {i + 1}"
+        if "t" in header:
+            where = f"t = {_fmt(table[i, header.index('t')])}"
+        raise NonFiniteOutputError(
+            f"{header[j]} = {table[i, j]} at {where}; {path.name} not written"
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in table:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -188,28 +225,20 @@ def cmd_evolve(cfg, out_dir):
         c2_real=float(inv["c2_real"]),
         c3_real=float(inv["c3_real"]),
     )
-    rows = []
-    for t in grid_times(cfg):
-        t = float(t)
-        params = scenario_params(consts, scenario.lam, t, q1=scenario.q1)
-        rates = scenario_rates(consts, scenario.lam, t)
-        beta = beta_from_match(coeffs, scenario.lam, t)
-        f_plus, f_minus = f_pm(scenario, t)
-        rows.append(
-            (
-                t,
-                params.gamma3,
-                params.gamma4,
-                beta[0],
-                beta[1],
-                beta[2],
-                beta[3],
-                f_plus,
-                f_minus,
-                energy_expectation(scenario, t),
-                dyson_residual(scenario.a, scenario.lam, params, rates, t),
-            )
-        )
+    t = grid_times(cfg)
+    params = scenario_params(consts, scenario.lam, t, q1=scenario.q1)
+    rates = scenario_rates(consts, scenario.lam, t)
+    f_plus, f_minus = f_pm(scenario, t)
+    columns = (
+        t,
+        params.gamma3,
+        params.gamma4,
+        *beta_from_match(coeffs, scenario.lam, t),
+        f_plus,
+        f_minus,
+        energy_expectation(scenario, t),
+        dyson_residual(scenario.a, scenario.lam, params, rates, t),
+    )
     path = out_dir / "evolve.csv"
     _write_csv(
         path,
@@ -226,7 +255,7 @@ def cmd_evolve(cfg, out_dir):
             "energy",
             "dyson_residual",
         ),
-        rows,
+        np.column_stack(columns),
     )
     print(f"wrote {path}")
     return 0
@@ -399,6 +428,7 @@ def main(argv=None):
         return 2
     except (
         IntegrationError,
+        NonFiniteOutputError,
         SingularEvaluationError,
         TruncationError,
         ExceptionalPointError,

@@ -125,33 +125,13 @@ def gamma_closed_form(lam, constants, t):
         g4 = arcsinh( kappa / cosh(g3) )
 
     The second line is smooth through q3 = 0 and keeps the conserved
-    combination sinh(g4) cosh(g3) = kappa exact by construction.  An
-    algebraically equivalent arctanh form is kept in
-    gamma_closed_form_alt as a cross-check.
+    combination sinh(g4) cosh(g3) = kappa exact by construction.  The tests
+    cross-check it against an algebraically equivalent arctanh form.
     """
     q3 = constants.q3
     u = constants.q2 - lam.cumulative(t)
     g3 = np.arcsinh(np.sinh(u) / np.sqrt(1.0 - q3**2))
     g4 = np.arcsinh(constants.kappa / np.cosh(g3))
-    return g3, g4
-
-
-def gamma_closed_form_alt(lam, constants, t):
-    """Alternative closed forms through arctanh, valid for |q3| > 0.
-
-    g3 = arctanh[ tanh(u) / sqrt(1 - q3^2 sech(u)^2) ] and
-    g4 = arccoth[ cosh(u) / q3 ] = arctanh[ q3 / cosh(u) ].  Used only to
-    cross-check the canonical evaluation; both are singular or
-    ill-conditioned where the canonical form is not.
-    """
-    q3 = constants.q3
-    if abs(q3) < 1e-3:
-        raise ConstraintViolationError(
-            "alternative g4 form needs |q3| > 1e-3 (reciprocal of q3)"
-        )
-    u = constants.q2 - lam.cumulative(t)
-    g3 = np.arctanh(np.tanh(u) / np.sqrt(1.0 - (q3 / np.cosh(u)) ** 2))
-    g4 = np.arctanh(1.0 / ((1.0 / q3) * np.cosh(u)))
     return g3, g4
 
 
@@ -258,10 +238,10 @@ def dyson_residual(a, lam, params, params_dot, t):
     || eta H eta^{-1} + i etadot eta^{-1} - h || with H built from the
     profiles and h from the Hermitian counterpart closed form at the given
     parameters.  Small only when (params, params_dot) lie on the constraint
-    manifold.
+    manifold.  Array t takes parameters and velocities stacked to match.
     """
-    a_t = float(a(t))
-    lam_t = float(lam(t))
+    a_t = a(t)
+    lam_t = lam(t)
     big_h = nonhermitian_hamiltonian(a_t, lam_t)
     lhs = conjugate(params, big_h) + time_term(params, params_dot)
     h = hermitian_counterpart(a_t, lam_t, params.gamma3, params.gamma4)
@@ -271,11 +251,11 @@ def dyson_residual(a, lam, params, params_dot, t):
 def scenario_params(constants, lam, t, q1=0.0):
     """DysonParams at time t from the closed-form trajectory."""
     g3, g4 = gamma_closed_form(lam, constants, t)
-    return DysonParams(q1, q1, float(g3), float(g4))
+    return DysonParams(q1, q1, g3, g4)
 
 
 def scenario_rates(constants, lam, t):
-    """Parameter velocities (g1dot, g2dot, g3dot, g4dot) at time t."""
+    """Parameter velocities (g1dot, g2dot, g3dot, g4dot) at time t, shape (4, ...)."""
     g3, g4 = gamma_closed_form(lam, constants, t)
-    g3dot, g4dot = gamma_rates(float(lam(t)), g3, g4)
-    return np.array([0.0, 0.0, g3dot, g4dot])
+    g3dot, g4dot = gamma_rates(lam(t), g3, g4)
+    return np.array(np.broadcast_arrays(0.0, 0.0, g3dot, g4dot))

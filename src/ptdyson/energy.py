@@ -67,15 +67,11 @@ def f_pm(scenario, t):
     to lam and vanishes for q3 = 0.
     """
     q3 = scenario.q3
-    u = scenario.q2 - np.asarray(scenario.lam.cumulative(t))
+    u = scenario.q2 - scenario.lam.cumulative(t)
     denom = 1.0 + np.cosh(2.0 * u) - 2.0 * q3**2
-    split = q3 * np.sqrt(1.0 - q3**2) * np.asarray(scenario.lam(t)) / denom
-    a_t = np.asarray(scenario.a(t))
-    f_plus = a_t + split
-    f_minus = a_t - split
-    if np.shape(u):
-        return f_plus, f_minus
-    return float(f_plus), float(f_minus)
+    split = q3 * np.sqrt(1.0 - q3**2) * scenario.lam(t) / denom
+    a_t = scenario.a(t)
+    return a_t + split, a_t - split
 
 
 def driver_diff_integral(scenario, t):
@@ -87,11 +83,10 @@ def driver_diff_integral(scenario, t):
     kappa = scenario.q3 / np.sqrt(1.0 - scenario.q3**2)
 
     def primitive(tau):
-        u = scenario.q2 - np.asarray(scenario.lam.cumulative(tau))
+        u = scenario.q2 - scenario.lam.cumulative(tau)
         return -np.arctan(kappa * np.tanh(u))
 
-    out = primitive(t) - primitive(0.0)
-    return out if np.shape(out) else float(out)
+    return primitive(t) - primitive(0.0)
 
 
 class DriverHalf:
@@ -118,23 +113,20 @@ class DriverHalf:
     def derivative(self, t):
         s = self.scenario
         q3 = s.q3
-        u = s.q2 - np.asarray(s.lam.cumulative(t))
-        lam_t = np.asarray(s.lam(t))
-        lamdot = np.asarray(s.lam.derivative(t))
+        u = s.q2 - s.lam.cumulative(t)
+        lam_t = s.lam(t)
+        lamdot = s.lam.derivative(t)
         denom = 2.0 * (np.cosh(u) ** 2 - q3**2)
         # d/dt[lam/denom]: denom carries du/dt = -lam, so its derivative is
         # -2 lam sinh(2u).
         split_dot = q3 * np.sqrt(1.0 - q3**2) * (
             lamdot / denom + 2.0 * lam_t**2 * np.sinh(2.0 * u) / denom**2
         )
-        out = np.asarray(s.a.derivative(t)) + self.sign * split_dot
-        return out if np.shape(out) else float(out)
+        return s.a.derivative(t) + self.sign * split_dot
 
     def cumulative(self, t):
         s = self.scenario
-        base = np.asarray(s.a.cumulative(t))
-        out = base + 0.5 * self.sign * np.asarray(driver_diff_integral(s, t))
-        return out if np.shape(out) else float(out)
+        return s.a.cumulative(t) + 0.5 * self.sign * driver_diff_integral(s, t)
 
 
 def f_plus_profile(scenario):
@@ -153,7 +145,7 @@ def scenario_h(scenario, t):
 
 def scenario_hamiltonian(scenario, t):
     """The non-Hermitian model H(t) at time t."""
-    return nonhermitian_hamiltonian(float(scenario.a(t)), float(scenario.lam(t)))
+    return nonhermitian_hamiltonian(scenario.a(t), scenario.lam(t))
 
 
 def energy_expectation(scenario, t):
@@ -161,5 +153,4 @@ def energy_expectation(scenario, t):
     fp, fm = f_pm(scenario, t)
     e_plus = (scenario.n + 0.5) * np.sqrt(1.0 + scenario.ktilde_plus**2)
     e_minus = (scenario.m + 0.5) * np.sqrt(1.0 + scenario.ktilde_minus**2)
-    out = fp * e_plus + fm * e_minus
-    return out if np.shape(np.asarray(out)) else float(out)
+    return fp * e_plus + fm * e_minus

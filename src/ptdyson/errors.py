@@ -44,5 +44,9 @@ class TruncationError(PtdysonError):
     """State has support outside the truncation-safe subspace."""
 
 
+class NonFiniteOutputError(PtdysonError):
+    """A computed table holds NaN or inf. The message names column and time."""
+
+
 class ConfigError(PtdysonError):
     """Invalid run configuration. The message names the violated invariant."""

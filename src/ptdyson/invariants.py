@@ -137,8 +137,8 @@ def alpha_coeffs(coeffs, lam, t):
 
 
 def invariant_element(coeffs, lam, t):
-    """alpha_coeffs packaged as an AlgebraElement (scalar t only)."""
-    return AlgebraElement(alpha_coeffs(coeffs, lam, float(t)))
+    """alpha_coeffs packaged as an AlgebraElement, stacked over array t."""
+    return AlgebraElement(alpha_coeffs(coeffs, lam, t))
 
 
 def gamma_from_alpha(alpha):
@@ -204,10 +204,7 @@ def beta_from_match(coeffs, lam, t, branch=None):
     beta2 = 0.5 * c1r - 0.5 * s * root
     beta3 = s * (c2r / (2.0 * c3r)) * r2 / d
     beta4 = s * (c2r * c2i / (2.0 * c3r)) * (root / d) * np.tanh(u)
-    if np.shape(u):
-        beta1 = np.broadcast_to(beta1, np.shape(u)).copy()
-        beta2 = np.broadcast_to(beta2, np.shape(u)).copy()
-    return np.array([beta1, beta2, beta3, beta4], dtype=float)
+    return np.array(np.broadcast_arrays(beta1, beta2, beta3, beta4), dtype=float)
 
 
 def beta_from_evolution(c5, c6, c7, c8, b_diff_int):
@@ -219,10 +216,7 @@ def beta_from_evolution(c5, c6, c7, c8, b_diff_int):
     phase = c8 - np.asarray(b_diff_int, dtype=float)
     beta3 = c7 * np.cos(phase)
     beta4 = -c7 * np.sin(phase)
-    shape = np.shape(phase)
-    if shape:
-        return np.array([np.full(shape, c5), np.full(shape, c6), beta3, beta4])
-    return np.array([c5, c6, float(beta3), float(beta4)])
+    return np.array(np.broadcast_arrays(c5, c6, beta3, beta4), dtype=float)
 
 
 def b_diff_integral(coeffs, lam, t):
@@ -244,27 +238,27 @@ def b_diff_integral(coeffs, lam, t):
             amp * np.tanh(coeffs.c4.real - np.asarray(lam.cumulative(tau)))
         )
 
-    out = np.sign(c3r) * (primitive(t) - primitive(0.0))
-    return out if np.shape(out) else float(out)
+    return np.sign(c3r) * (primitive(t) - primitive(0.0))
 
 
 def conservation_residual(element_fn, hamiltonian_fn, t, fd_step=1e-5):
     """Coefficient-norm residual of d/dt I = i [I, H] at time t.
 
     element_fn and hamiltonian_fn map t to AlgebraElement; the time
-    derivative is a central difference of the coefficients.
+    derivative is a central difference of the coefficients.  Array t gives
+    one residual per entry when both callables stack over t.
     """
     h = fd_step
     di = (element_fn(t + h).vector - element_fn(t - h).vector) / (2.0 * h)
     bracket = commutator(element_fn(t), hamiltonian_fn(t)).vector
-    return float(np.linalg.norm(di - 1.0j * bracket))
+    return np.linalg.norm(di - 1.0j * bracket, axis=0)[()]
 
 
 def similarity_residual(alpha, beta, params):
     """|| eta I_H eta^{-1} - I_h || in the coefficient norm.
 
     alpha is the complex 4-vector of I_H, beta the real 4-vector of I_h,
-    params the map parameters at the same instant.
+    params the map parameters at the same instant; stacks of all three
+    (coefficient axis first) give one residual per sample.
     """
-    image = conjugate(params, AlgebraElement(alpha))
-    return float(np.linalg.norm(image.vector - np.asarray(beta, dtype=complex)))
+    return (conjugate(params, AlgebraElement(alpha)) - AlgebraElement(beta)).norm()

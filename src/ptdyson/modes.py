@@ -53,11 +53,11 @@ def hermite(n, x):
     x = np.asarray(x)
     h_prev = np.ones_like(x, dtype=float)
     if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
+        return h_prev[()]
     h = 2.0 * x
     for k in range(1, n):
         h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if np.ndim(h) else float(h)
+    return h
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,15 @@ class ModeSpec:
 
 def ep_classical(ktilde, driver, t):
     """Closed-form scale function kt(t); strictly positive for any ktilde."""
-    a_int = np.asarray(driver.cumulative(t))
-    val = np.sqrt(ktilde * np.cos(2.0 * a_int) + np.sqrt(1.0 + ktilde**2))
-    return val if val.ndim else float(val)
+    a_int = driver.cumulative(t)
+    return np.sqrt(ktilde * np.cos(2.0 * a_int) + np.sqrt(1.0 + ktilde**2))
 
 
 def ep_classical_rate(ktilde, driver, t):
     """Analytic d/dt of the closed-form scale function."""
-    a_int = np.asarray(driver.cumulative(t))
+    a_int = driver.cumulative(t)
     kt = np.sqrt(ktilde * np.cos(2.0 * a_int) + np.sqrt(1.0 + ktilde**2))
-    out = -ktilde * np.asarray(driver(t)) * np.sin(2.0 * a_int) / kt
-    return out if out.ndim else float(out)
+    return -ktilde * driver(t) * np.sin(2.0 * a_int) / kt
 
 
 def ep_oscillator_residual(scale_fn, driver, t, fd_step=1e-2):
@@ -136,8 +134,7 @@ def phase_integral(ktilde, driver, t):
     theta = np.asarray(driver.cumulative(t), dtype=float)
     winding = np.round(theta / np.pi)
     reduced = theta - winding * np.pi
-    out = winding * np.pi + np.arctan2(g * np.sin(reduced), np.cos(reduced))
-    return out if out.ndim else float(out)
+    return winding * np.pi + np.arctan2(g * np.sin(reduced), np.cos(reduced))
 
 
 def _mode_factors(spec, x, t):
@@ -169,8 +166,7 @@ def pedrosa_mode(spec, x, t):
     """
     x = np.asarray(x, dtype=float)
     kt, _, amp, gauss, norm = _mode_factors(spec, x, t)
-    out = amp * gauss * hermite(spec.n, x / kt) / norm
-    return out if out.ndim else complex(out)
+    return amp * gauss * hermite(spec.n, x / kt) / norm
 
 
 def pedrosa_mode_xx(spec, x, t):
@@ -192,8 +188,7 @@ def pedrosa_mode_xx(spec, x, t):
         total = total + (4.0 * n * width * x / kt) * hermite(n - 1, xi)
     if n >= 2:
         total = total + (4.0 * n * (n - 1) / kt**2) * hermite(n - 2, xi)
-    out = pref * total
-    return out if out.ndim else complex(out)
+    return pref * total
 
 
 def k1_expectation(spec):

@@ -127,7 +127,7 @@ class TimeProfile:
         return t
 
     def evaluate(self, t):
-        """Profile value at t.  Accepts scalars or arrays."""
+        """Profile value at t: a NumPy scalar for scalar t, an array for array t."""
         t = self._check_domain(t)
         p = self.params
         if self.kind == "constant":
@@ -140,7 +140,7 @@ class TimeProfile:
             out = p["offset"] + p["amp"] * np.exp(p["rate"] * t)
         else:
             out = self._spline(t)
-        return out if out.ndim else float(out)
+        return out[()]
 
     __call__ = evaluate
 
@@ -159,7 +159,7 @@ class TimeProfile:
             out = p["amp"] * p["rate"] * np.exp(p["rate"] * t)
         else:
             out = self._spline_der(t)
-        return out if out.ndim else float(out)
+        return out[()]
 
     def cumulative(self, t):
         """Integral of the profile from 0 to t, cumulative(0) = 0."""
@@ -186,4 +186,4 @@ class TimeProfile:
                 out = p["offset"] * t + (p["amp"] / r) * (np.exp(r * t) - 1.0)
         else:
             out = self._spline_int(t) - self._spline_int(0.0)
-        return out if np.asarray(out).ndim else float(out)
+        return out[()]

@@ -164,5 +164,4 @@ def static_eigenstate(n, m, x, y):
     norm = 2.0 ** (n + m) * math.sqrt(
         math.factorial(n) * math.factorial(m) * math.pi
     )
-    out = np.exp(-0.5 * (x**2 + y**2)) * first * second / norm
-    return out if np.ndim(out) else float(out)
+    return np.exp(-0.5 * (x**2 + y**2)) * first * second / norm

@@ -74,6 +74,11 @@ def test_matrix_roundtrip():
         a = random_element(rng, complex_coeffs=True)
         back = from_matrix(to_matrix(a))
         assert np.max(np.abs(back.vector - a.vector)) < 1e-14
+    # stacked coefficients, coefficient axis first
+    stacked = AlgebraElement(rng.normal(size=(4, 3, 5)) + 1j * rng.normal(size=(4, 3, 5)))
+    m = to_matrix(stacked)
+    assert m.shape == (3, 5, 2, 2)
+    assert np.max(np.abs(from_matrix(m).vector - stacked.vector)) < 1e-14
 
 
 def test_first_two_generators_sum_to_identity():

@@ -88,6 +88,12 @@ def test_load_config_non_object_root(tmp_path):
         ({"oracle": {"buffer": -1}}, "buffer must be >= 0"),
         ({"scenario": {"n": -1}}, "scenario.n"),
         ({"scenario": {"m": -2}}, "scenario.m"),
+        ({"scenario": {"q3": "0.4"}}, "scenario.q3 must be a finite number"),
+        ({"scenario": {"q2": "1.0"}}, "scenario.q2 must be a finite number"),
+        ({"grid": {"samples": 2.5}}, "grid.samples must be an integer"),
+        ({"oracle": {"size": True}}, "oracle.size must be a finite number"),
+        ({"scenario": {"a": {"amp": False}}}, "scenario.a.amp must be a finite"),
+        ({"grid": 5}, "grid must be an object"),
     ],
 )
 def test_validate_config_names_the_invariant(patch, fragment):
@@ -153,6 +159,18 @@ def test_evolve_is_deterministic(tmp_path):
     assert cli.main(["evolve", "--config", cfg, "--out", str(out1)]) == 0
     assert cli.main(["evolve", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "evolve.csv").read_bytes() == (out2 / "evolve.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evolve_refuses_non_finite_output(tmp_path, capsys):
+    # past |u| ~ 710 the first map angle overflows to -inf
+    cfg = write_config(tmp_path, {"grid": {"t_end": 1e6}})
+    rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "gamma3 = -inf at t = " in err
+    assert not (tmp_path / "evolve.csv").exists()
 
 
 def test_out_directory_is_created(tmp_path):

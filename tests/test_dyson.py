@@ -14,7 +14,6 @@ from ptdyson import (
     fit_ep_constants,
     from_matrix,
     gamma_closed_form,
-    gamma_closed_form_alt,
     gamma_rates,
     group_inverse,
     group_matrix,
@@ -29,6 +28,25 @@ from ptdyson.errors import ConstraintViolationError, SingularEvaluationError
 
 LAM = TimeProfile.sinusoid(0.5, 0.3, 1.0)
 A = TimeProfile.sinusoid(1.0, 0.2, 2.0)
+
+
+def gamma_closed_form_alt(lam, constants, t):
+    """Alternative closed forms through arctanh, valid for |q3| > 0.
+
+    g3 = arctanh[ tanh(u) / sqrt(1 - q3^2 sech(u)^2) ] and
+    g4 = arccoth[ cosh(u) / q3 ] = arctanh[ q3 / cosh(u) ].  Only a
+    cross-check of the canonical evaluation; both are singular or
+    ill-conditioned where the canonical form is not.
+    """
+    q3 = constants.q3
+    if abs(q3) < 1e-3:
+        raise ConstraintViolationError(
+            "alternative g4 form needs |q3| > 1e-3 (reciprocal of q3)"
+        )
+    u = constants.q2 - lam.cumulative(t)
+    g3 = np.arctanh(np.tanh(u) / np.sqrt(1.0 - (q3 / np.cosh(u)) ** 2))
+    g4 = np.arctanh(1.0 / ((1.0 / q3) * np.cosh(u)))
+    return g3, g4
 
 
 def test_constants_guard_and_conserved_combination():

@@ -136,5 +136,8 @@ def test_from_config_all_kinds():
         p = TimeProfile.from_config(rec)
         assert p.kind == rec["kind"]
         assert np.isfinite(p(0.5))
+        # scalar t gives a NumPy scalar, which is also a Python float
+        for fn in (p, p.derivative, p.cumulative):
+            assert isinstance(fn(0.5), np.float64)
     with pytest.raises(DomainError):
         TimeProfile.from_config({"kind": "sawtooth", "amp": 1.0})
