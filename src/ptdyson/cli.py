@@ -120,11 +120,28 @@ def load_config(path):
     return _merge(DEFAULT_CONFIG, user)
 
 
+def _check_number(path, value, integral):
+    """ConfigError naming the key path unless value is a finite int or float.
+
+    Bools and strings are refused, and so is a non-integral value where
+    `integral` is set.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    if integral and not float(value).is_integer():
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+
+
 def _check_types(cfg, defaults, prefix=""):
     """ConfigError naming the key path of a value whose type misfits its default.
 
-    A number must be a finite int or float (not a bool or a string), and an
-    integral one where the default is an int.
+    A number must pass _check_number (integral where the default is an
+    int), an object must be an object, and a list must be a list whose
+    entries each pass _check_number.
     """
     for key, default in defaults.items():
         path, value = prefix + key, cfg[key]
@@ -132,15 +149,13 @@ def _check_types(cfg, defaults, prefix=""):
             if not isinstance(value, dict):
                 raise ConfigError(f"{path} must be an object, got {value!r}")
             _check_types(value, default, path + ".")
+        elif isinstance(default, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{path} must be a list, got {value!r}")
+            for i, entry in enumerate(value):
+                _check_number(f"{path}[{i}]", entry, isinstance(default[0], int))
         elif isinstance(default, (int, float)):
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not math.isfinite(value)
-            ):
-                raise ConfigError(f"{path} must be a finite number, got {value!r}")
-            if isinstance(default, int) and not float(value).is_integer():
-                raise ConfigError(f"{path} must be an integer, got {value!r}")
+            _check_number(path, value, isinstance(default, int))
 
 
 def validate_config(cfg):
@@ -169,16 +184,32 @@ def validate_config(cfg):
         )
     if oracle["buffer"] < 0:
         raise ConfigError(f"oracle.buffer must be >= 0, got {oracle['buffer']}")
+    if oracle["buffer"] >= oracle["size"]:
+        raise ConfigError(
+            f"oracle.buffer must be < oracle.size, got buffer={oracle['buffer']}, "
+            f"size={oracle['size']}"
+        )
     for key in ("n", "m"):
         if sc[key] < 0:
             raise ConfigError(f"scenario.{key} must be >= 0, got {sc[key]}")
+    for key in ("a", "lam"):
+        _profile(cfg, key)
+
+
+def _profile(cfg, key):
+    """The scenario's profile `key`; ConfigError with the key path if malformed."""
+    try:
+        return TimeProfile.from_config(cfg["scenario"][key])
+    except DomainError as err:
+        # the message starts with the offending field of the record
+        raise ConfigError(f"scenario.{key}.{err}") from err
 
 
 def build_scenario(cfg):
     sc = cfg["scenario"]
     return Scenario(
-        a=TimeProfile.from_config(sc["a"]),
-        lam=TimeProfile.from_config(sc["lam"]),
+        a=_profile(cfg, "a"),
+        lam=_profile(cfg, "lam"),
         q2=float(sc["q2"]),
         q3=float(sc["q3"]),
         q1=float(sc.get("q1", 0.0)),
@@ -334,14 +365,11 @@ def cmd_modes(cfg, out_dir):
     scenario = build_scenario(cfg)
     mg = cfg["modes_grid"]
     axis = np.linspace(float(mg["x_min"]), float(mg["x_max"]), int(mg["points"]))
-    x, y = np.meshgrid(axis, axis, indexing="ij")
+    x, y = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
     rows = []
-    for t in mg["times"]:
-        t = float(t)
+    for t in map(float, mg["times"]):
         psi = product_state(scenario.n, scenario.m, scenario, x, y, t)
-        for i in range(axis.size):
-            for j in range(axis.size):
-                rows.append((axis[i], axis[j], t, psi[i, j].real, psi[i, j].imag))
+        rows.append(np.column_stack((x, y, np.full_like(x, t), psi.real, psi.imag)))
     path = out_dir / "modes.csv"
     _write_csv(path, ("x", "y", "t", "re_psi", "im_psi"), rows)
     print(f"wrote {path}")
@@ -354,19 +382,19 @@ def cmd_oracle(cfg, out_dir):
     size, buffer = int(oracle["size"]), int(oracle["buffer"])
     basis = FockBasis(size)
     gens = build_generators(basis)
-    consts = scenario.ep_constants()
     times = grid_times(cfg)
     if times.size > 25:
         times = np.linspace(times[0], times[-1], 25)
-    rows = []
-    for t in times:
-        t = float(t)
-        dy = verify_dyson(scenario, basis, [t], gens=gens, buffer=buffer)
-        qh = verify_quasi_hermiticity(scenario, basis, [t], gens=gens, buffer=buffer)
-        params = scenario_params(consts, scenario.lam, t, q1=scenario.q1)
-        floors, observed = metric_spectrum_report(basis, gens, params)
-        safe = max(size - buffer + 1, 1)
-        rows.append((t, dy, qh, min(floors), min(observed[:safe])))
+    # each verifier returns the worst value over its times, so one call per row
+    dy, qh = (
+        [verify(scenario, basis, [t], gens=gens, buffer=buffer) for t in times]
+        for verify in (verify_dyson, verify_quasi_hermiticity)
+    )
+    consts = scenario.ep_constants()
+    params = scenario_params(consts, scenario.lam, times, q1=scenario.q1)
+    floors, observed = metric_spectrum_report(basis, gens, params)
+    safe = size - buffer + 1
+    columns = (times, dy, qh, np.min(floors, axis=0), np.min(observed[:safe], axis=0))
     path = out_dir / "oracle.csv"
     _write_csv(
         path,
@@ -377,7 +405,7 @@ def cmd_oracle(cfg, out_dir):
             "metric_floor_min",
             "metric_observed_min",
         ),
-        rows,
+        np.column_stack(columns),
     )
     print(f"wrote {path}")
     return 0

@@ -6,7 +6,7 @@ class PtdysonError(Exception):
 
 
 class DomainError(PtdysonError):
-    """Evaluation time outside the profile domain."""
+    """Evaluation time outside the profile domain, or a malformed profile."""
 
 
 class ConstraintViolationError(PtdysonError):

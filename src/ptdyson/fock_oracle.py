@@ -8,9 +8,10 @@ total <= size introduces no error inside any block.  The only
 approximation anywhere is the finite-difference time derivative inside the
 two verification residuals.
 
-One routine builds a block of the map in either direction, from
-mixing-generator eigensystems computed once per call; the two verifiers
-share one residual loop over those blocks and never form a dense map.
+One routine builds a block of the map in either direction, for a stack of
+times at once, from mixing-generator eigensystems computed once per call;
+the two verifiers share one residual routine that builds each block once
+over all times and finite-difference nodes, and never form a dense map.
 
 Conditioning, not truncation, is the real constraint: the group factors
 grow like exp(|gamma| * k) on block k, so checks that invert or normalize
@@ -127,17 +128,18 @@ def _block_map(factors, params, inverse=False):
     """One block of the ordered-product map, or of its exact inverse.
 
     Diagonal pair first, then the two mixing factors, each a Hermitian
-    exponential through the block's eigensystem; the inverse is the
-    reversed product with negated parameters.
+    exponential through the block's eigensystem (computed once per call);
+    the inverse is the reversed product with negated parameters.  Stacked
+    params (one set per time) give a (..., k+1, k+1) stack.
     """
     d1, d2, (vals3, vecs3), (vals4, vecs4) = factors
-    sign = -1.0 if inverse else 1.0
-    diag = np.exp(sign * (params.gamma1 * d1 + params.gamma2 * d2))
-    e3 = (vecs3 * np.exp(sign * params.gamma3 * vals3)) @ vecs3.conj().T
-    e4 = (vecs4 * np.exp(sign * params.gamma4 * vals4)) @ vecs4.conj().T
+    g1, g2, g3, g4 = (-1.0 if inverse else 1.0) * params.as_array()[..., None]
+    diag = np.exp(g1 * d1 + g2 * d2)
+    e3 = (vecs3 * np.exp(g3 * vals3)[..., None, :]) @ vecs3.conj().T
+    e4 = (vecs4 * np.exp(g4 * vals4)[..., None, :]) @ vecs4.conj().T
     if inverse:
-        return (e4 @ e3) * diag[None, :]
-    return diag[:, None] * (e3 @ e4)
+        return (e4 @ e3) * diag[..., None, :]
+    return diag[..., :, None] * (e3 @ e4)
 
 
 def build_eta(basis, gens, params):
@@ -152,17 +154,24 @@ def build_eta_inverse(basis, gens, params):
     )
 
 
-def _fd_stencil(t, fd_step, t_max):
-    """(offset, weight) pairs of a second-order first derivative times 2 fd_step.
+# Second-order first derivatives times 2 h, as (offset / h, weight) per node:
+# central (with a zero-weight centre node), forward, backward.
+_STENCILS = np.array([
+    [(1.0, 1.0), (-1.0, -1.0), (0.0, 0.0)],
+    [(0.0, -3.0), (1.0, 4.0), (2.0, -1.0)],
+    [(0.0, 3.0), (-1.0, -4.0), (-2.0, 1.0)],
+])
+
+
+def _fd_stencil(times, fd_step, t_max):
+    """Nodes and weights, each (3, T), of a first derivative times 2 fd_step.
 
     Central inside [0, t_max], one-sided at the domain edges.
     """
     h = fd_step
-    if t - h >= 0.0 and t + h <= t_max:
-        return ((h, 1.0), (-h, -1.0))
-    if t - h < 0.0:
-        return ((0.0, -3.0), (h, 4.0), (2.0 * h, -1.0))
-    return ((0.0, 3.0), (-h, -4.0), (-2.0 * h, 1.0))
+    kind = np.where(times - h < 0.0, 1, np.where(times + h <= t_max, 0, 2))
+    offsets, weights = _STENCILS[kind].T
+    return times + h * offsets, weights
 
 
 def _worst_block_residual(defect, scenario, basis, times, gens, fd_step, buffer):
@@ -170,38 +179,38 @@ def _worst_block_residual(defect, scenario, basis, times, gens, fd_step, buffer)
 
     defect(eta, eta_dot, ham, herm) receives one block of the map, its
     finite-difference time derivative, the non-Hermitian generator and the
-    Hermitian image, and returns (defect, scale); the ratio of their
-    spectral norms is the block's residual.  Only blocks 0..size - buffer
-    are built.
+    Hermitian image, each stacked over times, and returns (defect, scale);
+    the ratio of their spectral norms is the block's residual.  Only blocks
+    0..size - buffer are built, each once for all times and stencil nodes.
     """
+    k_top = basis.size - buffer
+    if k_top < 1:
+        raise ConstraintViolationError(
+            f"oracle residuals need size - buffer >= 1, got size {basis.size}, "
+            f"buffer {buffer}"
+        )
     if gens is None:
         gens = build_generators(basis)
-    consts = scenario.ep_constants()
-    k_top = basis.size - buffer
-    factors = _block_factors(basis, gens, k_top)
-    blocks = [basis.block_slice(k) for k in range(k_top + 1)]
-    ops = [tuple(g[sl, sl] for g in gens[:3]) for sl in blocks]
-
-    def params_at(s):
-        return scenario_params(consts, scenario.lam, s, q1=scenario.q1)
-
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    nodes, weights = _fd_stencil(times, fd_step, scenario.t_max())
+    params = scenario_params(
+        scenario.ep_constants(), scenario.lam, np.vstack([times, nodes]), q1=scenario.q1
+    )
+    # per-time coefficients and stencil weights, broadcast against the blocks
+    a_t, lam_t, f_plus, f_minus, *weights = np.array(
+        [scenario.a(times), scenario.lam(times), *f_pm(scenario, times), *weights]
+    )[..., None, None]
     worst = 0.0
-    for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        params = params_at(t)
-        stencil = [
-            (weight, params_at(t + offset))
-            for offset, weight in _fd_stencil(t, fd_step, scenario.t_max())
-        ]
-        a_t = float(scenario.a(t))
-        lam_t = float(scenario.lam(t))
-        f_plus, f_minus = f_pm(scenario, t)
-        for f, (k1, k2, k3) in zip(factors, ops):
-            eta = _block_map(f, params)
-            eta_dot = sum(w * _block_map(f, p) for w, p in stencil) / (2.0 * fd_step)
-            ham = a_t * (k1 + k2) + 1j * lam_t * k3
-            herm = f_plus * k1 + f_minus * k2
-            resid, scale = defect(eta, eta_dot, ham, herm)
-            worst = max(worst, np.linalg.norm(resid, 2) / np.linalg.norm(scale, 2))
+    for k, f in enumerate(_block_factors(basis, gens, k_top)):
+        sl = basis.block_slice(k)
+        k1, k2, k3 = (g[sl, sl] for g in gens[:3])
+        eta, *stencil = _block_map(f, params)
+        eta_dot = sum(w * m for w, m in zip(weights, stencil)) / (2.0 * fd_step)
+        ham = a_t * (k1 + k2) + 1j * lam_t * k3
+        herm = f_plus * k1 + f_minus * k2
+        resid, scale = defect(eta, eta_dot, ham, herm)
+        norms = np.linalg.norm(np.stack([resid, scale]), 2, axis=(-2, -1))
+        worst = max(worst, np.max(norms[0] / norms[1]))
     return worst
 
 
@@ -231,9 +240,12 @@ def verify_quasi_hermiticity(scenario, basis, times, gens=None, fd_step=1e-5, bu
     """
 
     def defect(eta, eta_dot, ham, herm):
-        rho = eta.conj().T @ eta
-        rho_dot = eta_dot.conj().T @ eta + eta.conj().T @ eta_dot
-        return ham.conj().T @ rho - rho @ ham - 1j * rho_dot, rho
+        eta_h, eta_dot_h, ham_h = (
+            np.swapaxes(m.conj(), -1, -2) for m in (eta, eta_dot, ham)
+        )
+        rho = eta_h @ eta
+        rho_dot = eta_dot_h @ eta + eta_h @ eta_dot
+        return ham_h @ rho - rho @ ham - 1j * rho_dot, rho
 
     return _worst_block_residual(defect, scenario, basis, times, gens, fd_step, buffer)
 
@@ -411,10 +423,10 @@ def metric_floor(params, k):
     The metric block inherits the square of the bound.  Strictly positive
     for every finite parameter set, which is the point.
     """
-    g1, g2 = params.gamma1, params.gamma2
-    lowest_diag = min(g1 * k, g2 * k) + 0.5 * (g1 + g2)
-    sigma = np.exp(lowest_diag - 0.5 * (abs(params.gamma3) + abs(params.gamma4)) * k)
-    return float(sigma * sigma)
+    g1, g2, g3, g4 = params.as_array()
+    lowest_diag = np.minimum(g1 * k, g2 * k) + 0.5 * (g1 + g2)
+    sigma = np.exp(lowest_diag - 0.5 * (np.abs(g3) + np.abs(g4)) * k)
+    return sigma * sigma
 
 
 def metric_spectrum_report(basis, gens, params):
@@ -424,11 +436,8 @@ def metric_spectrum_report(basis, gens, params):
     value of the map's block, which equals the metric block's smallest
     eigenvalue.  floors[k] <= observed[k] certifies positivity without
     trusting the numerics; the observed value shows the actual margin.
+    Block eigensystems are computed once per call; stacked params give arrays.
     """
-    floors = []
-    observed = []
-    for k, f in enumerate(_block_factors(basis, gens)):
-        floors.append(metric_floor(params, k))
-        sigma = np.linalg.svd(_block_map(f, params), compute_uv=False)
-        observed.append(float(sigma[-1] ** 2))
-    return floors, observed
+    floors = [metric_floor(params, k) for k in basis.blocks()]
+    maps = [_block_map(f, params) for f in _block_factors(basis, gens)]
+    return floors, [np.linalg.svd(m, compute_uv=False)[..., -1] ** 2 for m in maps]

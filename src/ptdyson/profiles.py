@@ -16,6 +16,9 @@ exactly (polynomial antiderivative per segment) introduces no additional
 error beyond the interpolation already accepted.
 """
 
+import math
+import numbers
+
 import numpy as np
 from scipy.interpolate import CubicSpline
 
@@ -24,6 +27,40 @@ from .errors import DomainError
 # Slack on the domain check, so staged ODE evaluation at t_end + rounding
 # does not trip the guard.
 _DOMAIN_SLACK = 1e-9
+
+# Required fields of a config record per kind; each is the keyword of that
+# kind's factory.  "phase" (sinusoid) and "t_max" (any kind) are optional.
+_KIND_FIELDS = {
+    "constant": ("value",),
+    "polynomial": ("coeffs",),
+    "sinusoid": ("offset", "amp", "omega"),
+    "exponential": ("offset", "amp", "rate"),
+    "tabulated": ("times", "values"),
+}
+_LIST_FIELDS = ("coeffs", "times", "values")
+
+
+def _is_finite_number(value):
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_field(field, value):
+    """DomainError, starting with the field, unless value is finite numbers."""
+    if field in _LIST_FIELDS:
+        if not (
+            isinstance(value, (list, tuple))
+            and len(value) > 0
+            and all(_is_finite_number(v) for v in value)
+        ):
+            raise DomainError(
+                f"{field} must be a non-empty list of finite numbers, got {value!r}"
+            )
+    elif not _is_finite_number(value):
+        raise DomainError(f"{field} must be a finite number, got {value!r}")
 
 
 class TimeProfile:
@@ -39,16 +76,18 @@ class TimeProfile:
         self.params = dict(params)
         self.t_max = float(t_max)
         if self.t_max <= 0:
-            raise DomainError("profile domain must satisfy t_max > 0")
+            raise DomainError(f"t_max must be > 0, got {t_max}")
         if kind == "tabulated":
             times = np.asarray(self.params["times"], dtype=float)
             values = np.asarray(self.params["values"], dtype=float)
             if times.ndim != 1 or times.size < 4:
-                raise DomainError("tabulated profile needs at least 4 nodes")
+                raise DomainError("times must hold at least 4 nodes")
             if np.any(np.diff(times) <= 0):
-                raise DomainError("tabulated profile nodes must increase")
+                raise DomainError("times must increase")
             if times[0] != 0.0:
-                raise DomainError("tabulated profile must start at t = 0")
+                raise DomainError("times must start at 0")
+            if values.shape != times.shape:
+                raise DomainError("values must hold one entry per node in times")
             self._spline = CubicSpline(times, values)
             self._spline_int = self._spline.antiderivative()
             self._spline_der = self._spline.derivative()
@@ -96,24 +135,28 @@ class TimeProfile:
 
         {"kind": "sinusoid", "offset": 0.5, "amp": 0.3, "omega": 1.0,
          "phase": 0.0} and analogously for the other kinds.  An optional
-        "t_max" key restricts the domain.
+        "t_max" key restricts the domain.  Each field the kind reads must
+        be a finite number ("coeffs", "times", "values": a non-empty list
+        of them).  Keys the kind does not read are ignored.  Every
+        DomainError raised here starts with the name of the offending field.
         """
-        rec = dict(record)
-        kind = rec.pop("kind", None)
-        t_max = rec.pop("t_max", np.inf)
-        if kind == "constant":
-            return cls.constant(rec["value"], t_max)
-        if kind == "polynomial":
-            return cls.polynomial(rec["coeffs"], t_max)
-        if kind == "sinusoid":
-            return cls.sinusoid(
-                rec["offset"], rec["amp"], rec["omega"], rec.get("phase", 0.0), t_max
+        kind = record.get("kind")
+        if not (isinstance(kind, str) and kind in _KIND_FIELDS):
+            raise DomainError(
+                f"kind must be one of {', '.join(_KIND_FIELDS)}, got {kind!r}"
             )
-        if kind == "exponential":
-            return cls.exponential(rec["offset"], rec["amp"], rec["rate"], t_max)
-        if kind == "tabulated":
-            return cls.tabulated(rec["times"], rec["values"], t_max)
-        raise DomainError(f"unknown profile kind: {kind!r}")
+        for field in _KIND_FIELDS[kind]:
+            if field not in record:
+                raise DomainError(f"{field} is required for a {kind} profile")
+        optional = ("phase", "t_max") if kind == "sinusoid" else ("t_max",)
+        args = {
+            field: record[field]
+            for field in _KIND_FIELDS[kind] + optional
+            if field in record
+        }
+        for field, value in args.items():
+            _check_field(field, value)
+        return getattr(cls, kind)(**args)
 
     # -- evaluation --------------------------------------------------------
 

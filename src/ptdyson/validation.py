@@ -11,6 +11,7 @@ against dense number-basis matrices.  Nothing here trusts a formula with
 the same formula.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -174,12 +175,19 @@ def _max_abs(x):
 # quadrature helpers
 
 
-def panel_quadrature(fn, lo, hi, panels, order=32):
-    """Composite Gauss-Legendre: `panels` equal panels of fixed order.
+@functools.cache
+def _gauss_legendre():
+    # once per process, and not at import: the eigensolver's first call
+    # grows the memory of every process, also of those that never integrate
+    return leggauss(32)
 
-    fn is called once, on the (panels, order) array of all nodes.
+
+def panel_quadrature(fn, lo, hi, panels):
+    """Composite Gauss-Legendre: `panels` equal panels of order 32.
+
+    fn is called once, on the (panels, 32) array of all nodes.
     """
-    nodes, weights = leggauss(order)
+    nodes, weights = _gauss_legendre()
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     x = edges[:-1, None] + half * (nodes + 1.0)
@@ -575,18 +583,13 @@ def _fock_frame_equivalence(scenario, times):
 
 def check_metric_positivity():
     scenario = default_scenario()
-    consts = scenario.ep_constants()
     size = 12
     buffer = 2
     basis = FockBasis(size)
-    gens = build_generators(basis)
-    floor_min = np.inf
-    observed_min = np.inf
-    for t in sample_times():
-        params = scenario_params(consts, scenario.lam, float(t))
-        floors, observed = metric_spectrum_report(basis, gens, params)
-        floor_min = min(floor_min, min(floors))
-        observed_min = min(observed_min, min(observed[: size - buffer + 1]))
+    params = scenario_params(scenario.ep_constants(), scenario.lam, sample_times())
+    floors, observed = metric_spectrum_report(basis, build_generators(basis), params)
+    floor_min = float(np.min(floors))
+    observed_min = float(np.min(observed[: size - buffer + 1]))
     return CheckResult(
         12,
         "metric positivity",

@@ -8,6 +8,7 @@ kept small so the whole file stays fast.
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -76,6 +77,28 @@ def test_load_config_non_object_root(tmp_path):
         cli.load_config(str(path))
 
 
+# Malformed profile records and list entries, with the key path they must name.
+PROFILE_FIELD_CASES = [
+    (
+        {"scenario": {"a": {"kind": "constant", "value": "0.5"}}},
+        "scenario.a.value must be a finite number",
+    ),
+    (
+        {"scenario": {"a": {"kind": "constant", "value": True}}},
+        "scenario.a.value must be a finite number",
+    ),
+    (
+        {"modes_grid": {"times": ["0.5"]}},
+        r"modes_grid.times\[0\] must be a finite number",
+    ),
+    (
+        {"scenario": {"lam": {"kind": "polynomial", "coeffs": 1.0}}},
+        "scenario.lam.coeffs must be a non-empty list of finite numbers",
+    ),
+    ({"scenario": {"a": {"kind": "constant"}}}, "scenario.a.value is required"),
+]
+
+
 @pytest.mark.parametrize(
     "patch, fragment",
     [
@@ -94,7 +117,9 @@ def test_load_config_non_object_root(tmp_path):
         ({"oracle": {"size": True}}, "oracle.size must be a finite number"),
         ({"scenario": {"a": {"amp": False}}}, "scenario.a.amp must be a finite"),
         ({"grid": 5}, "grid must be an object"),
-    ],
+        ({"oracle": {"size": 6, "buffer": 6}}, "oracle.buffer must be < oracle.size"),
+    ]
+    + PROFILE_FIELD_CASES,
 )
 def test_validate_config_names_the_invariant(patch, fragment):
     cfg = cli._merge(cli.DEFAULT_CONFIG, patch)
@@ -359,6 +384,27 @@ def test_main_unknown_profile_kind_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "sawtooth" in err
+
+
+@pytest.mark.parametrize("patch, fragment", PROFILE_FIELD_CASES)
+def test_main_names_a_malformed_profile_field(tmp_path, capsys, patch, fragment):
+    cfg = write_config(tmp_path, patch)
+    rc = cli.main(["modes", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert re.search(fragment, err)
+    assert not (tmp_path / "modes.csv").exists()
+
+
+def test_oracle_refuses_a_buffer_that_covers_the_basis(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, {"oracle": {"size": 6, "buffer": 6}, "grid": {"samples": 2}}
+    )
+    rc = cli.main(["oracle", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "oracle.buffer" in capsys.readouterr().err
+    assert not (tmp_path / "oracle.csv").exists()
 
 
 def test_main_rejects_unknown_subcommand():

@@ -240,6 +240,34 @@ def test_residuals_at_the_domain_end():
     assert verify_quasi_hermiticity(sc, basis, [5.0]) < 1e-8
 
 
+def test_stacked_residuals_equal_the_worst_per_time_call():
+    # 0, interior times and t_max run the forward, central and backward
+    # stencils in one call; stacking must not change a single bit
+    sc = default_scenario(
+        a=TimeProfile.sinusoid(1.0, 0.2, 2.0, t_max=5.0),
+        lam=TimeProfile.sinusoid(0.5, 0.3, 1.0, t_max=5.0),
+    )
+    basis = FockBasis(8)
+    gens = build_generators(basis)
+    times = [0.0, 1.3, 2.9, 5.0]
+    for verify in (verify_dyson, verify_quasi_hermiticity):
+        per_time = [verify(sc, basis, [t], gens=gens) for t in times]
+        assert verify(sc, basis, times, gens=gens) == max(per_time)
+        assert max(per_time) < 1e-8
+
+
+def test_residuals_need_a_block_below_the_buffer():
+    # with size - buffer < 1 no nontrivial block is left to check, and a
+    # residual over nothing must not read as a pass
+    sc = default_scenario()
+    basis = FockBasis(6)
+    for verify in (verify_dyson, verify_quasi_hermiticity):
+        for buffer in (6, 7):
+            with pytest.raises(ConstraintViolationError, match="size - buffer >= 1"):
+                verify(sc, basis, [1.0], buffer=buffer)
+        assert 0.0 < verify(sc, basis, [1.0], buffer=5) < 1e-8
+
+
 def test_residuals_detect_a_coarse_step():
     # a step of 0.1 leaves a second-order error in the map's derivative
     # that both residuals must report
@@ -397,3 +425,36 @@ def test_metric_floors_certify_positivity():
             assert observed[k] > 0.0
             assert floors[k] <= observed[k] * (1 + 1e-12)
             assert floors[k] == metric_floor(params, k)
+
+
+def test_stacked_metric_report_equals_per_params_calls():
+    basis = FockBasis(8)
+    gens = build_generators(basis)
+    consts = default_scenario().ep_constants()
+    times = np.linspace(0.0, 10.0, 7)
+    floors, observed = metric_spectrum_report(
+        basis, gens, scenario_params(consts, LAM, times)
+    )
+    for i, t in enumerate(times):
+        params = scenario_params(consts, LAM, float(t))
+        want = metric_spectrum_report(basis, gens, params)
+        assert [f[i] for f in floors] == want[0]
+        assert [o[i] for o in observed] == want[1]
+
+
+def test_scalar_call_shapes_keep_their_returns():
+    # scalar params, one-time lists, explicit gens= and buffer=: the call
+    # shapes of the per-layer benchmark timings
+    basis = FockBasis(8)
+    gens = build_generators(basis)
+    assert all(g.shape == (basis.dim, basis.dim) for g in gens)
+    sc = default_scenario()
+    params = scenario_params(sc.ep_constants(), LAM, 1.4)
+    assert build_eta(basis, gens, params).shape == (basis.dim, basis.dim)
+    floors, observed = metric_spectrum_report(basis, gens, params)
+    assert len(floors) == len(observed) == basis.size + 1
+    assert all(isinstance(v, float) and np.ndim(v) == 0 for v in floors + observed)
+    for verify in (verify_dyson, verify_quasi_hermiticity):
+        value = verify(sc, basis, [1.4], gens=gens, buffer=2)
+        assert isinstance(value, float) and np.ndim(value) == 0
+        assert value < 1e-8

@@ -141,3 +141,42 @@ def test_from_config_all_kinds():
             assert isinstance(fn(0.5), np.float64)
     with pytest.raises(DomainError):
         TimeProfile.from_config({"kind": "sawtooth", "amp": 1.0})
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ({"kind": "constant", "value": "0.5"}, "value"),
+        ({"kind": "constant", "value": True}, "value"),
+        ({"kind": "constant", "value": float("nan")}, "value"),
+        ({"kind": "constant"}, "value"),
+        ({"kind": "polynomial", "coeffs": 1.0}, "coeffs"),
+        ({"kind": "polynomial", "coeffs": []}, "coeffs"),
+        ({"kind": "sinusoid", "offset": 1.0, "amp": 0.2, "omega": "2"}, "omega"),
+        (
+            {"kind": "sinusoid", "offset": 1, "amp": 0, "omega": 2, "phase": None},
+            "phase",
+        ),
+        ({"kind": "exponential", "offset": 0.1, "amp": 0.9}, "rate"),
+        (
+            {"kind": "tabulated", "times": [0, 1, 2, 3], "values": [0, 1, "2", 3]},
+            "values",
+        ),
+        ({"kind": "constant", "value": 0.4, "t_max": "5"}, "t_max"),
+        ({"kind": "sawtooth", "amp": 1.0}, "kind"),
+        ({"kind": "constant", "value": 0.4, "t_max": 0.0}, "t_max"),
+        ({"kind": "tabulated", "times": [0, 1, 2], "values": [0, 1, 2]}, "times"),
+        ({"kind": "tabulated", "times": [0, 2, 1, 3], "values": [0, 1, 2, 3]}, "times"),
+        ({"kind": "tabulated", "times": [1, 2, 3, 4], "values": [0, 1, 2, 3]}, "times"),
+        ({"kind": "tabulated", "times": [0, 1, 2, 3], "values": [0, 1, 2]}, "values"),
+    ],
+)
+def test_from_config_names_the_malformed_field(record, field):
+    with pytest.raises(DomainError, match=f"^{field} "):
+        TimeProfile.from_config(record)
+
+
+def test_from_config_ignores_keys_its_kind_does_not_read():
+    # a record switched to another kind keeps the old kind's keys
+    p = TimeProfile.from_config({"kind": "constant", "value": 0.4, "omega": "x"})
+    assert p(1.0) == 0.4

@@ -152,7 +152,7 @@ def test_panel_quadrature_is_one_call_per_panel_set():
         return np.exp(1j * x) * np.cos(0.3 * x**2)
 
     lo, hi, panels, order = -2.0, 3.5, 7, 32
-    got = panel_quadrature(fn, lo, hi, panels, order)
+    got = panel_quadrature(fn, lo, hi, panels)
     assert shapes == [(panels, order)]
     nodes, weights = leggauss(order)
     edges = np.linspace(lo, hi, panels + 1)
