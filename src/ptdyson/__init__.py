@@ -66,11 +66,13 @@ from .fock_oracle import (
     build_eta,
     build_eta_inverse,
     build_generators,
+    dyson_residuals,
     element_matrix,
     invariant_eigen_flow,
     map_state,
     metric_floor,
     metric_spectrum_report,
+    quasi_hermiticity_residuals,
     sort_along_line,
     verify_dyson,
     verify_quasi_hermiticity,

@@ -39,9 +39,9 @@ from .fock_oracle import (
     MIN_SIZE,
     FockBasis,
     build_generators,
+    dyson_residuals,
     metric_spectrum_report,
-    verify_dyson,
-    verify_quasi_hermiticity,
+    quasi_hermiticity_residuals,
 )
 from .invariants import beta_from_match, invariant_coeffs_for
 from .modes import product_state
@@ -192,6 +192,24 @@ def validate_config(cfg):
     for key in ("n", "m"):
         if sc[key] < 0:
             raise ConfigError(f"scenario.{key} must be >= 0, got {sc[key]}")
+    static = cfg["static"]
+    for path, value in (
+        ("static.xy.n_max", static["xy"]["n_max"]),
+        ("static.xy.m_max", static["xy"]["m_max"]),
+        ("static.k.n_max", static["k"]["n_max"]),
+    ):
+        if value < 0:
+            raise ConfigError(f"{path} must be >= 0, got {value}")
+    mg = cfg["modes_grid"]
+    if not mg["times"]:
+        raise ConfigError("modes_grid.times must be a non-empty list")
+    if not mg["points"] >= 2:
+        raise ConfigError(f"modes_grid.points must be >= 2, got {mg['points']}")
+    if not mg["x_max"] > mg["x_min"]:
+        raise ConfigError(
+            "modes_grid must satisfy x_max > x_min, got "
+            f"x_min={mg['x_min']}, x_max={mg['x_max']}"
+        )
     for key in ("a", "lam"):
         _profile(cfg, key)
 
@@ -385,10 +403,9 @@ def cmd_oracle(cfg, out_dir):
     times = grid_times(cfg)
     if times.size > 25:
         times = np.linspace(times[0], times[-1], 25)
-    # each verifier returns the worst value over its times, so one call per row
     dy, qh = (
-        [verify(scenario, basis, [t], gens=gens, buffer=buffer) for t in times]
-        for verify in (verify_dyson, verify_quasi_hermiticity)
+        residuals(scenario, basis, times, gens=gens, buffer=buffer)
+        for residuals in (dyson_residuals, quasi_hermiticity_residuals)
     )
     consts = scenario.ep_constants()
     params = scenario_params(consts, scenario.lam, times, q1=scenario.q1)

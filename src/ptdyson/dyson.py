@@ -166,11 +166,19 @@ def chi_closed_form(lam, constants):
 
 
 def driver_value(profile, t):
-    """float(profile(t)); SingularEvaluationError where |profile(t)| <= EPS_DRIVER."""
-    value = float(profile(t))
-    if abs(value) <= EPS_DRIVER:
+    """profile(t) for scalar or array t.
+
+    Raises SingularEvaluationError, naming the first such t, if
+    |profile(t)| <= EPS_DRIVER anywhere: the checks that call this divide
+    by the driver, and an array call fails as a whole.
+    """
+    value = profile(t)
+    singular = np.flatnonzero(np.abs(value) <= EPS_DRIVER)
+    if singular.size:
+        first = singular[0]
         raise SingularEvaluationError(
-            f"driver magnitude {abs(value):.2e} <= {EPS_DRIVER} at t = {t}"
+            f"driver magnitude {abs(np.ravel(value)[first]):.2e} <= {EPS_DRIVER} "
+            f"at t = {np.ravel(t)[first]}"
         )
     return value
 
@@ -178,9 +186,13 @@ def driver_value(profile, t):
 def central_derivatives(fn, t, h):
     """fn(t) with its first two derivatives by 4th-order central differences.
 
-    Five-point stencil t + k h, k = -2..2; returns (value, first, second).
+    Five-point stencil t + k h, k = -2..2, evaluated by one call of fn on
+    the (5, *t.shape) array of nodes, so fn must broadcast over array t;
+    returns (value, first, second), each shaped like t.
     """
-    stencil = np.array([fn(t + k * h) for k in (-2, -1, 0, 1, 2)], dtype=float)
+    t = np.asarray(t, dtype=float)
+    nodes = t + np.arange(-2.0, 3.0).reshape((5,) + (1,) * t.ndim) * h
+    stencil = np.broadcast_to(fn(nodes), nodes.shape)
     d1 = (stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (12 * h)
     d2 = (
         -stencil[0] + 16 * stencil[1] - 30 * stencil[2]
@@ -193,13 +205,13 @@ def ep_dissipative_residual(chi, lam, kappa, t, fd_step=1e-2):
     """Pointwise residual of the dissipative scale-function equation.
 
     |chidotdot - (lamdot/lam) chidot - lam^2 chi - kappa^2 lam^2 / chi^3|
-    with chi derivatives by 4th-order central differences of the callable.
-    Raises SingularEvaluationError where |lam(t)| <= EPS_DRIVER; callers
-    treat those checkpoints as skipped, not failed.
+    with chi derivatives by 4th-order central differences of the callable,
+    at scalar or array t.  Raises SingularEvaluationError if
+    |lam(t)| <= EPS_DRIVER at any t, for the whole array.
     """
     lam_t = driver_value(lam, t)
     chi_t, d1, d2 = central_derivatives(chi, t, fd_step)
-    lamdot = float(lam.derivative(t))
+    lamdot = lam.derivative(t)
     res = d2 - (lamdot / lam_t) * d1 - lam_t**2 * chi_t \
         - (kappa**2) * lam_t**2 / chi_t**3
     return abs(res)

@@ -10,8 +10,8 @@ two verification residuals.
 
 One routine builds a block of the map in either direction, for a stack of
 times at once, from mixing-generator eigensystems computed once per call;
-the two verifiers share one residual routine that builds each block once
-over all times and finite-difference nodes, and never form a dense map.
+the two residuals share one routine that builds each block once over all
+times and finite-difference nodes, and never form a dense map.
 
 Conditioning, not truncation, is the real constraint: the group factors
 grow like exp(|gamma| * k) on block k, so checks that invert or normalize
@@ -174,14 +174,15 @@ def _fd_stencil(times, fd_step, t_max):
     return times + h * offsets, weights
 
 
-def _worst_block_residual(defect, scenario, basis, times, gens, fd_step, buffer):
-    """Worst per-block ratio of a defect to its scale, over times and blocks.
+def _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer):
+    """Worst per-block ratio of a defect to its scale at each time.
 
     defect(eta, eta_dot, ham, herm) receives one block of the map, its
     finite-difference time derivative, the non-Hermitian generator and the
     Hermitian image, each stacked over times, and returns (defect, scale);
     the ratio of their spectral norms is the block's residual.  Only blocks
     0..size - buffer are built, each once for all times and stencil nodes.
+    Returns a 1-D array, one worst-over-blocks value per time.
     """
     k_top = basis.size - buffer
     if k_top < 1:
@@ -200,7 +201,7 @@ def _worst_block_residual(defect, scenario, basis, times, gens, fd_step, buffer)
     a_t, lam_t, f_plus, f_minus, *weights = np.array(
         [scenario.a(times), scenario.lam(times), *f_pm(scenario, times), *weights]
     )[..., None, None]
-    worst = 0.0
+    worst = np.zeros(times.shape)
     for k, f in enumerate(_block_factors(basis, gens, k_top)):
         sl = basis.block_slice(k)
         k1, k2, k3 = (g[sl, sl] for g in gens[:3])
@@ -210,33 +211,42 @@ def _worst_block_residual(defect, scenario, basis, times, gens, fd_step, buffer)
         herm = f_plus * k1 + f_minus * k2
         resid, scale = defect(eta, eta_dot, ham, herm)
         norms = np.linalg.norm(np.stack([resid, scale]), 2, axis=(-2, -1))
-        worst = max(worst, np.max(norms[0] / norms[1]))
+        worst = np.maximum(worst, norms[0] / norms[1])
     return worst
 
 
-def verify_dyson(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
-    """Worst per-block relative residual of the intertwining relation.
+def dyson_residuals(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
+    """Worst per-block relative residual of the intertwining relation, per time.
 
     The map composed with the non-Hermitian generator plus i times the map's
     time derivative must equal the Hermitian image composed with the map;
     the residual of each block is normalized by that block's spectral norm
     of the map.  Blocks above size - buffer are skipped (their norms are
     dominated by the fastest-growing singular direction and the
-    finite-difference step stops being the leading error there).
+    finite-difference step stops being the leading error there).  Returns
+    one value per time.
     """
 
     def defect(eta, eta_dot, ham, herm):
         return eta @ ham + 1j * eta_dot - herm @ eta, eta
 
-    return _worst_block_residual(defect, scenario, basis, times, gens, fd_step, buffer)
+    return _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer)
 
 
-def verify_quasi_hermiticity(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
-    """Worst per-block relative residual of the metric compatibility law.
+def verify_dyson(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
+    """The worst of dyson_residuals over the times."""
+    return np.max(dyson_residuals(scenario, basis, times, gens, fd_step, buffer))
+
+
+def quasi_hermiticity_residuals(
+    scenario, basis, times, gens=None, fd_step=1e-5, buffer=2
+):
+    """Worst per-block relative residual of the metric compatibility law, per time.
 
     The adjoint generator composed with the metric, minus the metric
     composed with the generator, must equal i times the metric's time
     derivative; normalized per block by the metric's spectral norm.
+    Returns one value per time.
     """
 
     def defect(eta, eta_dot, ham, herm):
@@ -247,7 +257,14 @@ def verify_quasi_hermiticity(scenario, basis, times, gens=None, fd_step=1e-5, bu
         rho_dot = eta_dot_h @ eta + eta_h @ eta_dot
         return ham_h @ rho - rho @ ham - 1j * rho_dot, rho
 
-    return _worst_block_residual(defect, scenario, basis, times, gens, fd_step, buffer)
+    return _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer)
+
+
+def verify_quasi_hermiticity(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
+    """The worst of quasi_hermiticity_residuals over the times."""
+    return np.max(
+        quasi_hermiticity_residuals(scenario, basis, times, gens, fd_step, buffer)
+    )
 
 
 def sort_along_line(vals):

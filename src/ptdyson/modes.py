@@ -94,15 +94,16 @@ def ep_classical_rate(ktilde, driver, t):
 
 
 def ep_oscillator_residual(scale_fn, driver, t, fd_step=1e-2):
-    """Residual of the auxiliary scale equation at time t.
+    """Residual of the auxiliary scale equation at scalar or array t.
 
     |ktdotdot - (ddot/d) ktdot + d^2 kt - d^2 / kt^3| with derivatives of
     the callable by 4th-order central differences.  Raises
-    SingularEvaluationError where the driver magnitude is below EPS_DRIVER.
+    SingularEvaluationError if the driver magnitude is at most EPS_DRIVER
+    at any t.
     """
     d_t = driver_value(driver, t)
     kt, d1, d2 = central_derivatives(scale_fn, t, fd_step)
-    ddot = float(driver.derivative(t))
+    ddot = driver.derivative(t)
     res = d2 - (ddot / d_t) * d1 + d_t**2 * kt - d_t**2 / kt**3
     return abs(res)
 
@@ -112,11 +113,12 @@ def ermakov_quantity(scale_fn, driver, t, rate_fn=None, fd_step=1e-3):
 
     Constant along any solution of the auxiliary equation; equals
     2 sqrt(1 + ktilde^2) on the closed-form scale.  The rate is analytic
-    when rate_fn is given, otherwise a central difference.
+    when rate_fn is given, otherwise a central difference.  Scalar or
+    array t; the callables must accept what t is.
     """
     d_t = driver_value(driver, t)
     if rate_fn is not None:
-        kt, rate = float(scale_fn(t)), float(rate_fn(t))
+        kt, rate = scale_fn(t), rate_fn(t)
     else:
         kt, rate, _ = central_derivatives(scale_fn, t, fd_step)
     return (d_t**2 * (1.0 + kt**4) + kt**2 * rate**2) / (d_t**2 * kt**2)
@@ -142,14 +144,15 @@ def _mode_factors(spec, x, t):
 
     Returns (kt, W, amp, gauss, norm): the scale, the complex width
     W = i ktdot/(d kt) - 1/kt^2, amp = e^{i phase_n} / sqrt(kt), the Gaussian
-    exp(W x^2 / 2) and the Hermite normalization.  Raises
-    SingularEvaluationError when the driver vanishes at t (the generic
+    exp(W x^2 / 2) and the Hermite normalization.  The time-only pieces
+    are shaped like t, and t broadcasts against x.  Raises
+    SingularEvaluationError when the driver vanishes at any t (the generic
     ansatz divides by it, even though the closed-form scale cancels the
     division analytically).
     """
     driver_value(spec.driver, t)
     kt = ep_classical(spec.ktilde, spec.driver, t)
-    a_int = float(spec.driver.cumulative(t))
+    a_int = spec.driver.cumulative(t)
     # i ktdot/(d kt) - 1/kt^2 with the driver cancelled from the ratio.
     width = (-1.0j * spec.ktilde * np.sin(2.0 * a_int) - 1.0) / kt**2
     phase = -(spec.n + 0.5) * phase_integral(spec.ktilde, spec.driver, t)
@@ -159,10 +162,12 @@ def _mode_factors(spec, x, t):
 
 
 def pedrosa_mode(spec, x, t):
-    """The normalized n-th mode at position(s) x and time t.
+    """The normalized n-th mode at position(s) x and time(s) t.
 
-    Unit L2 norm for every t; solves i d/dt psi = driver(t) K psi.  Raises
-    SingularEvaluationError when the driver vanishes at t.
+    x and t broadcast against each other: t of shape (T, 1) against x of
+    shape (P,) gives a (T, P) array.  Unit L2 norm for every t; solves
+    i d/dt psi = driver(t) K psi.  Raises SingularEvaluationError when the
+    driver vanishes at any t.
     """
     x = np.asarray(x, dtype=float)
     kt, _, amp, gauss, norm = _mode_factors(spec, x, t)
@@ -202,8 +207,9 @@ def k1_expectation(spec):
 def product_state(n, m, scenario, x, y, t):
     """The 2D solution for h(t): one mode per axis with the split drivers.
 
-    x and y must broadcast against each other (pass meshgrid arrays for a
-    grid evaluation).
+    x, y and t broadcast against each other; for a grid, pass the axes as
+    x[:, None] and y[None, :], so each mode is evaluated once per axis
+    point rather than once per grid point.
     """
     spec_x = ModeSpec(n, f_plus_profile(scenario), scenario.ktilde_plus, "+")
     spec_y = ModeSpec(m, f_minus_profile(scenario), scenario.ktilde_minus, "-")

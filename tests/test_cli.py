@@ -98,6 +98,20 @@ PROFILE_FIELD_CASES = [
     ({"scenario": {"a": {"kind": "constant"}}}, "scenario.a.value is required"),
 ]
 
+# Out-of-range sizes of the static spectra and of the modes grid.
+RANGE_CASES = [
+    ({"static": {"xy": {"n_max": -1}}}, "static.xy.n_max must be >= 0"),
+    ({"static": {"xy": {"m_max": -1}}}, "static.xy.m_max must be >= 0"),
+    ({"static": {"k": {"n_max": -1}}}, "static.k.n_max must be >= 0"),
+    ({"modes_grid": {"times": []}}, "modes_grid.times must be a non-empty list"),
+    ({"modes_grid": {"points": 1}}, "modes_grid.points must be >= 2"),
+    ({"modes_grid": {"x_max": -4.0}}, "modes_grid must satisfy x_max > x_min"),
+    (
+        {"modes_grid": {"x_min": 1.0, "x_max": 0.5}},
+        "modes_grid must satisfy x_max > x_min",
+    ),
+]
+
 
 @pytest.mark.parametrize(
     "patch, fragment",
@@ -119,7 +133,8 @@ PROFILE_FIELD_CASES = [
         ({"grid": 5}, "grid must be an object"),
         ({"oracle": {"size": 6, "buffer": 6}}, "oracle.buffer must be < oracle.size"),
     ]
-    + PROFILE_FIELD_CASES,
+    + PROFILE_FIELD_CASES
+    + RANGE_CASES,
 )
 def test_validate_config_names_the_invariant(patch, fragment):
     cfg = cli._merge(cli.DEFAULT_CONFIG, patch)
@@ -340,6 +355,22 @@ def test_oracle_caps_the_time_grid(tmp_path):
     assert len(rows) == 25
     assert float(rows[0][0]) == 0.0
     assert float(rows[-1][0]) == 2.0
+
+
+def test_oracle_computes_block_eigensystems_once_per_column(tmp_path, monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert cli.main(["oracle", "--out", str(tmp_path)]) == 0
+    assert len(read_csv(tmp_path / "oracle.csv")[1]) == 25
+    # two mixing generators per block: blocks 0..size - buffer = 10 once for
+    # each residual column, all 13 blocks once for the metric columns
+    assert len(shapes) == 2 * 11 + 2 * 11 + 2 * 13
 
 
 # ---------------------------------------------------------------------------

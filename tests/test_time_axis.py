@@ -3,10 +3,12 @@
 Every closed form that takes t accepts a scalar or an array: an array
 gives the same numbers as stacking the scalar calls, and a scalar gives a
 NumPy scalar.  The 2x2 layer underneath takes stacked coefficients and
-parameters the same way.
+parameters the same way, and so do the mode functions, the scale-equation
+residuals, the mode quadrature and the number-basis residuals.
 """
 
 import numpy as np
+import pytest
 from numpy.polynomial.legendre import leggauss
 
 from ptdyson import (
@@ -19,21 +21,43 @@ from ptdyson import (
     alpha_coeffs,
     beta_from_match,
     conjugate,
+    FockBasis,
+    IntegrationError,
+    SingularEvaluationError,
+    chi_closed_form,
     conservation_residual,
     dyson_residual,
+    dyson_residuals,
     energy_expectation,
+    ep_classical,
+    ep_classical_rate,
+    ep_dissipative_residual,
+    ep_oscillator_residual,
+    ermakov_quantity,
+    f_minus_profile,
     f_plus_profile,
     f_pm,
     invariant_coeffs_for,
     invariant_element,
     pedrosa_mode,
+    pedrosa_mode_xx,
+    product_state,
+    quasi_hermiticity_residuals,
     scenario_hamiltonian,
     scenario_params,
     scenario_rates,
     similarity_residual,
     time_term,
+    verify_dyson,
+    verify_quasi_hermiticity,
 )
-from ptdyson.validation import panel_quadrature
+from ptdyson.dyson import central_derivatives, driver_value
+from ptdyson.validation import (
+    mode_k1_quadrature,
+    panel_quadrature,
+    refining_quadrature,
+    tdse_residual_2d,
+)
 
 NODES = np.linspace(0.0, 10.0, 12)
 SCENARIO = Scenario(
@@ -161,3 +185,162 @@ def test_panel_quadrature_is_one_call_per_panel_set():
         half * np.sum(weights * fn(left + half * (nodes + 1.0))) for left in edges[:-1]
     )
     assert abs(got - want) <= 1e-14 * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# mode layer and the checks built on it
+
+INNER = TIMES[1:-1]  # room for the finite-difference stencils inside the domain
+SPECS = (
+    ModeSpec(0, f_plus_profile(SCENARIO), SCENARIO.ktilde_plus, "+"),
+    ModeSpec(3, f_minus_profile(SCENARIO), SCENARIO.ktilde_minus, "-"),
+)
+
+
+def stacked(fn, times):
+    """fn called once per time, results stacked along a leading axis."""
+    return np.array([fn(float(t)) for t in times])
+
+
+def test_modes_broadcast_time_against_position():
+    x = np.linspace(-4.0, 4.0, 23)
+    for mode in (pedrosa_mode, pedrosa_mode_xx):
+        for spec in SPECS:
+            got = mode(spec, x, INNER[:, None])
+            assert got.shape == (INNER.size, x.size)
+            want = stacked(lambda t: mode(spec, x, t), INNER)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+def test_central_derivatives_take_array_t():
+    chi = chi_closed_form(SCENARIO.lam, CONSTS)
+    got = central_derivatives(chi, INNER, 1e-2)
+    want = stacked(lambda t: central_derivatives(chi, t, 1e-2), INNER).T
+    for g, w in zip(got, want):
+        assert g.shape == INNER.shape
+        np.testing.assert_allclose(g, w, rtol=1e-14, atol=0.0)
+
+
+def test_scale_equation_residuals_take_array_t():
+    lam = SCENARIO.lam
+    chi = chi_closed_form(lam, CONSTS)
+    spec = SPECS[0]
+
+    def scale(t):
+        return ep_classical(spec.ktilde, spec.driver, t)
+
+    def rate(t):
+        return ep_classical_rate(spec.ktilde, spec.driver, t)
+
+    cases = (
+        lambda t: ep_dissipative_residual(chi, lam, CONSTS.kappa, t),
+        lambda t: ep_oscillator_residual(scale, spec.driver, t),
+        lambda t: ermakov_quantity(scale, spec.driver, t),
+        lambda t: ermakov_quantity(scale, spec.driver, t, rate_fn=rate),
+    )
+    for fn in cases:
+        got = fn(INNER)
+        assert got.shape == INNER.shape
+        np.testing.assert_allclose(got, stacked(fn, INNER), rtol=1e-13, atol=1e-15)
+
+
+def test_mode_quadrature_takes_array_t():
+    times = np.array([0.3, 2.9, 7.4])
+    for spec in SPECS:
+        got = mode_k1_quadrature(spec, times)
+        assert got.shape == times.shape
+        want = stacked(lambda t: mode_k1_quadrature(spec, t), times)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_driver_value_names_the_first_singular_time():
+    # (t - 1)(t - 2): zeros at 1 and 2, both on the grid
+    driver = TimeProfile.polynomial([2.0, -3.0, 1.0])
+    times = np.array([0.5, 1.0, 1.5, 2.0])
+    with pytest.raises(SingularEvaluationError, match=r"at t = 1\.0$"):
+        driver_value(driver, times)
+    with pytest.raises(SingularEvaluationError, match=r"at t = 1\.0$"):
+        ep_oscillator_residual(lambda t: 1.0 + 0.0 * t, driver, times)
+    np.testing.assert_array_equal(driver_value(driver, times[::2]), [0.75, -0.25])
+
+
+def _tdse_residual_2d_on_meshgrid(scenario, t, grid_step, time_step, half_width):
+    """Reference: the modes evaluated at every grid point, one time at a time."""
+    n_pts = int(round(2.0 * half_width / grid_step))
+    axis = -half_width + grid_step * np.arange(n_pts + 1)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    n, m = scenario.n, scenario.m
+    psi = product_state(n, m, scenario, x, y, t)
+    psi_p = product_state(n, m, scenario, x, y, t + time_step)
+    psi_m = product_state(n, m, scenario, x, y, t - time_step)
+    dpsi = (psi_p - psi_m) / (2.0 * time_step)
+    inner = psi[1:-1, 1:-1]
+    lap_x = (psi[2:, 1:-1] - 2.0 * inner + psi[:-2, 1:-1]) / grid_step**2
+    lap_y = (psi[1:-1, 2:] - 2.0 * inner + psi[1:-1, :-2]) / grid_step**2
+    f_plus, f_minus = f_pm(scenario, t)
+    h_psi = f_plus * 0.5 * (-lap_x + x[1:-1, 1:-1] ** 2 * inner)
+    h_psi += f_minus * 0.5 * (-lap_y + y[1:-1, 1:-1] ** 2 * inner)
+    resid = 1.0j * dpsi[1:-1, 1:-1] - h_psi
+    return float(np.linalg.norm(resid) / np.linalg.norm(h_psi))
+
+
+def test_tdse_residual_2d_matches_meshgrid_evaluation():
+    for t in (0.7, 4.3):
+        got = tdse_residual_2d(SCENARIO, t, grid_step=0.1, half_width=5.0)
+        want = _tdse_residual_2d_on_meshgrid(SCENARIO, t, 0.1, 1e-3, 5.0)
+        assert got == want
+
+
+def test_number_basis_residuals_per_time_match_single_time_calls():
+    basis = FockBasis(6)
+    times = np.array([0.0, 1.7, 5.2, 10.0])  # both one-sided stencils included
+    pairs = (
+        (dyson_residuals, verify_dyson),
+        (quasi_hermiticity_residuals, verify_quasi_hermiticity),
+    )
+    for residuals, verify in pairs:
+        got = residuals(SCENARIO, basis, times)
+        assert got.shape == times.shape
+        np.testing.assert_array_equal(
+            got, [verify(SCENARIO, basis, [t]) for t in times]
+        )
+        assert verify(SCENARIO, basis, times) == np.max(got)
+
+
+# ---------------------------------------------------------------------------
+# the per-element stopping rule of the refining quadrature
+
+# Gaussian bumps on [-1, 1] that settle at 16, 32 and 64 panels, and one
+# too narrow to settle at all.
+SETTLING_WIDTHS = {16: 0.1, 32: 0.01, 64: 0.004}
+UNSETTLED_WIDTH = 5e-4
+
+
+def _bumps(widths, panel_counts=None):
+    widths = np.asarray(widths, dtype=float)[..., None, None]
+
+    def fn(x):
+        if panel_counts is not None:
+            panel_counts.append(x.shape[0])
+        return np.exp(-(((x - 0.1234) / widths) ** 2))
+
+    return fn
+
+
+def test_refining_quadrature_settles_each_row_on_its_own():
+    for panels, width in SETTLING_WIDTHS.items():
+        counts = []
+        refining_quadrature(_bumps(width, counts), -1.0, 1.0)
+        assert counts[-1] == panels
+    widths = list(SETTLING_WIDTHS.values())
+    got = refining_quadrature(_bumps(widths), -1.0, 1.0)
+    want = [refining_quadrature(_bumps(w), -1.0, 1.0) for w in widths]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_refining_quadrature_raises_if_any_row_is_unsettled():
+    with pytest.raises(IntegrationError):
+        refining_quadrature(_bumps(UNSETTLED_WIDTH), -1.0, 1.0)
+    widths = [*SETTLING_WIDTHS.values(), UNSETTLED_WIDTH]
+    with pytest.raises(IntegrationError, match="at 1 of 4 points"):
+        refining_quadrature(_bumps(widths), -1.0, 1.0)
