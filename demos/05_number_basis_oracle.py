@@ -1,10 +1,10 @@
 """Everything again, in a truncated number basis that trusts no closed form.
 
-Dense matrices for the four generators are built from ladder operators
-alone.  The map, the metric, the broken spectrum and the invariant flow
-are then re-measured as matrix facts and compared with the analytic
-package surface.  A deliberately wrong metric is included to show the
-probe actually bites.
+The four generators are built block by block from their ladder-operator
+matrix elements alone.  The map, the metric, the broken spectrum and the
+invariant flow are then re-measured as matrix facts and compared with the
+analytic package surface.  A deliberately wrong metric is included to
+show the probe actually bites.
 """
 
 import numpy as np
@@ -38,7 +38,10 @@ scenario = Scenario(
 )
 basis = FockBasis(10)
 gens = build_generators(basis)
-print(f"basis: {basis.size} quanta per mode, {basis.dim} states")
+print(
+    f"basis: {basis.size} quanta per mode, {len(gens)} blocks, "
+    f"{sum(g.nbytes for g in gens)} bytes of generators"
+)
 
 times = [0.0, 1.3, 4.0, 8.5]
 print(f"map relation residual:    {verify_dyson(scenario, basis, times, gens=gens):.3e}")
@@ -53,10 +56,9 @@ print(f"metric observed min:      {min(observed):.3e}")
 # negative control: pretending the metric is the identity leaves a
 # defect that grows linearly with the block index
 ham = element_matrix(nonhermitian_hamiltonian(1.0, 0.5), basis, gens)
-defect = ham.conj().T - ham
 for k in (1, 4, 7):
-    sl = basis.block_slice(k)
-    print(f"identity-metric defect, block {k}: {np.linalg.norm(defect[sl, sl], 2):.6f}"
+    defect = ham[k].conj().T - ham[k]
+    print(f"identity-metric defect, block {k}: {np.linalg.norm(defect, 2):.6f}"
           f"   (expected {0.5 * k:.6f})")
 
 # broken spectrum, matrix route vs closed form; blocks come back sorted

@@ -210,8 +210,17 @@ def validate_config(cfg):
             "modes_grid must satisfy x_max > x_min, got "
             f"x_min={mg['x_min']}, x_max={mg['x_max']}"
         )
+    times = [("grid.t_start", grid["t_start"]), ("grid.t_end", grid["t_end"])]
+    times += [(f"modes_grid.times[{i}]", t) for i, t in enumerate(mg["times"])]
     for key in ("a", "lam"):
-        _profile(cfg, key)
+        profile = _profile(cfg, key)
+        for path, t in times:
+            try:
+                profile._check_domain(t)
+            except DomainError as err:
+                raise ConfigError(
+                    f"{path} = {t} is outside scenario.{key}: {err}"
+                ) from err
 
 
 def _profile(cfg, key):

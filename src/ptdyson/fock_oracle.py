@@ -2,16 +2,17 @@
 
 Everything the closed forms claim is reproducible here by linear algebra
 on a finite basis.  The four quadratic generators all preserve the total
-excitation number, so ordering the basis by blocks of fixed total makes
-every operator in this module exactly block diagonal: the truncation at
-total <= size introduces no error inside any block.  The only
-approximation anywhere is the finite-difference time derivative inside the
-two verification residuals.
+excitation number, so every operator here is stored block by block: block
+k is the spin-k/2 irrep of the Schwinger two-boson realization, and the
+truncation at total <= size introduces no error inside any block.  The
+only approximation anywhere is the finite-difference time derivative
+inside the two verification residuals.
 
 One routine builds a block of the map in either direction, for a stack of
 times at once, from mixing-generator eigensystems computed once per call;
-the two residuals share one routine that builds each block once over all
-times and finite-difference nodes, and never form a dense map.
+the two residuals share one routine that builds each block over chunks of
+times and all finite-difference nodes.  build_eta and build_eta_inverse are
+the only dense (dim x dim) view, for callers that want one matrix.
 
 Conditioning, not truncation, is the real constraint: the group factors
 grow like exp(|gamma| * k) on block k, so checks that invert or normalize
@@ -21,8 +22,8 @@ mix blocks (position, momentum).
 """
 
 import numpy as np
-from scipy.linalg import block_diag
 
+from .algebra_u2 import DysonParams
 from .dyson import scenario_params
 from .energy import f_pm
 from .errors import ConstraintViolationError, TruncationError
@@ -32,6 +33,9 @@ MIN_SIZE = 2
 MAX_SIZE = 60
 
 _SUPPORT_TOL = 1e-14
+# Bytes of one residual stack of block maps over times and stencil rows;
+# the residuals take times in chunks that keep the top block under it.
+_STACK_BYTES = 2**19
 
 
 class FockBasis:
@@ -70,58 +74,47 @@ class FockBasis:
 
 
 def build_generators(basis):
-    """Dense matrices of the four generators on the truncated basis.
+    """The four generators on each block of the truncated basis.
 
-    First two are the mode numbers plus one half on the diagonal; the
-    mixing pair has elements sqrt((na + 1) nb) / 2 between (na, nb) and
-    (na + 1, nb - 1), real for the symmetric one and -i / +i for the
-    antisymmetric one.  All four are Hermitian and block diagonal.
+    A list over blocks k = 0..size of (4, k+1, k+1) complex arrays, indexed
+    by nb (na = k - nb).  The first two are the mode numbers plus one half
+    on the diagonal; the mixing pair has elements sqrt((na + 1) nb) / 2
+    between (na, nb) and (na + 1, nb - 1), real for the symmetric one and
+    -i / +i for the antisymmetric one.  All four are Hermitian.
     """
-    dim = basis.dim
-    k1 = np.zeros((dim, dim), dtype=complex)
-    k2 = np.zeros((dim, dim), dtype=complex)
-    k3 = np.zeros((dim, dim), dtype=complex)
-    k4 = np.zeros((dim, dim), dtype=complex)
-    for idx, (na, nb) in enumerate(basis.states):
-        k1[idx, idx] = na + 0.5
-        k2[idx, idx] = nb + 0.5
-        if nb >= 1:
-            jdx = basis.index(na + 1, nb - 1)
-            amp = 0.5 * np.sqrt((na + 1) * nb)
-            k3[jdx, idx] += amp
-            k4[jdx, idx] += -1j * amp
-        if na >= 1:
-            jdx = basis.index(na - 1, nb + 1)
-            amp = 0.5 * np.sqrt(na * (nb + 1))
-            k3[jdx, idx] += amp
-            k4[jdx, idx] += 1j * amp
-    return k1, k2, k3, k4
+    gens = []
+    for k in basis.blocks():
+        nb = np.arange(k + 1.0)
+        # raising na lowers the local index nb by one: the superdiagonal
+        ladder = np.diag(0.5 * np.sqrt((k - nb[1:] + 1) * nb[1:]), 1)
+        gens.append(np.array([
+            np.diag(k - nb + 0.5),
+            np.diag(nb + 0.5),
+            ladder + ladder.T,
+            -1j * ladder + 1j * ladder.T,
+        ]))
+    return gens
 
 
 def element_matrix(elem, basis, gens=None):
-    """Matrix of a Lie-algebra element (complex coefficients allowed)."""
+    """Per-block matrices of a Lie-algebra element; stacked elements stack."""
     if gens is None:
         gens = build_generators(basis)
-    c = elem.vector
-    return c[0] * gens[0] + c[1] * gens[1] + c[2] * gens[2] + c[3] * gens[3]
+    return [np.tensordot(elem.vector, g, (0, 0)) for g in gens]
 
 
-def _block_factors(basis, gens, k_top=None):
-    """Time-independent pieces of the map on blocks 0..k_top (default: all).
+def _block_factors(gens):
+    """Time-independent pieces of the map, yielded block by block.
 
     Per block: the diagonals of the two number generators and the
-    eigensystems of the two mixing generators.  Computed once per public
+    eigensystems of the two mixing generators.  Iterated once per public
     call, so no eigendecomposition runs inside a time or difference loop.
     """
-    k_top = basis.size if k_top is None else k_top
-    d1 = gens[0].diagonal().real
-    d2 = gens[1].diagonal().real
-    factors = []
-    for k in range(k_top + 1):
-        sl = basis.block_slice(k)
-        mixing = (np.linalg.eigh(gens[2][sl, sl]), np.linalg.eigh(gens[3][sl, sl]))
-        factors.append((d1[sl], d2[sl], *mixing))
-    return factors
+    return (
+        (g[0].diagonal().real, g[1].diagonal().real,
+         np.linalg.eigh(g[2]), np.linalg.eigh(g[3]))
+        for g in gens
+    )
 
 
 def _block_map(factors, params, inverse=False):
@@ -137,21 +130,28 @@ def _block_map(factors, params, inverse=False):
     diag = np.exp(g1 * d1 + g2 * d2)
     e3 = (vecs3 * np.exp(g3 * vals3)[..., None, :]) @ vecs3.conj().T
     e4 = (vecs4 * np.exp(g4 * vals4)[..., None, :]) @ vecs4.conj().T
-    if inverse:
-        return (e4 @ e3) * diag[..., None, :]
-    return diag[..., :, None] * (e3 @ e4)
+    out = e4 @ e3 if inverse else e3 @ e4
+    out *= diag[..., None, :] if inverse else diag[..., :, None]  # no extra stack
+    return out
+
+
+def _dense_map(basis, gens, params, inverse):
+    # the only dense (dim x dim) array of the module: the blocks on a diagonal
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for k, f in enumerate(_block_factors(gens)):
+        sl = basis.block_slice(k)
+        out[sl, sl] = _block_map(f, params, inverse)
+    return out
 
 
 def build_eta(basis, gens, params):
     """Dense matrix of the ordered-product group map, assembled block by block."""
-    return block_diag(*(_block_map(f, params) for f in _block_factors(basis, gens)))
+    return _dense_map(basis, gens, params, inverse=False)
 
 
 def build_eta_inverse(basis, gens, params):
     """Exact inverse: reversed factors with negated parameters."""
-    return block_diag(
-        *(_block_map(f, params, inverse=True) for f in _block_factors(basis, gens))
-    )
+    return _dense_map(basis, gens, params, inverse=True)
 
 
 # Second-order first derivatives times 2 h, as (offset / h, weight) per node:
@@ -181,8 +181,8 @@ def _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer):
     finite-difference time derivative, the non-Hermitian generator and the
     Hermitian image, each stacked over times, and returns (defect, scale);
     the ratio of their spectral norms is the block's residual.  Only blocks
-    0..size - buffer are built, each once for all times and stencil nodes.
-    Returns a 1-D array, one worst-over-blocks value per time.
+    0..size - buffer are built, each once per chunk of times for all
+    stencil nodes.  Returns one worst-over-blocks value per time.
     """
     k_top = basis.size - buffer
     if k_top < 1:
@@ -194,24 +194,27 @@ def _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer):
         gens = build_generators(basis)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     nodes, weights = _fd_stencil(times, fd_step, scenario.t_max())
-    params = scenario_params(
+    gammas = scenario_params(
         scenario.ep_constants(), scenario.lam, np.vstack([times, nodes]), q1=scenario.q1
-    )
+    ).as_array()
     # per-time coefficients and stencil weights, broadcast against the blocks
-    a_t, lam_t, f_plus, f_minus, *weights = np.array(
+    coeffs = np.array(
         [scenario.a(times), scenario.lam(times), *f_pm(scenario, times), *weights]
     )[..., None, None]
+    step = max(1, _STACK_BYTES // (64 * (k_top + 1) ** 2))
+    chunks = [slice(i, i + step) for i in range(0, times.size, step)]
     worst = np.zeros(times.shape)
-    for k, f in enumerate(_block_factors(basis, gens, k_top)):
-        sl = basis.block_slice(k)
-        k1, k2, k3 = (g[sl, sl] for g in gens[:3])
-        eta, *stencil = _block_map(f, params)
-        eta_dot = sum(w * m for w, m in zip(weights, stencil)) / (2.0 * fd_step)
-        ham = a_t * (k1 + k2) + 1j * lam_t * k3
-        herm = f_plus * k1 + f_minus * k2
-        resid, scale = defect(eta, eta_dot, ham, herm)
-        norms = np.linalg.norm(np.stack([resid, scale]), 2, axis=(-2, -1))
-        worst = np.maximum(worst, norms[0] / norms[1])
+    for g, f in zip(gens, _block_factors(gens[: k_top + 1])):
+        k1, k2, k3 = g[:3]
+        for sl in chunks:
+            a_t, lam_t, f_plus, f_minus, *w = coeffs[:, sl]
+            eta, *stencil = _block_map(f, DysonParams(*gammas[..., sl]))
+            eta_dot = sum(wi * m for wi, m in zip(w, stencil)) / (2.0 * fd_step)
+            ham = a_t * (k1 + k2) + 1j * lam_t * k3
+            herm = f_plus * k1 + f_minus * k2
+            resid, scale = defect(eta, eta_dot, ham, herm)
+            norms = np.linalg.norm(np.stack([resid, scale]), 2, axis=(-2, -1))
+            worst[sl] = np.maximum(worst[sl], norms[0] / norms[1])
     return worst
 
 
@@ -285,10 +288,7 @@ def sort_along_line(vals):
         return np.sort_complex(vals)
     direction = pivot / abs(pivot)
     # orient by the dominant component; the minor one is rounding noise
-    if abs(direction.real) >= abs(direction.imag):
-        if direction.real < 0:
-            direction = -direction
-    elif direction.imag < 0:
+    if max(direction.real, direction.imag, key=abs) < 0:
         direction = -direction
     keys = dev / direction
     order = np.lexsort((keys.imag, keys.real))
@@ -304,23 +304,8 @@ def broken_spectrum_numeric(a_value, lam_value, basis, gens=None):
     """
     if gens is None:
         gens = build_generators(basis)
-    ham = a_value * (gens[0] + gens[1]) + 1j * lam_value * gens[2]
-    out = []
-    for k in basis.blocks():
-        sl = basis.block_slice(k)
-        out.append(sort_along_line(np.linalg.eigvals(ham[sl, sl])))
-    return out
-
-
-def _block_spin(basis, gens, k):
-    # the three traceless directions on the block: mixing pair and half the
-    # number imbalance
-    sl = basis.block_slice(k)
-    return (
-        gens[2][sl, sl],
-        gens[3][sl, sl],
-        0.5 * (gens[0][sl, sl] - gens[1][sl, sl]),
-    )
+    hams = (a_value * (g[0] + g[1]) + 1j * lam_value * g[2] for g in gens)
+    return [sort_along_line(np.linalg.eigvals(ham)) for ham in hams]
 
 
 def _line_eigenvalues(v, j_ops, center, k):
@@ -356,13 +341,8 @@ def _line_eigenvalues(v, j_ops, center, k):
     # everything outside the three diagonals is structurally zero
     tri = np.triu(np.tril(tri, 1), -1)
     m = np.arange(k + 1) - 0.5 * k
-    best = None
-    for s in (1.0, -1.0):
-        cand = tri * np.exp(s * zeta * (m[None, :] - m[:, None]))
-        nrm = np.linalg.norm(cand)
-        if best is None or nrm < best[0]:
-            best = (nrm, cand)
-    return np.linalg.eigvals(best[1])
+    cands = [tri * np.exp(s * zeta * (m[None, :] - m[:, None])) for s in (1.0, -1.0)]
+    return np.linalg.eigvals(min(cands, key=np.linalg.norm))
 
 
 def invariant_eigen_flow(coeffs, lam, times, basis, gens=None):
@@ -380,17 +360,17 @@ def invariant_eigen_flow(coeffs, lam, times, basis, gens=None):
     if gens is None:
         gens = build_generators(basis)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    spin_ops = [_block_spin(basis, gens, k) for k in basis.blocks()]
+    # traceless directions per block: mixing pair, half the number imbalance
+    spin_ops = [(g[2], g[3], 0.5 * (g[0] - g[1])) for g in gens]
 
     def block_eigs(t):
         a1, a2, a3, a4 = alpha_coeffs(coeffs, lam, float(t))
         v = np.array([a3, a4, a1 - a2], dtype=complex)
         center = 0.5 * (a1 + a2)
-        eigs = []
-        for k in basis.blocks():
-            vals = _line_eigenvalues(v, spin_ops[k], center * (k + 1), k)
-            eigs.append(sort_along_line(vals))
-        return eigs
+        return [
+            sort_along_line(_line_eigenvalues(v, ops, center * (k + 1), k))
+            for k, ops in enumerate(spin_ops)
+        ]
 
     reference = block_eigs(times[0])
     drift = 0.0
@@ -425,7 +405,7 @@ def map_state(basis, gens, params, psi, inverse=False, buffer=2):
             )
     return np.concatenate([
         _block_map(f, params, inverse) @ psi[basis.block_slice(k)]
-        for k, f in enumerate(_block_factors(basis, gens))
+        for k, f in enumerate(_block_factors(gens))
     ])
 
 
@@ -456,5 +436,8 @@ def metric_spectrum_report(basis, gens, params):
     Block eigensystems are computed once per call; stacked params give arrays.
     """
     floors = [metric_floor(params, k) for k in basis.blocks()]
-    maps = [_block_map(f, params) for f in _block_factors(basis, gens)]
-    return floors, [np.linalg.svd(m, compute_uv=False)[..., -1] ** 2 for m in maps]
+    return floors, [
+        # each block's map lives only for its own SVD
+        np.linalg.svd(_block_map(f, params), compute_uv=False)[..., -1] ** 2
+        for f in _block_factors(gens)
+    ]

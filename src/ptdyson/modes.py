@@ -80,17 +80,20 @@ class ModeSpec:
             raise ConstraintViolationError("channel tag must be '+' or '-'")
 
 
+def _scale(ktilde, a_int):
+    # kt as a function of the driver's running integral A(t)
+    return np.sqrt(ktilde * np.cos(2.0 * a_int) + np.sqrt(1.0 + ktilde**2))
+
+
 def ep_classical(ktilde, driver, t):
     """Closed-form scale function kt(t); strictly positive for any ktilde."""
-    a_int = driver.cumulative(t)
-    return np.sqrt(ktilde * np.cos(2.0 * a_int) + np.sqrt(1.0 + ktilde**2))
+    return _scale(ktilde, driver.cumulative(t))
 
 
 def ep_classical_rate(ktilde, driver, t):
     """Analytic d/dt of the closed-form scale function."""
     a_int = driver.cumulative(t)
-    kt = np.sqrt(ktilde * np.cos(2.0 * a_int) + np.sqrt(1.0 + ktilde**2))
-    return -ktilde * driver(t) * np.sin(2.0 * a_int) / kt
+    return -ktilde * driver(t) * np.sin(2.0 * a_int) / _scale(ktilde, a_int)
 
 
 def ep_oscillator_residual(scale_fn, driver, t, fd_step=1e-2):
@@ -131,9 +134,14 @@ def phase_integral(ktilde, driver, t):
     the primitive arctan[g tan(theta)] is unwrapped by shifting theta to
     its nearest multiple of pi and adding the winding back.
     """
+    return _phase(ktilde, driver.cumulative(t))
+
+
+def _phase(ktilde, a_int):
+    # phase_integral as a function of the driver's running integral A(t)
     r = np.sqrt(1.0 + ktilde**2)
     g = np.sqrt((r - ktilde) / (r + ktilde))
-    theta = np.asarray(driver.cumulative(t), dtype=float)
+    theta = np.asarray(a_int, dtype=float)
     winding = np.round(theta / np.pi)
     reduced = theta - winding * np.pi
     return winding * np.pi + np.arctan2(g * np.sin(reduced), np.cos(reduced))
@@ -151,11 +159,11 @@ def _mode_factors(spec, x, t):
     division analytically).
     """
     driver_value(spec.driver, t)
-    kt = ep_classical(spec.ktilde, spec.driver, t)
     a_int = spec.driver.cumulative(t)
+    kt = _scale(spec.ktilde, a_int)
     # i ktdot/(d kt) - 1/kt^2 with the driver cancelled from the ratio.
     width = (-1.0j * spec.ktilde * np.sin(2.0 * a_int) - 1.0) / kt**2
-    phase = -(spec.n + 0.5) * phase_integral(spec.ktilde, spec.driver, t)
+    phase = -(spec.n + 0.5) * _phase(spec.ktilde, a_int)
     norm = math.sqrt(2.0**spec.n * math.factorial(spec.n) * math.sqrt(math.pi))
     amp = np.exp(1.0j * phase) / np.sqrt(kt)
     return kt, width, amp, np.exp(0.5 * width * x**2), norm

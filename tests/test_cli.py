@@ -112,6 +112,20 @@ RANGE_CASES = [
     ),
 ]
 
+# Times outside a profile's domain, named by their key path.
+SHORT_TABULATED_A = {
+    "scenario": {
+        "a": {"kind": "tabulated", "times": [0.0, 1.0, 2.0, 3.0], "values": [1.0] * 4}
+    }
+}
+DOMAIN_CASES = [
+    (
+        {"modes_grid": {"times": [-1.0]}},
+        r"modes_grid.times\[0\] = -1.0 is outside scenario.a",
+    ),
+    (SHORT_TABULATED_A, "grid.t_end = 10.0 is outside scenario.a"),
+]
+
 
 @pytest.mark.parametrize(
     "patch, fragment",
@@ -134,7 +148,8 @@ RANGE_CASES = [
         ({"oracle": {"size": 6, "buffer": 6}}, "oracle.buffer must be < oracle.size"),
     ]
     + PROFILE_FIELD_CASES
-    + RANGE_CASES,
+    + RANGE_CASES
+    + DOMAIN_CASES,
 )
 def test_validate_config_names_the_invariant(patch, fragment):
     cfg = cli._merge(cli.DEFAULT_CONFIG, patch)
@@ -426,6 +441,37 @@ def test_main_names_a_malformed_profile_field(tmp_path, capsys, patch, fragment)
     assert err.startswith("config error:")
     assert re.search(fragment, err)
     assert not (tmp_path / "modes.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, patch, fragment",
+    [
+        ("modes", {"modes_grid": {"times": [-1.0]}}, "modes_grid.times[0]"),
+        ("evolve", SHORT_TABULATED_A, "grid.t_end"),
+        ("oracle", SHORT_TABULATED_A, "grid.t_end"),
+    ],
+)
+def test_main_names_a_time_outside_the_profile_domain(
+    tmp_path, capsys, command, patch, fragment
+):
+    cfg = write_config(tmp_path, patch)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert fragment in err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+def test_validate_config_accepts_times_at_the_domain_end():
+    # the profile's own inclusive test: t_end on the last tabulated node
+    # and modes times on the domain's edges are inside
+    patch = {
+        **SHORT_TABULATED_A,
+        "grid": {"t_start": 0.0, "t_end": 3.0},
+        "modes_grid": {"times": [0.0, 3.0]},
+    }
+    cli.validate_config(cli._merge(cli.DEFAULT_CONFIG, patch))
 
 
 def test_oracle_refuses_a_buffer_that_covers_the_basis(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from ptdyson import (
     AlgebraElement,
@@ -15,6 +15,7 @@ from ptdyson import (
     build_eta_inverse,
     build_generators,
     conjugate,
+    dyson_residuals,
     element_matrix,
     f_pm,
     invariant_coeffs_for,
@@ -22,11 +23,13 @@ from ptdyson import (
     map_state,
     metric_floor,
     metric_spectrum_report,
+    quasi_hermiticity_residuals,
     scenario_params,
     sort_along_line,
     verify_dyson,
     verify_quasi_hermiticity,
 )
+from ptdyson import fock_oracle
 from ptdyson.errors import ConstraintViolationError, TruncationError
 
 A = TimeProfile.sinusoid(1.0, 0.2, 2.0)
@@ -52,6 +55,32 @@ def ladder_matrices(basis):
     return low_a, low_b
 
 
+def ladder_reference(basis):
+    # dense generators written out from the ladder action on each number
+    # state: a^dag a, b^dag b and the a^dag b / b^dag a hopping pair
+    dim = basis.dim
+    k1, k2, k3, k4 = (np.zeros((dim, dim), dtype=complex) for _ in range(4))
+    for idx, (na, nb) in enumerate(basis.states):
+        k1[idx, idx] = na + 0.5
+        k2[idx, idx] = nb + 0.5
+        if nb >= 1:
+            jdx = basis.index(na + 1, nb - 1)
+            amp = 0.5 * np.sqrt((na + 1) * nb)
+            k3[jdx, idx] += amp
+            k4[jdx, idx] += -1j * amp
+        if na >= 1:
+            jdx = basis.index(na - 1, nb + 1)
+            amp = 0.5 * np.sqrt(na * (nb + 1))
+            k3[jdx, idx] += amp
+            k4[jdx, idx] += 1j * amp
+    return k1, k2, k3, k4
+
+
+def dense_generators(gens):
+    # the per-block generators assembled into four dense matrices
+    return [block_diag(*blocks) for blocks in zip(*gens)]
+
+
 def test_basis_layout():
     basis = FockBasis(2)
     assert basis.dim == 6
@@ -71,29 +100,55 @@ def test_basis_layout():
 
 
 def test_generators_hermitian_and_block_diagonal():
+    # the dense reference has nothing outside the blocks, so storing the
+    # blocks alone loses nothing
     basis = FockBasis(5)
     gens = build_generators(basis)
     mask = np.ones((basis.dim, basis.dim), dtype=bool)
     for k in basis.blocks():
         sl = basis.block_slice(k)
         mask[sl, sl] = False
-    for g in gens:
-        assert np.max(np.abs(g - g.conj().T)) < 1e-14
+    for g in ladder_reference(basis):
         assert np.max(np.abs(g[mask])) == 0.0
+    for k, g in enumerate(gens):
+        assert g.shape == (4, k + 1, k + 1)
+        assert np.max(np.abs(g - np.swapaxes(g, -1, -2).conj())) < 1e-14
+
+
+def test_generator_blocks_equal_the_ladder_reference_bit_for_bit():
+    for size in (2, 8, 24):
+        basis = FockBasis(size)
+        gens = build_generators(basis)
+        assert len(gens) == basis.size + 1
+        reference = ladder_reference(basis)
+        for k in basis.blocks():
+            sl = basis.block_slice(k)
+            for built, dense in zip(gens[k], reference):
+                assert built.dtype == dense.dtype
+                assert built.tobytes() == np.ascontiguousarray(dense[sl, sl]).tobytes()
+
+
+def test_generator_storage_is_the_blocks_alone():
+    # 4 generators x 16 bytes per complex entry x (k+1)^2 entries per block
+    basis = FockBasis(60)
+    gens = build_generators(basis)
+    want = 64 * sum((k + 1) ** 2 for k in basis.blocks())
+    assert sum(g.nbytes for g in gens) == want == 4_961_984
 
 
 def test_generator_diagonals():
     basis = FockBasis(2)
-    k1, k2, _, _ = build_generators(basis)
-    assert np.allclose(np.diag(k1).real, [0.5, 1.5, 0.5, 2.5, 1.5, 0.5])
-    assert np.allclose(np.diag(k2).real, [0.5, 0.5, 1.5, 0.5, 1.5, 2.5])
+    gens = build_generators(basis)
+    k1, k2 = (np.concatenate([g[i].diagonal() for g in gens]) for i in (0, 1))
+    assert np.allclose(k1.real, [0.5, 1.5, 0.5, 2.5, 1.5, 0.5])
+    assert np.allclose(k2.real, [0.5, 0.5, 1.5, 0.5, 1.5, 2.5])
 
 
 def test_generators_against_ladder_definitions():
     # rebuild all four generators from the raw mode operators and compare
     # on every state whose quadratic image stays inside the truncation
     basis = FockBasis(8)
-    gens = build_generators(basis)
+    gens = dense_generators(build_generators(basis))
     low_a, low_b = ladder_matrices(basis)
     x_a = (low_a + low_a.conj().T) / np.sqrt(2.0)
     p_a = -1j * (low_a - low_a.conj().T) / np.sqrt(2.0)
@@ -116,17 +171,17 @@ def test_generators_against_ladder_definitions():
 def test_bracket_table_on_matrices():
     # block-preserving products make the brackets exact at any truncation
     basis = FockBasis(6)
-    k1, k2, k3, k4 = build_generators(basis)
 
     def br(x, y):
         return x @ y - y @ x
 
-    assert np.max(np.abs(br(k1, k2))) == 0.0
-    assert np.max(np.abs(br(k1, k3) - 1j * k4)) < 1e-13
-    assert np.max(np.abs(br(k1, k4) + 1j * k3)) < 1e-13
-    assert np.max(np.abs(br(k2, k3) + 1j * k4)) < 1e-13
-    assert np.max(np.abs(br(k2, k4) - 1j * k3)) < 1e-13
-    assert np.max(np.abs(br(k3, k4) - 0.5j * (k1 - k2))) < 1e-13
+    for k1, k2, k3, k4 in build_generators(basis):
+        assert np.max(np.abs(br(k1, k2))) == 0.0
+        assert np.max(np.abs(br(k1, k3) - 1j * k4)) < 1e-13
+        assert np.max(np.abs(br(k1, k4) + 1j * k3)) < 1e-13
+        assert np.max(np.abs(br(k2, k3) + 1j * k4)) < 1e-13
+        assert np.max(np.abs(br(k2, k4) - 1j * k3)) < 1e-13
+        assert np.max(np.abs(br(k3, k4) - 0.5j * (k1 - k2))) < 1e-13
 
 
 def test_element_matrix_linearity():
@@ -134,8 +189,10 @@ def test_element_matrix_linearity():
     gens = build_generators(basis)
     coeffs = np.array([0.3, -0.7, 0.2 + 0.4j, -1.1j])
     got = element_matrix(AlgebraElement(coeffs), basis, gens)
-    want = sum(c * g for c, g in zip(coeffs, gens))
-    assert np.max(np.abs(got - want)) < 1e-15
+    assert len(got) == len(gens)
+    for blocks, g in zip(got, gens):
+        want = sum(c * m for c, m in zip(coeffs, g))
+        assert np.max(np.abs(blocks - want)) < 1e-15
 
 
 def test_map_at_origin_is_identity():
@@ -153,7 +210,7 @@ def test_map_matches_exponential_product():
         g = rng.normal(scale=0.4, size=4)
         params = DysonParams(*g)
         ref = np.eye(basis.dim, dtype=complex)
-        for gamma, gen in zip(g, gens):
+        for gamma, gen in zip(g, ladder_reference(basis)):
             ref = ref @ expm(gamma * gen)
         got = build_eta(basis, gens, params)
         assert np.max(np.abs(got - ref)) < 1e-10 * np.linalg.norm(ref, 2)
@@ -172,8 +229,11 @@ def test_conjugation_agrees_across_representations():
         eta = build_eta(basis, gens, params)
         eta_inv = build_eta_inverse(basis, gens, params)
         for i in (1, 3):
-            lhs = eta @ element_matrix(basis_element(i), basis, gens) @ eta_inv
-            rhs = element_matrix(conjugate(params, basis_element(i)), basis, gens)
+            elem = block_diag(*element_matrix(basis_element(i), basis, gens))
+            lhs = eta @ elem @ eta_inv
+            rhs = block_diag(
+                *element_matrix(conjugate(params, basis_element(i)), basis, gens)
+            )
             scale = max(1.0, np.max(np.abs(rhs)))
             # products run through blocks conditioned like e^{|gamma| k}
             assert np.max(np.abs(lhs - rhs)) < 1e-8 * scale
@@ -209,8 +269,9 @@ def test_intertwining_detects_flipped_angle():
         build_eta(basis, gens, flipped(t + h)) - build_eta(basis, gens, flipped(t - h))
     ) / (2 * h)
     fp, fm = f_pm(sc, t)
-    ham = sc.a(t) * (gens[0] + gens[1]) + 1j * sc.lam(t) * gens[2]
-    herm = fp * gens[0] + fm * gens[1]
+    k1, k2, k3, _ = dense_generators(gens)
+    ham = sc.a(t) * (k1 + k2) + 1j * sc.lam(t) * k3
+    herm = fp * k1 + fm * k2
     resid = eta @ ham + 1j * eta_dot - herm @ eta
     k = 3
     sl = basis.block_slice(k)
@@ -256,6 +317,19 @@ def test_stacked_residuals_equal_the_worst_per_time_call():
         assert max(per_time) < 1e-8
 
 
+def test_residuals_do_not_depend_on_the_time_chunks(monkeypatch):
+    # the residuals take times in chunks sized by _STACK_BYTES; one time
+    # per chunk must give the same bits as one chunk for all times
+    sc = default_scenario()
+    basis = FockBasis(8)
+    times = np.linspace(0.0, 9.0, 7)
+    residuals = (dyson_residuals, quasi_hermiticity_residuals)
+    whole = [r(sc, basis, times) for r in residuals]
+    monkeypatch.setattr(fock_oracle, "_STACK_BYTES", 1)
+    for r, want in zip(residuals, whole):
+        assert np.array_equal(r(sc, basis, times), want)
+
+
 def test_residuals_need_a_block_below_the_buffer():
     # with size - buffer < 1 no nontrivial block is left to check, and a
     # residual over nothing must not read as a pass
@@ -283,11 +357,11 @@ def test_metric_compatibility_needs_the_metric():
     basis = FockBasis(6)
     gens = build_generators(basis)
     a_t, lam_t = 1.1, 0.4
-    ham = a_t * (gens[0] + gens[1]) + 1j * lam_t * gens[2]
-    resid = ham.conj().T - ham
     for k in (1, 3, 5):
-        sl = basis.block_slice(k)
-        assert abs(np.linalg.norm(resid[sl, sl], 2) - lam_t * k) < 1e-12
+        g = gens[k]
+        ham = a_t * (g[0] + g[1]) + 1j * lam_t * g[2]
+        resid = ham.conj().T - ham
+        assert abs(np.linalg.norm(resid, 2) - lam_t * k) < 1e-12
 
 
 def test_broken_spectrum_blocks():
@@ -371,12 +445,11 @@ def test_invariant_spectrum_detects_tampering():
     alpha = alpha_coeffs(coeffs, LAM, t)
     tampered = alpha.copy()
     tampered[2] = 1.01 * tampered[2]
-    sl = basis.block_slice(2)
     clean = sort_along_line(
-        np.linalg.eigvals(element_matrix(AlgebraElement(alpha), basis, gens)[sl, sl])
+        np.linalg.eigvals(element_matrix(AlgebraElement(alpha), basis, gens)[2])
     )
     dirty = sort_along_line(
-        np.linalg.eigvals(element_matrix(AlgebraElement(tampered), basis, gens)[sl, sl])
+        np.linalg.eigvals(element_matrix(AlgebraElement(tampered), basis, gens)[2])
     )
     assert np.max(np.abs(dirty - clean)) > 1e-3
 
@@ -447,10 +520,13 @@ def test_scalar_call_shapes_keep_their_returns():
     # shapes of the per-layer benchmark timings
     basis = FockBasis(8)
     gens = build_generators(basis)
-    assert all(g.shape == (basis.dim, basis.dim) for g in gens)
+    assert [g.shape for g in gens] == [(4, k + 1, k + 1) for k in basis.blocks()]
+    assert sum(g.nbytes for g in gens) == 64 * sum((k + 1) ** 2 for k in basis.blocks())
     sc = default_scenario()
     params = scenario_params(sc.ep_constants(), LAM, 1.4)
-    assert build_eta(basis, gens, params).shape == (basis.dim, basis.dim)
+    eta = build_eta(basis, gens, params)
+    assert eta.shape == (basis.dim, basis.dim)
+    assert eta.nbytes == 16 * basis.dim**2
     floors, observed = metric_spectrum_report(basis, gens, params)
     assert len(floors) == len(observed) == basis.size + 1
     assert all(isinstance(v, float) and np.ndim(v) == 0 for v in floors + observed)

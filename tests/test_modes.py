@@ -189,6 +189,25 @@ def test_second_derivative_closed_form():
         assert abs(pedrosa_mode_xx(spec, x, t) - fd) < 1e-5
 
 
+def test_modes_take_the_running_integral_once(monkeypatch):
+    # scale, width and phase all read the driver's running integral; one
+    # evaluation per mode call serves all three
+    spec = ModeSpec(2, DRIVER, 0.5)
+    t = np.array([[0.4], [2.3]])
+    x = np.linspace(-2.0, 2.0, 5)
+    calls = []
+    cumulative = TimeProfile.cumulative
+
+    def counted(self, s):
+        calls.append(s)
+        return cumulative(self, s)
+
+    monkeypatch.setattr(TimeProfile, "cumulative", counted)
+    pedrosa_mode(spec, x, t)
+    pedrosa_mode_xx(spec, x, t)
+    assert len(calls) == 2
+
+
 def test_mode_guards_vanishing_driver():
     silent = TimeProfile.constant(0.0)
     spec = ModeSpec(0, silent, 0.5)
