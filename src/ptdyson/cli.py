@@ -2,19 +2,22 @@
 
 One JSON config drives every subcommand; missing keys fall back to the
 bundled defaults below, so `ptdyson validate` with no flags runs the
-reference configuration.  All output is deterministic for a fixed config:
+reference configuration.  One walk reads the config against the defaults:
+a key they lack is refused, a number takes its default's type (an int
+where the default is one), and a profile record of another kind than the
+default's replaces it and may hold only the fields its kind reads (the
+library's `TimeProfile.from_config` ignores the others).  All output is
+deterministic for a fixed config:
 floats are printed with 17 significant digits and nothing depends on wall
 time or dict iteration order.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 config violation
-(message names the invariant), 3 numerical failure (message carries the
+(message names the invariant or key path), 3 numerical failure (message carries the
 context; a NaN or inf in an output table is one).
 """
 
 import argparse
-import copy
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -45,7 +48,7 @@ from .fock_oracle import (
 )
 from .invariants import beta_from_match, invariant_coeffs_for
 from .modes import product_state
-from .profiles import TimeProfile
+from .profiles import TimeProfile, _is_finite_number, _kind_fields
 from .static_models import (
     BrokenRegime,
     KModel,
@@ -95,72 +98,71 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def _merge(base, override):
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+def _read(value, default, path=""):
+    """`value`, the config entry at `path`, checked against and typed by its default.
+
+    Missing keys take their defaults; a key the defaults lack is refused.  A
+    profile record (a default with a "kind") merges over the default if of
+    its kind and replaces it otherwise, and holds only the fields its kind
+    reads; the profile checks their values when it is built.  A number must
+    be finite, and integral where its default is an int, and comes back as
+    its default's type.  ConfigError names the key path.
+    """
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return [_read(v, default[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if not isinstance(default, dict):
+        if not _is_finite_number(value):
+            raise ConfigError(f"{path} must be a finite number, got {value!r}")
+        if isinstance(default, int) and not float(value).is_integer():
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
+        return type(default)(value)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object, got {value!r}")
+    prefix, owner, keys = (path + "." if path else ""), path or "the root", default
+    if "kind" in default:
+        if value.get("kind", default["kind"]) == default["kind"]:
+            value = {**default, **value}
+        try:
+            required, optional = _kind_fields(value)
+        except DomainError as err:
+            raise ConfigError(f"{prefix}{err}") from err
+        owner, keys = f"a {value['kind']} profile", ("kind",) + required + optional
+    for key in value:
+        if key not in keys:
+            raise ConfigError(
+                f"{prefix}{key} is not a config key; {owner} takes {', '.join(keys)}"
+            )
+    if "kind" in default:
+        return dict(value)
+    return {
+        key: _read(value.get(key, sub), sub, prefix + key)
+        for key, sub in default.items()
+    }
 
 
 def load_config(path):
-    if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}")
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
-    return _merge(DEFAULT_CONFIG, user)
-
-
-def _check_number(path, value, integral):
-    """ConfigError naming the key path unless value is a finite int or float.
-
-    Bools and strings are refused, and so is a non-integral value where
-    `integral` is set.
-    """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-    ):
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    if integral and not float(value).is_integer():
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-
-
-def _check_types(cfg, defaults, prefix=""):
-    """ConfigError naming the key path of a value whose type misfits its default.
-
-    A number must pass _check_number (integral where the default is an
-    int), an object must be an object, and a list must be a list whose
-    entries each pass _check_number.
-    """
-    for key, default in defaults.items():
-        path, value = prefix + key, cfg[key]
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path} must be an object, got {value!r}")
-            _check_types(value, default, path + ".")
-        elif isinstance(default, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"{path} must be a list, got {value!r}")
-            for i, entry in enumerate(value):
-                _check_number(f"{path}[{i}]", entry, isinstance(default[0], int))
-        elif isinstance(default, (int, float)):
-            _check_number(path, value, isinstance(default, int))
+    """The run's config: the JSON file at `path` read over DEFAULT_CONFIG."""
+    user = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                user = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}")
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"config is not valid JSON: {err}")
+        if not isinstance(user, dict):
+            raise ConfigError("config root must be a JSON object")
+    return _read(user, DEFAULT_CONFIG)
 
 
 def validate_config(cfg):
-    """Raise ConfigError naming the first violated invariant."""
-    _check_types(cfg, DEFAULT_CONFIG)
+    """Raise ConfigError naming the first violated range, relation or domain.
+
+    `cfg` is a config as load_config returns it, its keys and types checked.
+    """
     sc = cfg["scenario"]
     if not abs(sc["q3"]) < 1.0:
         raise ConfigError(
@@ -233,25 +235,13 @@ def _profile(cfg, key):
 
 
 def build_scenario(cfg):
-    sc = cfg["scenario"]
-    return Scenario(
-        a=_profile(cfg, "a"),
-        lam=_profile(cfg, "lam"),
-        q2=float(sc["q2"]),
-        q3=float(sc["q3"]),
-        q1=float(sc.get("q1", 0.0)),
-        ktilde_plus=float(sc["ktilde_plus"]),
-        ktilde_minus=float(sc["ktilde_minus"]),
-        n=int(sc["n"]),
-        m=int(sc["m"]),
-    )
+    sc = {**cfg["scenario"], "a": _profile(cfg, "a"), "lam": _profile(cfg, "lam")}
+    return Scenario(**sc)
 
 
 def grid_times(cfg):
     grid = cfg["grid"]
-    return np.linspace(
-        float(grid["t_start"]), float(grid["t_end"]), int(grid["samples"])
-    )
+    return np.linspace(grid["t_start"], grid["t_end"], grid["samples"])
 
 
 def _write_csv(path, header, rows):
@@ -275,14 +265,7 @@ def _write_csv(path, header, rows):
 def cmd_evolve(cfg, out_dir):
     scenario = build_scenario(cfg)
     consts = scenario.ep_constants()
-    inv = cfg["invariant"]
-    coeffs = invariant_coeffs_for(
-        scenario.q2,
-        scenario.q3,
-        c1=float(inv["c1"]),
-        c2_real=float(inv["c2_real"]),
-        c3_real=float(inv["c3_real"]),
-    )
+    coeffs = invariant_coeffs_for(scenario.q2, scenario.q3, **cfg["invariant"])
     t = grid_times(cfg)
     params = scenario_params(consts, scenario.lam, t, q1=scenario.q1)
     rates = scenario_rates(consts, scenario.lam, t)
@@ -324,10 +307,10 @@ def cmd_spectrum(cfg, out_dir):
     k_cfg = cfg["static"]["k"]
     report = []
     xy = XYModel(
-        m=float(xy_cfg["m"]),
-        omega_x=float(xy_cfg["omega_x"]),
-        omega_y=float(xy_cfg["omega_y"]),
-        coupling=float(xy_cfg["coupling"]),
+        m=xy_cfg["m"],
+        omega_x=xy_cfg["omega_x"],
+        omega_y=xy_cfg["omega_y"],
+        coupling=xy_cfg["coupling"],
     )
     report.append(f"space-coupled model: exceptional point at |coupling| = {_fmt(xy.ep_bound())}")
     try:
@@ -336,18 +319,18 @@ def cmd_spectrum(cfg, out_dir):
             f"  decoupled: theta = {_fmt(theta)}, "
             f"omega_x = {_fmt(wx)}, omega_y = {_fmt(wy)}"
         )
-        levels = spectrum_xy(wx, wy, int(xy_cfg["n_max"]), int(xy_cfg["m_max"]))
+        levels = spectrum_xy(wx, wy, xy_cfg["n_max"], xy_cfg["m_max"])
         _write_csv(
             out_dir / "spectrum_xy.csv",
             ("energy", "n", "m"),
             [(e, n, m) for e, n, m in levels],
         )
-        report.append(f"  wrote {out_dir / 'spectrum_xy.csv'}")
+        report.append("  wrote spectrum_xy.csv")
     except ExceptionalPointError as err:
         report.append(f"  no real decoupling: {err}")
-    kmod = KModel(a=float(k_cfg["a"]), b=float(k_cfg["b"]), lam=float(k_cfg["lam"]))
+    kmod = KModel(a=k_cfg["a"], b=k_cfg["b"], lam=k_cfg["lam"])
     result = decouple_K(kmod)
-    n_max = int(k_cfg["n_max"])
+    n_max = k_cfg["n_max"]
     if isinstance(result, BrokenRegime):
         tag = "completely" if result.complete else "partially"
         report.append(
@@ -379,7 +362,7 @@ def cmd_spectrum(cfg, out_dir):
         ]
         rows.sort()
         _write_csv(out_dir / "spectrum_k.csv", ("energy_re", "energy_im", "n", "m"), rows)
-    report.append(f"wrote {out_dir / 'spectrum_k.csv'}")
+    report.append("wrote spectrum_k.csv")
     path = out_dir / "ep_report.txt"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(report) + "\n")
@@ -391,10 +374,10 @@ def cmd_spectrum(cfg, out_dir):
 def cmd_modes(cfg, out_dir):
     scenario = build_scenario(cfg)
     mg = cfg["modes_grid"]
-    axis = np.linspace(float(mg["x_min"]), float(mg["x_max"]), int(mg["points"]))
+    axis = np.linspace(mg["x_min"], mg["x_max"], mg["points"])
     x, y = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
     rows = []
-    for t in map(float, mg["times"]):
+    for t in mg["times"]:
         psi = product_state(scenario.n, scenario.m, scenario, x, y, t)
         rows.append(np.column_stack((x, y, np.full_like(x, t), psi.real, psi.imag)))
     path = out_dir / "modes.csv"
@@ -406,7 +389,7 @@ def cmd_modes(cfg, out_dir):
 def cmd_oracle(cfg, out_dir):
     scenario = build_scenario(cfg)
     oracle = cfg["oracle"]
-    size, buffer = int(oracle["size"]), int(oracle["buffer"])
+    size, buffer = oracle["size"], oracle["buffer"]
     basis = FockBasis(size)
     gens = build_generators(basis)
     times = grid_times(cfg)

@@ -46,10 +46,7 @@ class Scenario:
     m: int = 0
 
     def __post_init__(self):
-        if not abs(self.q3) < 1.0:
-            raise ConstraintViolationError(
-                f"|q3| < 1 required, got q3 = {self.q3}"
-            )
+        self.ep_constants()  # EPConstants owns the |q3| < 1 check
         if self.n < 0 or self.m < 0:
             raise ConstraintViolationError("quantum numbers must be >= 0")
 

@@ -142,7 +142,7 @@ def invariant_element(coeffs, lam, t):
 
 
 def gamma_from_alpha(alpha):
-    """Recover the map parameters (g3, g4) from one alpha snapshot.
+    """Recover the map parameters (g3, g4) from alpha snapshots.
 
     Hermiticity of the similarity image forces
 
@@ -150,32 +150,40 @@ def gamma_from_alpha(alpha):
         tanh g3 = sgn(Re alpha1 - Re alpha2) * Im(alpha4)
                   / sqrt((Re alpha1 - Re alpha2)^2 - Im(alpha3)^2),
 
-    the unique real solution among the four sign combinations.  Raises
-    ConstraintViolationError naming the failed inequality when a ratio
-    leaves the arctanh domain.
+    the unique real solution among the four sign combinations.  alpha is
+    one 4-vector or a (4, ...) stack of them, and g3, g4 take the shape of
+    its trailing axes.  Raises ConstraintViolationError naming the failed
+    inequality, and for a stack the first snapshot where a ratio leaves the
+    arctanh domain.
     """
     alpha = np.asarray(alpha, dtype=complex)
     diff = alpha[0].real - alpha[1].real
     a3i = alpha[2].imag
     a4i = alpha[3].imag
-    if diff == 0.0:
-        raise ConstraintViolationError(
-            "Re(alpha1) != Re(alpha2) required (degenerate snapshot)"
-        )
-    if not diff**2 > a3i**2:
-        raise ConstraintViolationError(
-            "(Re alpha1 - Re alpha2)^2 > Im(alpha3)^2 required, got "
-            f"{diff**2} <= {a3i**2}"
-        )
-    root = np.sqrt(diff**2 - a3i**2)
-    if not abs(a4i) < root:
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(diff**2 - a3i**2)
+    ok = (diff != 0.0) & (diff**2 > a3i**2) & (np.abs(a4i) < root)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = np.unravel_index(bad[0], diff.shape)
+        d, b3, b4, r = (x[i] for x in (diff, a3i, a4i, root))
+        at = f" at snapshot {', '.join(map(str, i))}" if i else ""
+        if d == 0.0:
+            raise ConstraintViolationError(
+                f"Re(alpha1) != Re(alpha2) required (degenerate snapshot){at}"
+            )
+        if not d**2 > b3**2:
+            raise ConstraintViolationError(
+                "(Re alpha1 - Re alpha2)^2 > Im(alpha3)^2 required, got "
+                f"{d**2} <= {b3**2}{at}"
+            )
         raise ConstraintViolationError(
             "|Im alpha4| < sqrt((Re alpha1 - Re alpha2)^2 - Im(alpha3)^2) "
-            f"required, got {abs(a4i)} >= {root}"
+            f"required, got {abs(b4)} >= {r}{at}"
         )
     g4 = np.arctanh(a3i / (-diff))
     g3 = np.arctanh(np.sign(diff) * a4i / root)
-    return float(g3), float(g4)
+    return g3, g4
 
 
 def _radical_pieces(coeffs, lam, t):

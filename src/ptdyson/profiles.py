@@ -28,24 +28,37 @@ from .errors import DomainError
 # does not trip the guard.
 _DOMAIN_SLACK = 1e-9
 
-# Required fields of a config record per kind; each is the keyword of that
-# kind's factory.  "phase" (sinusoid) and "t_max" (any kind) are optional.
+# Fields of a config record per kind, (required, optional); each is the
+# keyword of that kind's factory.
 _KIND_FIELDS = {
-    "constant": ("value",),
-    "polynomial": ("coeffs",),
-    "sinusoid": ("offset", "amp", "omega"),
-    "exponential": ("offset", "amp", "rate"),
-    "tabulated": ("times", "values"),
+    "constant": (("value",), ("t_max",)),
+    "polynomial": (("coeffs",), ("t_max",)),
+    "sinusoid": (("offset", "amp", "omega"), ("phase", "t_max")),
+    "exponential": (("offset", "amp", "rate"), ("t_max",)),
+    "tabulated": (("times", "values"), ("t_max",)),
 }
 _LIST_FIELDS = ("coeffs", "times", "values")
 
 
 def _is_finite_number(value):
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    """True for a finite int or float; False for a bool, and for an int too
+    large for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _kind_fields(record):
+    """(required, optional) fields of the record's kind; DomainError if unknown."""
+    kind = record.get("kind")
+    if not (isinstance(kind, str) and kind in _KIND_FIELDS):
+        raise DomainError(
+            f"kind must be one of {', '.join(_KIND_FIELDS)}, got {kind!r}"
+        )
+    return _KIND_FIELDS[kind]
 
 
 def _check_field(field, value):
@@ -140,23 +153,18 @@ class TimeProfile:
         of them).  Keys the kind does not read are ignored.  Every
         DomainError raised here starts with the name of the offending field.
         """
-        kind = record.get("kind")
-        if not (isinstance(kind, str) and kind in _KIND_FIELDS):
-            raise DomainError(
-                f"kind must be one of {', '.join(_KIND_FIELDS)}, got {kind!r}"
-            )
-        for field in _KIND_FIELDS[kind]:
+        required, optional = _kind_fields(record)
+        for field in required:
             if field not in record:
-                raise DomainError(f"{field} is required for a {kind} profile")
-        optional = ("phase", "t_max") if kind == "sinusoid" else ("t_max",)
+                raise DomainError(
+                    f"{field} is required for a {record['kind']} profile"
+                )
         args = {
-            field: record[field]
-            for field in _KIND_FIELDS[kind] + optional
-            if field in record
+            field: record[field] for field in required + optional if field in record
         }
         for field, value in args.items():
             _check_field(field, value)
-        return getattr(cls, kind)(**args)
+        return getattr(cls, record["kind"])(**args)
 
     # -- evaluation --------------------------------------------------------
 

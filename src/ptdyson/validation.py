@@ -439,8 +439,7 @@ def check_invariant_similarity():
     coeffs = default_invariant_coeffs()
     times = sample_times()
     alpha = alpha_coeffs(coeffs, scenario.lam, times)
-    # the angle recovery checks its inequalities per snapshot
-    g3, g4 = np.transpose([gamma_from_alpha(snapshot) for snapshot in alpha.T])
+    g3, g4 = gamma_from_alpha(alpha)
     image = conjugate(DysonParams(0.0, 0.0, g3, g4), AlgebraElement(alpha)).vector
     beta = beta_from_match(coeffs, scenario.lam, times)
     worst_norm = _max_abs(np.linalg.norm(image - beta, axis=0))

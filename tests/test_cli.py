@@ -11,6 +11,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +127,24 @@ DOMAIN_CASES = [
     (SHORT_TABULATED_A, "grid.t_end = 10.0 is outside scenario.a"),
 ]
 
+# Keys the defaults do not hold, at three depths, and an integer too large
+# for a float.
+UNKNOWN_KEY_CASES = [
+    ({"scenraio": {"q2": 3}}, "scenraio is not a config key"),
+    ({"grid": {"sample": 200}}, "grid.sample is not a config key"),
+    (
+        {"scenario": {"a": {"ampl": 0.5}}},
+        "scenario.a.ampl is not a config key; a sinusoid profile takes",
+    ),
+]
+OVERSIZED_INT_CASES = [
+    ({"grid": {"samples": 10**400}}, "grid.samples must be a finite number"),
+    (
+        {"scenario": {"a": {"kind": "constant", "value": 10**400}}},
+        "scenario.a.value must be a finite number",
+    ),
+]
+
 
 @pytest.mark.parametrize(
     "patch, fragment",
@@ -149,16 +168,41 @@ DOMAIN_CASES = [
     ]
     + PROFILE_FIELD_CASES
     + RANGE_CASES
-    + DOMAIN_CASES,
+    + DOMAIN_CASES
+    + UNKNOWN_KEY_CASES
+    + OVERSIZED_INT_CASES,
 )
 def test_validate_config_names_the_invariant(patch, fragment):
-    cfg = cli._merge(cli.DEFAULT_CONFIG, patch)
     with pytest.raises(ConfigError, match=fragment):
-        cli.validate_config(cfg)
+        cli.validate_config(cli._read(patch, cli.DEFAULT_CONFIG))
 
 
 def test_validate_config_accepts_defaults():
     cli.validate_config(cli.load_config(None))
+
+
+def test_a_record_of_another_kind_replaces_the_default(tmp_path):
+    cfg = cli.load_config(write_config(tmp_path, SHORT_TABULATED_A))
+    assert cfg["scenario"]["a"] == SHORT_TABULATED_A["scenario"]["a"]
+    # a record of the default's kind merges over it
+    cfg = cli.load_config(write_config(tmp_path, {"scenario": {"lam": {"amp": 0.1}}}))
+    assert cfg["scenario"]["lam"] == {
+        "kind": "sinusoid", "offset": 0.5, "amp": 0.1, "omega": 1.0
+    }
+
+
+def test_numbers_take_their_default_type(tmp_path):
+    cfg = cli.load_config(
+        write_config(tmp_path, {"grid": {"samples": 200.0}, "scenario": {"q2": 3}})
+    )
+    assert type(cfg["grid"]["samples"]) is int and cfg["grid"]["samples"] == 200
+    assert type(cfg["scenario"]["q2"]) is float and cfg["scenario"]["q2"] == 3.0
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+    assert json.loads(block) == cli.DEFAULT_CONFIG
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +308,15 @@ def test_spectrum_default_config(tmp_path):
     assert abs(bound - 1.0) < 1e-12
     assert "completely broken regime" in report
     assert "decoupled: theta" in report
+
+
+def test_spectrum_report_is_the_same_in_every_out_directory(tmp_path):
+    out1, out2 = tmp_path / "run1", tmp_path / "nested" / "run2"
+    assert cli.main(["spectrum", "--out", str(out1)]) == 0
+    assert cli.main(["spectrum", "--out", str(out2)]) == 0
+    report = (out1 / "ep_report.txt").read_bytes()
+    assert report == (out2 / "ep_report.txt").read_bytes()
+    assert b"wrote spectrum_k.csv" in report
 
 
 def test_spectrum_beyond_bound_still_succeeds(tmp_path):
@@ -463,6 +516,19 @@ def test_main_names_a_time_outside_the_profile_domain(
     assert not (tmp_path / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("patch, fragment", UNKNOWN_KEY_CASES + OVERSIZED_INT_CASES)
+def test_main_names_an_unknown_key_or_oversized_number(
+    tmp_path, capsys, patch, fragment
+):
+    cfg = write_config(tmp_path, patch)
+    rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert fragment in err
+    assert not (tmp_path / "evolve.csv").exists()
+
+
 def test_validate_config_accepts_times_at_the_domain_end():
     # the profile's own inclusive test: t_end on the last tabulated node
     # and modes times on the domain's edges are inside
@@ -471,7 +537,7 @@ def test_validate_config_accepts_times_at_the_domain_end():
         "grid": {"t_start": 0.0, "t_end": 3.0},
         "modes_grid": {"times": [0.0, 3.0]},
     }
-    cli.validate_config(cli._merge(cli.DEFAULT_CONFIG, patch))
+    cli.validate_config(cli._read(patch, cli.DEFAULT_CONFIG))
 
 
 def test_oracle_refuses_a_buffer_that_covers_the_basis(tmp_path, capsys):

@@ -120,6 +120,23 @@ def test_angle_recovery_guards():
         gamma_from_alpha(np.array([1.0, 0.0, 0.0, 5.0j]))
 
 
+def test_angle_recovery_stacks_over_snapshots():
+    c = default_coeffs()
+    alpha = alpha_coeffs(c, LAM, np.linspace(0.0, 10.0, 200))
+    g3, g4 = gamma_from_alpha(alpha)
+    per_snapshot = np.array([gamma_from_alpha(snapshot) for snapshot in alpha.T])
+    assert np.array_equal(g3, per_snapshot[:, 0])
+    assert np.array_equal(g4, per_snapshot[:, 1])
+
+
+def test_angle_recovery_names_the_first_failing_snapshot():
+    alpha = alpha_coeffs(default_coeffs(), LAM, np.linspace(0.0, 10.0, 5))
+    alpha[:, 3] = [1.0, 0.0, 0.0, 5.0j]
+    alpha[:, 4] = [1.0, 0.0, 2.0j, 0.0]
+    with pytest.raises(ConstraintViolationError, match="alpha4.* at snapshot 3$"):
+        gamma_from_alpha(alpha)
+
+
 def test_beta_without_imaginary_part_is_static():
     c = InvariantCoeffs(1.0, 0.5, 0.8, 1.0)
     t = np.linspace(0.0, 9.0, 20)
