@@ -11,13 +11,13 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from ptdyson import (
-    DriverHalf,
     ModeSpec,
     Scenario,
     TimeProfile,
     energy_expectation,
     ep_classical,
     ermakov_quantity,
+    f_plus_profile,
     f_pm,
     k1_expectation,
     pedrosa_mode,
@@ -42,7 +42,7 @@ for t in (0.0, 1.3):
     print(f"t = {t}: f+ = {fp:.6f}, f- = {fm:.6f}, sum = {fp + fm:.6f}")
 
 # Ermakov quantity: conserved along the scale function, value 2 sqrt(1 + kt^2)
-driver = DriverHalf(scenario, +1)
+driver = f_plus_profile(scenario)
 fn = lambda t: ep_classical(0.5, driver, t)
 print("\nErmakov quantity (expected {:.12f}):".format(2.0 * np.sqrt(1.25)))
 for t in (0.2, 1.1, 3.7, 7.9):

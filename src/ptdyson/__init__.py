@@ -39,7 +39,6 @@ from .dyson import (
     solve_gamma_ode,
 )
 from .energy import (
-    DriverHalf,
     Scenario,
     driver_diff_integral,
     energy_expectation,

@@ -162,6 +162,8 @@ def validate_config(cfg):
     """Raise ConfigError naming the first violated range, relation or domain.
 
     `cfg` is a config as load_config returns it, its keys and types checked.
+    The profiles, the invariant family and the space-coupled model are built
+    here, so a value they refuse is named by its key path.
     """
     sc = cfg["scenario"]
     if not abs(sc["q3"]) < 1.0:
@@ -212,6 +214,8 @@ def validate_config(cfg):
             "modes_grid must satisfy x_max > x_min, got "
             f"x_min={mg['x_min']}, x_max={mg['x_max']}"
         )
+    _build("invariant", invariant_coeffs_for, sc["q2"], sc["q3"], **cfg["invariant"])
+    _xy_model(cfg)
     times = [("grid.t_start", grid["t_start"]), ("grid.t_end", grid["t_end"])]
     times += [(f"modes_grid.times[{i}]", t) for i, t in enumerate(mg["times"])]
     for key in ("a", "lam"):
@@ -225,13 +229,26 @@ def validate_config(cfg):
                 ) from err
 
 
-def _profile(cfg, key):
-    """The scenario's profile `key`; ConfigError with the key path if malformed."""
+def _build(path, make, *args, **kwargs):
+    """make(*args, **kwargs); ConfigError naming the key path if it refuses them.
+
+    The refusal's message starts with the offending field, the key under `path`.
+    """
     try:
-        return TimeProfile.from_config(cfg["scenario"][key])
-    except DomainError as err:
-        # the message starts with the offending field of the record
-        raise ConfigError(f"scenario.{key}.{err}") from err
+        return make(*args, **kwargs)
+    except (ConstraintViolationError, DomainError) as err:
+        raise ConfigError(f"{path}.{err}") from err
+
+
+def _profile(cfg, key):
+    return _build(f"scenario.{key}", TimeProfile.from_config, cfg["scenario"][key])
+
+
+def _xy_model(cfg):
+    xy = cfg["static"]["xy"]
+    return _build(
+        "static.xy", XYModel, xy["m"], xy["omega_x"], xy["omega_y"], xy["coupling"]
+    )
 
 
 def build_scenario(cfg):
@@ -306,12 +323,7 @@ def cmd_spectrum(cfg, out_dir):
     xy_cfg = cfg["static"]["xy"]
     k_cfg = cfg["static"]["k"]
     report = []
-    xy = XYModel(
-        m=xy_cfg["m"],
-        omega_x=xy_cfg["omega_x"],
-        omega_y=xy_cfg["omega_y"],
-        coupling=xy_cfg["coupling"],
-    )
+    xy = _xy_model(cfg)
     report.append(f"space-coupled model: exceptional point at |coupling| = {_fmt(xy.ep_bound())}")
     try:
         theta, wx, wy = decouple_xy(xy)
@@ -331,23 +343,15 @@ def cmd_spectrum(cfg, out_dir):
     kmod = KModel(a=k_cfg["a"], b=k_cfg["b"], lam=k_cfg["lam"])
     result = decouple_K(kmod)
     n_max = k_cfg["n_max"]
+    pairs = [(n, m) for n in range(n_max + 1) for m in range(n_max + 1)]
     if isinstance(result, BrokenRegime):
         tag = "completely" if result.complete else "partially"
         report.append(
             f"algebraic model: {tag} broken regime (no real rotation); "
             "spectrum is complex-conjugate paired"
         )
-        rows = [
-            (
-                broken_spectrum(kmod.a, kmod.lam, n, m).real,
-                broken_spectrum(kmod.a, kmod.lam, n, m).imag,
-                n,
-                m,
-            )
-            for n in range(n_max + 1)
-            for m in range(n_max + 1)
-        ]
-        _write_csv(out_dir / "spectrum_k.csv", ("energy_re", "energy_im", "n", "m"), rows)
+        energies = [broken_spectrum(kmod.a, kmod.lam, n, m) for n, m in pairs]
+        rows = [(e.real, e.imag, n, m) for e, (n, m) in zip(energies, pairs)]
     else:
         theta, herm = result
         c = herm.vector.real
@@ -355,13 +359,10 @@ def cmd_spectrum(cfg, out_dir):
             f"algebraic model: decoupled with theta = {_fmt(theta)}; "
             f"frequencies {_fmt(c[0])}, {_fmt(c[1])}"
         )
-        rows = [
-            ((n + 0.5) * c[0] + (m + 0.5) * c[1], 0.0, n, m)
-            for n in range(n_max + 1)
-            for m in range(n_max + 1)
-        ]
-        rows.sort()
-        _write_csv(out_dir / "spectrum_k.csv", ("energy_re", "energy_im", "n", "m"), rows)
+        rows = sorted(
+            ((n + 0.5) * c[0] + (m + 0.5) * c[1], 0.0, n, m) for n, m in pairs
+        )
+    _write_csv(out_dir / "spectrum_k.csv", ("energy_re", "energy_im", "n", "m"), rows)
     report.append("wrote spectrum_k.csv")
     path = out_dir / "ep_report.txt"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -91,12 +91,8 @@ def solve_gamma_ode(lam, gamma3_0, gamma4_0, times):
     """
     times = np.asarray(times, dtype=float)
 
-    def rhs(t, y):
-        lam_t = lam(t)
-        return [-lam_t * np.cosh(y[1]), lam_t * np.tanh(y[0]) * np.sinh(y[1])]
-
     sol = solve_ivp(
-        rhs,
+        lambda t, y: gamma_rates(lam(t), y[0], y[1]),
         (times[0], times[-1]),
         [float(gamma3_0), float(gamma4_0)],
         method="RK45",

@@ -16,13 +16,14 @@ and matrix-backend evaluations of the same number live in the tests and the
 fock_oracle module; this module only carries the closed forms.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra_u2 import AlgebraElement
 from .dyson import EPConstants, nonhermitian_hamiltonian
 from .errors import ConstraintViolationError
+from .profiles import TimeProfile
 
 
 @dataclass(frozen=True)
@@ -86,30 +87,15 @@ def driver_diff_integral(scenario, t):
     return primitive(t) - primitive(0.0)
 
 
-class DriverHalf:
-    """One of the two split drivers, shaped like a TimeProfile.
+def _driver_half(scenario, sign):
+    """f_plus (sign +1) or f_minus (sign -1) as a profile on the scenario's domain.
 
-    Provides __call__, derivative and cumulative so the modes module can
-    consume f_plus or f_minus wherever a profile is expected.  cumulative
-    uses the closed-form antiderivative of the splitting, not quadrature.
+    The rate is analytic, and the running integral uses the closed-form
+    antiderivative of the splitting, not quadrature.
     """
+    s, q3 = scenario, scenario.q3
 
-    def __init__(self, scenario, sign):
-        if sign not in (+1, -1):
-            raise ConstraintViolationError("driver sign must be +1 or -1")
-        self.scenario = scenario
-        self.sign = sign
-        self.t_max = scenario.t_max()
-
-    def __call__(self, t):
-        fp, fm = f_pm(self.scenario, t)
-        return fp if self.sign > 0 else fm
-
-    evaluate = __call__
-
-    def derivative(self, t):
-        s = self.scenario
-        q3 = s.q3
+    def rate(t):
         u = s.q2 - s.lam.cumulative(t)
         lam_t = s.lam(t)
         lamdot = s.lam.derivative(t)
@@ -119,19 +105,23 @@ class DriverHalf:
         split_dot = q3 * np.sqrt(1.0 - q3**2) * (
             lamdot / denom + 2.0 * lam_t**2 * np.sinh(2.0 * u) / denom**2
         )
-        return s.a.derivative(t) + self.sign * split_dot
+        return s.a.derivative(t) + sign * split_dot
 
-    def cumulative(self, t):
-        s = self.scenario
-        return s.a.cumulative(t) + 0.5 * self.sign * driver_diff_integral(s, t)
+    return TimeProfile(
+        "f_plus" if sign > 0 else "f_minus",
+        lambda t: f_pm(s, t)[0 if sign > 0 else 1],
+        rate,
+        lambda t: s.a.cumulative(t) + 0.5 * sign * driver_diff_integral(s, t),
+        s.t_max(),
+    )
 
 
 def f_plus_profile(scenario):
-    return DriverHalf(scenario, +1)
+    return _driver_half(scenario, +1)
 
 
 def f_minus_profile(scenario):
-    return DriverHalf(scenario, -1)
+    return _driver_half(scenario, -1)
 
 
 def scenario_h(scenario, t):

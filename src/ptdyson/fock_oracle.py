@@ -363,8 +363,7 @@ def invariant_eigen_flow(coeffs, lam, times, basis, gens=None):
     # traceless directions per block: mixing pair, half the number imbalance
     spin_ops = [(g[2], g[3], 0.5 * (g[0] - g[1])) for g in gens]
 
-    def block_eigs(t):
-        a1, a2, a3, a4 = alpha_coeffs(coeffs, lam, float(t))
+    def block_eigs(a1, a2, a3, a4):
         v = np.array([a3, a4, a1 - a2], dtype=complex)
         center = 0.5 * (a1 + a2)
         return [
@@ -372,10 +371,11 @@ def invariant_eigen_flow(coeffs, lam, times, basis, gens=None):
             for k, ops in enumerate(spin_ops)
         ]
 
-    reference = block_eigs(times[0])
+    alpha = alpha_coeffs(coeffs, lam, times).T
+    reference = block_eigs(*alpha[0])
     drift = 0.0
-    for t in times[1:]:
-        for ref, now in zip(reference, block_eigs(t)):
+    for snapshot in alpha[1:]:
+        for ref, now in zip(reference, block_eigs(*snapshot)):
             drift = max(drift, float(np.max(np.abs(now - ref))))
     return reference, drift
 

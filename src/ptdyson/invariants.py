@@ -109,8 +109,10 @@ def invariant_coeffs_for(scenario_q2, scenario_q3, c1=1.0, c2_real=0.5,
     """The constant family whose map trajectory has the given (q2, q3).
 
     Inverts ep_constants: Im c2 = -2 Re(c3) q3, and Im c3 follows from the
-    matching constraint.  c1, Re c2, Re c3 stay free.
+    matching constraint.  c1, Re c2 and a nonzero Re c3 stay free.
     """
+    if c3_real == 0.0:
+        raise ConstraintViolationError(f"c3_real must be nonzero, got {c3_real}")
     c2_imag = -2.0 * c3_real * scenario_q3
     c3_imag = -c2_real * c2_imag / (4.0 * c3_real)
     return InvariantCoeffs(

@@ -2,10 +2,11 @@
 
 Every closed form downstream is written in terms of one or two driver
 coefficients and the integral of one of them from 0 to t, so profiles carry
-an exact antiderivative wherever one exists.  Supported kinds:
+an exact antiderivative wherever one exists.  Each factory builds its kind's
+value, derivative and running integral once.  Supported kinds:
 
     constant     v
-    polynomial   sum_k c_k t^k
+    polynomial   sum_k c_k t^k (a numpy Polynomial)
     sinusoid     offset + amp*sin(omega*t + phase)
     exponential  offset + amp*exp(rate*t)
     tabulated    cubic-spline interpolation of sampled data
@@ -79,68 +80,94 @@ def _check_field(field, value):
 class TimeProfile:
     """A deterministic real function on [0, t_max] with exact integrals.
 
-    Use the factory classmethods (`constant`, `sinusoid`, ...) rather than
-    the raw constructor.  Instances are immutable after construction and
-    safe to share.
+    `value`, `derivative` and `cumulative` (the integral from 0) are
+    callables of a float array; the factories (`constant`, `sinusoid`, ...)
+    build them for their kind.  Instances are immutable and safe to share.
     """
 
-    def __init__(self, kind, params, t_max=np.inf):
+    def __init__(self, kind, value, derivative, cumulative, t_max=np.inf):
         self.kind = kind
-        self.params = dict(params)
+        self._value = value
+        self._derivative = derivative
+        self._cumulative = cumulative
         self.t_max = float(t_max)
         if self.t_max <= 0:
             raise DomainError(f"t_max must be > 0, got {t_max}")
-        if kind == "tabulated":
-            times = np.asarray(self.params["times"], dtype=float)
-            values = np.asarray(self.params["values"], dtype=float)
-            if times.ndim != 1 or times.size < 4:
-                raise DomainError("times must hold at least 4 nodes")
-            if np.any(np.diff(times) <= 0):
-                raise DomainError("times must increase")
-            if times[0] != 0.0:
-                raise DomainError("times must start at 0")
-            if values.shape != times.shape:
-                raise DomainError("values must hold one entry per node in times")
-            self._spline = CubicSpline(times, values)
-            self._spline_int = self._spline.antiderivative()
-            self._spline_der = self._spline.derivative()
-            self.t_max = min(self.t_max, float(times[-1]))
 
     # -- factories ---------------------------------------------------------
 
     @classmethod
     def constant(cls, value, t_max=np.inf):
-        return cls("constant", {"value": float(value)}, t_max)
+        value = float(value)
+        return cls(
+            "constant",
+            lambda t: np.full_like(t, value),
+            np.zeros_like,
+            lambda t: value * t,
+            t_max,
+        )
 
     @classmethod
     def polynomial(cls, coeffs, t_max=np.inf):
         """coeffs in increasing order: coeffs[k] multiplies t**k."""
-        return cls("polynomial", {"coeffs": [float(c) for c in coeffs]}, t_max)
+        p = np.polynomial.Polynomial([float(c) for c in coeffs])
+        return cls("polynomial", p, p.deriv(), p.integ(), t_max)
 
     @classmethod
     def sinusoid(cls, offset, amp, omega, phase=0.0, t_max=np.inf):
+        offset, amp, omega, phase = map(float, (offset, amp, omega, phase))
+        if omega == 0.0:
+            cumulative = lambda t: (offset + amp * np.sin(phase)) * t
+        else:
+            cos0 = np.cos(phase)
+            cumulative = lambda t: offset * t - (amp / omega) * (
+                np.cos(omega * t + phase) - cos0
+            )
         return cls(
             "sinusoid",
-            {
-                "offset": float(offset),
-                "amp": float(amp),
-                "omega": float(omega),
-                "phase": float(phase),
-            },
+            lambda t: offset + amp * np.sin(omega * t + phase),
+            lambda t: amp * omega * np.cos(omega * t + phase),
+            cumulative,
             t_max,
         )
 
     @classmethod
     def exponential(cls, offset, amp, rate, t_max=np.inf):
+        offset, amp, rate = map(float, (offset, amp, rate))
+        if rate == 0.0:
+            cumulative = lambda t: (offset + amp) * t
+        else:
+            cumulative = lambda t: offset * t + (amp / rate) * (np.exp(rate * t) - 1.0)
         return cls(
             "exponential",
-            {"offset": float(offset), "amp": float(amp), "rate": float(rate)},
+            lambda t: offset + amp * np.exp(rate * t),
+            lambda t: amp * rate * np.exp(rate * t),
+            cumulative,
             t_max,
         )
 
     @classmethod
     def tabulated(cls, times, values, t_max=np.inf):
-        return cls("tabulated", {"times": list(times), "values": list(values)}, t_max)
+        """Cubic spline through (times, values); the domain ends at the last node."""
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if times.ndim != 1 or times.size < 4:
+            raise DomainError("times must hold at least 4 nodes")
+        if np.any(np.diff(times) <= 0):
+            raise DomainError("times must increase")
+        if times[0] != 0.0:
+            raise DomainError("times must start at 0")
+        if values.shape != times.shape:
+            raise DomainError("values must hold one entry per node in times")
+        spline = CubicSpline(times, values)
+        # the antiderivative is exactly 0 at the first node, t = 0
+        return cls(
+            "tabulated",
+            spline,
+            spline.derivative(),
+            spline.antiderivative(),
+            min(float(t_max), float(times[-1])),
+        )
 
     @classmethod
     def from_config(cls, record):
@@ -179,62 +206,14 @@ class TimeProfile:
 
     def evaluate(self, t):
         """Profile value at t: a NumPy scalar for scalar t, an array for array t."""
-        t = self._check_domain(t)
-        p = self.params
-        if self.kind == "constant":
-            out = np.full_like(t, p["value"])
-        elif self.kind == "polynomial":
-            out = np.polynomial.polynomial.polyval(t, p["coeffs"])
-        elif self.kind == "sinusoid":
-            out = p["offset"] + p["amp"] * np.sin(p["omega"] * t + p["phase"])
-        elif self.kind == "exponential":
-            out = p["offset"] + p["amp"] * np.exp(p["rate"] * t)
-        else:
-            out = self._spline(t)
-        return out[()]
+        return self._value(self._check_domain(t))[()]
 
     __call__ = evaluate
 
     def derivative(self, t):
         """d/dt of the profile, analytic for every kind."""
-        t = self._check_domain(t)
-        p = self.params
-        if self.kind == "constant":
-            out = np.zeros_like(t)
-        elif self.kind == "polynomial":
-            c = np.polynomial.polynomial.polyder(p["coeffs"])
-            out = np.polynomial.polynomial.polyval(t, c)
-        elif self.kind == "sinusoid":
-            out = p["amp"] * p["omega"] * np.cos(p["omega"] * t + p["phase"])
-        elif self.kind == "exponential":
-            out = p["amp"] * p["rate"] * np.exp(p["rate"] * t)
-        else:
-            out = self._spline_der(t)
-        return out[()]
+        return self._derivative(self._check_domain(t))[()]
 
     def cumulative(self, t):
         """Integral of the profile from 0 to t, cumulative(0) = 0."""
-        t = self._check_domain(t)
-        p = self.params
-        if self.kind == "constant":
-            out = p["value"] * t
-        elif self.kind == "polynomial":
-            c = np.polynomial.polynomial.polyint(p["coeffs"])
-            out = np.polynomial.polynomial.polyval(t, c)
-        elif self.kind == "sinusoid":
-            w, ph = p["omega"], p["phase"]
-            if w == 0.0:
-                out = (p["offset"] + p["amp"] * np.sin(ph)) * t
-            else:
-                out = p["offset"] * t - (p["amp"] / w) * (
-                    np.cos(w * t + ph) - np.cos(ph)
-                )
-        elif self.kind == "exponential":
-            r = p["rate"]
-            if r == 0.0:
-                out = (p["offset"] + p["amp"]) * t
-            else:
-                out = p["offset"] * t + (p["amp"] / r) * (np.exp(r * t) - 1.0)
-        else:
-            out = self._spline_int(t) - self._spline_int(0.0)
-        return out[()]
+        return self._cumulative(self._check_domain(t))[()]

@@ -38,7 +38,7 @@ class XYModel:
 
     def __post_init__(self):
         if not self.m > 0:
-            raise ConstraintViolationError(f"m > 0 required, got {self.m}")
+            raise ConstraintViolationError(f"m must be > 0, got {self.m}")
 
     def ep_bound(self):
         """|coupling| must stay strictly below this for the decoupling."""

@@ -145,6 +145,13 @@ OVERSIZED_INT_CASES = [
     ),
 ]
 
+# Values refused by the objects built from them: the invariant family and
+# the space-coupled model.
+BUILD_CASES = [
+    ({"invariant": {"c3_real": 0.0}}, "invariant.c3_real must be nonzero"),
+    ({"static": {"xy": {"m": 0}}}, "static.xy.m must be > 0"),
+]
+
 
 @pytest.mark.parametrize(
     "patch, fragment",
@@ -170,7 +177,8 @@ OVERSIZED_INT_CASES = [
     + RANGE_CASES
     + DOMAIN_CASES
     + UNKNOWN_KEY_CASES
-    + OVERSIZED_INT_CASES,
+    + OVERSIZED_INT_CASES
+    + BUILD_CASES,
 )
 def test_validate_config_names_the_invariant(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -317,6 +325,21 @@ def test_spectrum_report_is_the_same_in_every_out_directory(tmp_path):
     report = (out1 / "ep_report.txt").read_bytes()
     assert report == (out2 / "ep_report.txt").read_bytes()
     assert b"wrote spectrum_k.csv" in report
+
+
+def test_spectrum_computes_each_broken_level_once(tmp_path, monkeypatch):
+    calls = []
+    broken_spectrum = cli.broken_spectrum
+
+    def counting(*args):
+        calls.append(args)
+        return broken_spectrum(*args)
+
+    monkeypatch.setattr(cli, "broken_spectrum", counting)
+    assert cli.main(["spectrum", "--out", str(tmp_path)]) == 0
+    # n_max = 4: one call for each of the 25 levels (n, m)
+    assert len(calls) == 25
+    assert len(set(calls)) == 25
 
 
 def test_spectrum_beyond_bound_still_succeeds(tmp_path):
@@ -516,7 +539,9 @@ def test_main_names_a_time_outside_the_profile_domain(
     assert not (tmp_path / f"{command}.csv").exists()
 
 
-@pytest.mark.parametrize("patch, fragment", UNKNOWN_KEY_CASES + OVERSIZED_INT_CASES)
+@pytest.mark.parametrize(
+    "patch, fragment", UNKNOWN_KEY_CASES + OVERSIZED_INT_CASES + BUILD_CASES
+)
 def test_main_names_an_unknown_key_or_oversized_number(
     tmp_path, capsys, patch, fragment
 ):

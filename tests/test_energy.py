@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from ptdyson import (
-    DriverHalf,
     Scenario,
     TimeProfile,
     driver_diff_integral,
@@ -102,8 +101,11 @@ def test_driver_half_profile_interface():
             assert abs(half.derivative(t) - fd) < 1e-7
             ref, _ = quad(half, 0.0, t, limit=200)
             assert abs(half.cumulative(t) - ref) < 1e-8
-    with pytest.raises(ConstraintViolationError):
-        DriverHalf(sc, 0)
+    bounded = default_scenario(lam=TimeProfile.sinusoid(0.5, 0.3, 1.0, t_max=4.0))
+    for make, kind in ((f_plus_profile, "f_plus"), (f_minus_profile, "f_minus")):
+        half = make(bounded)
+        assert isinstance(half, TimeProfile) and half.kind == kind
+        assert half.t_max == bounded.t_max() == 4.0
 
 
 def test_energy_ground_state_flat_drive():

@@ -428,6 +428,29 @@ def test_invariant_spectrum_is_constant():
         assert np.max(np.abs(reference[k] - want)) < 1e-9
 
 
+def test_invariant_spectrum_reads_every_time_from_one_stacked_call(monkeypatch):
+    basis = FockBasis(6)
+    coeffs = invariant_coeffs_for(1.0, 0.4)
+    times = np.linspace(0.0, 4.0, 5)
+    calls = []
+
+    def drifting_alpha(coeffs, lam, t):
+        # a c2 that grows in time, so each time has its own spectrum
+        calls.append(np.shape(t))
+        alpha = alpha_coeffs(coeffs, lam, t)
+        alpha[2] *= 1.0 + 0.01 * np.asarray(t)
+        return alpha
+
+    monkeypatch.setattr(fock_oracle, "alpha_coeffs", drifting_alpha)
+    _, drift = invariant_eigen_flow(coeffs, LAM, times, basis)
+    assert calls == [times.shape]
+    pairwise = [
+        invariant_eigen_flow(coeffs, LAM, [times[0], t], basis)[1] for t in times[1:]
+    ]
+    assert drift > 1e-3
+    assert drift == pytest.approx(max(pairwise), rel=1e-12)
+
+
 def test_invariant_spectrum_flat_driver():
     basis = FockBasis(6)
     coeffs = invariant_coeffs_for(1.0, 0.4)

@@ -54,6 +54,12 @@ def test_matched_family_for_default_scenario():
     assert abs(ep.q3 - 0.4) < 1e-15
 
 
+def test_matched_family_refuses_a_zero_real_c3():
+    # Im c3 divides by Re c3; the refusal comes before the division
+    with pytest.raises(ConstraintViolationError, match="^c3_real must be nonzero"):
+        invariant_coeffs_for(1.0, 0.4, c3_real=0.0)
+
+
 def test_derived_constants_need_positive_real_part():
     c = invariant_coeffs_for(1.0, 0.4, c3_real=-0.8)
     assert c.c5 is None and c.c6 is None and c.c7 is None and c.c8 is None

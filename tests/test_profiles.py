@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from ptdyson import TimeProfile
 from ptdyson.errors import DomainError
@@ -180,3 +181,69 @@ def test_from_config_ignores_keys_its_kind_does_not_read():
     # a record switched to another kind keeps the old kind's keys
     p = TimeProfile.from_config({"kind": "constant", "value": 0.4, "omega": "x"})
     assert p(1.0) == 0.4
+
+
+# Each kind's formulas written out, (profile, value, derivative, integral
+# from 0) on an array of times, and compared with ==, so a change of formula
+# or of its order of floating-point operations shows.
+POLY = np.polynomial.polynomial
+T = np.linspace(0.0, 4.0, 37)
+NODES = np.linspace(0.0, 4.0, 9)
+NODE_VALUES = np.cos(1.3 * NODES) + 0.1 * NODES
+SPLINE = CubicSpline(NODES, NODE_VALUES)
+
+
+def _sinusoid_formulas(offset, amp, omega, phase):
+    value = offset + amp * np.sin(omega * T + phase)
+    rate = amp * omega * np.cos(omega * T + phase)
+    if omega == 0.0:
+        integral = (offset + amp * np.sin(phase)) * T
+    else:
+        integral = offset * T - (amp / omega) * (
+            np.cos(omega * T + phase) - np.cos(phase)
+        )
+    return TimeProfile.sinusoid(offset, amp, omega, phase), value, rate, integral
+
+
+def _exponential_formulas(offset, amp, rate):
+    value = offset + amp * np.exp(rate * T)
+    slope = amp * rate * np.exp(rate * T)
+    if rate == 0.0:
+        integral = (offset + amp) * T
+    else:
+        integral = offset * T + (amp / rate) * (np.exp(rate * T) - 1.0)
+    return TimeProfile.exponential(offset, amp, rate), value, slope, integral
+
+
+COEFFS = [0.3, -1.2, 0.7, 0.05]
+FORMULAS = {
+    "constant": (
+        TimeProfile.constant(0.7), np.full_like(T, 0.7), np.zeros_like(T), 0.7 * T
+    ),
+    "polynomial": (
+        TimeProfile.polynomial(COEFFS),
+        POLY.polyval(T, COEFFS),
+        POLY.polyval(T, POLY.polyder(COEFFS)),
+        POLY.polyval(T, POLY.polyint(COEFFS)),
+    ),
+    "sinusoid": _sinusoid_formulas(1.0, 0.3, 1.7, 0.3),
+    "sinusoid-omega-0": _sinusoid_formulas(1.0, 0.2, 0.0, 0.3),
+    "exponential": _exponential_formulas(0.2, 0.7, -0.4),
+    "exponential-rate-0": _exponential_formulas(0.2, 0.7, 0.0),
+    "tabulated": (
+        TimeProfile.tabulated(NODES, NODE_VALUES),
+        SPLINE(T),
+        SPLINE.derivative()(T),
+        SPLINE.antiderivative()(T) - SPLINE.antiderivative()(0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FORMULAS)
+def test_each_kind_evaluates_its_formulas_exactly(name):
+    profile, value, rate, integral = FORMULAS[name]
+    assert profile.kind == name.split("-")[0]
+    assert np.array_equal(profile(T), value)
+    assert np.array_equal(profile.evaluate(T), value)
+    assert np.array_equal(profile.derivative(T), rate)
+    assert np.array_equal(profile.cumulative(T), integral)
