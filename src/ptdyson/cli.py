@@ -6,8 +6,9 @@ reference configuration.  One walk reads the config against the defaults:
 a key they lack is refused, a number takes its default's type (an int
 where the default is one), and a profile record of another kind than the
 default's replaces it and may hold only the fields its kind reads (the
-library's `TimeProfile.from_config` ignores the others).  All output is
-deterministic for a fixed config:
+library's `TimeProfile.from_config` ignores the others).  `validate_config`
+then builds the run's objects once, each checking its own values, and the
+subcommands work on those.  All output is deterministic for a fixed config:
 floats are printed with 17 significant digits and nothing depends on wall
 time or dict iteration order.
 
@@ -38,8 +39,6 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .fock_oracle import (
-    MAX_SIZE,
-    MIN_SIZE,
     FockBasis,
     build_generators,
     dyson_residuals,
@@ -159,17 +158,14 @@ def load_config(path):
 
 
 def validate_config(cfg):
-    """Raise ConfigError naming the first violated range, relation or domain.
+    """The run's objects built from `cfg`; ConfigError names the first violation.
 
     `cfg` is a config as load_config returns it, its keys and types checked.
-    The profiles, the invariant family and the space-coupled model are built
-    here, so a value they refuse is named by its key path.
+    Returns {"scenario", "invariant", "xy", "basis"}: the Scenario with its
+    two profiles, the invariant family, the XYModel and the FockBasis.  Each
+    object checks its own values, named here by their key path; the rules no
+    object owns (grids, oracle buffer, spectrum sizes, time domains) are below.
     """
-    sc = cfg["scenario"]
-    if not abs(sc["q3"]) < 1.0:
-        raise ConfigError(
-            f"scenario.q3 must satisfy |q3| < 1, got {sc['q3']}"
-        )
     grid = cfg["grid"]
     if not grid["t_end"] > grid["t_start"]:
         raise ConfigError(
@@ -181,11 +177,7 @@ def validate_config(cfg):
     if not grid["samples"] >= 2:
         raise ConfigError(f"grid.samples must be >= 2, got {grid['samples']}")
     oracle = cfg["oracle"]
-    if not MIN_SIZE <= oracle["size"] <= MAX_SIZE:
-        raise ConfigError(
-            f"oracle.size must satisfy {MIN_SIZE} <= size <= {MAX_SIZE}, "
-            f"got {oracle['size']}"
-        )
+    basis = _build("oracle", FockBasis, oracle["size"])
     if oracle["buffer"] < 0:
         raise ConfigError(f"oracle.buffer must be >= 0, got {oracle['buffer']}")
     if oracle["buffer"] >= oracle["size"]:
@@ -193,9 +185,6 @@ def validate_config(cfg):
             f"oracle.buffer must be < oracle.size, got buffer={oracle['buffer']}, "
             f"size={oracle['size']}"
         )
-    for key in ("n", "m"):
-        if sc[key] < 0:
-            raise ConfigError(f"scenario.{key} must be >= 0, got {sc[key]}")
     static = cfg["static"]
     for path, value in (
         ("static.xy.n_max", static["xy"]["n_max"]),
@@ -214,19 +203,25 @@ def validate_config(cfg):
             "modes_grid must satisfy x_max > x_min, got "
             f"x_min={mg['x_min']}, x_max={mg['x_max']}"
         )
-    _build("invariant", invariant_coeffs_for, sc["q2"], sc["q3"], **cfg["invariant"])
-    _xy_model(cfg)
+    scenario = build_scenario(cfg)
+    coeffs = _build(
+        "invariant", invariant_coeffs_for, scenario.q2, scenario.q3, **cfg["invariant"]
+    )
+    xy = static["xy"]
+    xy_model = _build(
+        "static.xy", XYModel, xy["m"], xy["omega_x"], xy["omega_y"], xy["coupling"]
+    )
     times = [("grid.t_start", grid["t_start"]), ("grid.t_end", grid["t_end"])]
     times += [(f"modes_grid.times[{i}]", t) for i, t in enumerate(mg["times"])]
     for key in ("a", "lam"):
-        profile = _profile(cfg, key)
         for path, t in times:
             try:
-                profile._check_domain(t)
+                getattr(scenario, key)._check_domain(t)
             except DomainError as err:
                 raise ConfigError(
                     f"{path} = {t} is outside scenario.{key}: {err}"
                 ) from err
+    return {"scenario": scenario, "invariant": coeffs, "xy": xy_model, "basis": basis}
 
 
 def _build(path, make, *args, **kwargs):
@@ -240,20 +235,12 @@ def _build(path, make, *args, **kwargs):
         raise ConfigError(f"{path}.{err}") from err
 
 
-def _profile(cfg, key):
-    return _build(f"scenario.{key}", TimeProfile.from_config, cfg["scenario"][key])
-
-
-def _xy_model(cfg):
-    xy = cfg["static"]["xy"]
-    return _build(
-        "static.xy", XYModel, xy["m"], xy["omega_x"], xy["omega_y"], xy["coupling"]
-    )
-
-
 def build_scenario(cfg):
-    sc = {**cfg["scenario"], "a": _profile(cfg, "a"), "lam": _profile(cfg, "lam")}
-    return Scenario(**sc)
+    """The Scenario of `cfg` with its two profiles; ConfigError names the key path."""
+    sc = dict(cfg["scenario"])
+    for key in ("a", "lam"):
+        sc[key] = _build(f"scenario.{key}", TimeProfile.from_config, sc[key])
+    return _build("scenario", Scenario, **sc)
 
 
 def grid_times(cfg):
@@ -279,10 +266,9 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def cmd_evolve(cfg, out_dir):
-    scenario = build_scenario(cfg)
+def cmd_evolve(cfg, built, out_dir):
+    scenario, coeffs = built["scenario"], built["invariant"]
     consts = scenario.ep_constants()
-    coeffs = invariant_coeffs_for(scenario.q2, scenario.q3, **cfg["invariant"])
     t = grid_times(cfg)
     params = scenario_params(consts, scenario.lam, t, q1=scenario.q1)
     rates = scenario_rates(consts, scenario.lam, t)
@@ -319,11 +305,11 @@ def cmd_evolve(cfg, out_dir):
     return 0
 
 
-def cmd_spectrum(cfg, out_dir):
+def cmd_spectrum(cfg, built, out_dir):
     xy_cfg = cfg["static"]["xy"]
     k_cfg = cfg["static"]["k"]
     report = []
-    xy = _xy_model(cfg)
+    xy = built["xy"]
     report.append(f"space-coupled model: exceptional point at |coupling| = {_fmt(xy.ep_bound())}")
     try:
         theta, wx, wy = decouple_xy(xy)
@@ -372,8 +358,8 @@ def cmd_spectrum(cfg, out_dir):
     return 0
 
 
-def cmd_modes(cfg, out_dir):
-    scenario = build_scenario(cfg)
+def cmd_modes(cfg, built, out_dir):
+    scenario = built["scenario"]
     mg = cfg["modes_grid"]
     axis = np.linspace(mg["x_min"], mg["x_max"], mg["points"])
     x, y = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
@@ -387,11 +373,9 @@ def cmd_modes(cfg, out_dir):
     return 0
 
 
-def cmd_oracle(cfg, out_dir):
-    scenario = build_scenario(cfg)
-    oracle = cfg["oracle"]
-    size, buffer = oracle["size"], oracle["buffer"]
-    basis = FockBasis(size)
+def cmd_oracle(cfg, built, out_dir):
+    scenario, basis = built["scenario"], built["basis"]
+    size, buffer = basis.size, cfg["oracle"]["buffer"]
     gens = build_generators(basis)
     times = grid_times(cfg)
     if times.size > 25:
@@ -421,7 +405,7 @@ def cmd_oracle(cfg, out_dir):
     return 0
 
 
-def cmd_validate(cfg, out_dir):
+def cmd_validate(cfg, built, out_dir):
     results = validation.run_all()
     report = validation.format_report(results)
     path = out_dir / "validate.txt"
@@ -452,10 +436,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        validate_config(cfg)
+        built = validate_config(cfg)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.subcommand](cfg, out_dir)
+        return _COMMANDS[args.subcommand](cfg, built, out_dir)
     except (
         ConfigError,
         ConstraintViolationError,

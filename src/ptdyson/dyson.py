@@ -49,7 +49,7 @@ class EPConstants:
     def __post_init__(self):
         if not abs(self.q3) < 1.0:
             raise ConstraintViolationError(
-                f"|q3| < 1 required, got q3 = {self.q3}"
+                f"q3 must satisfy |q3| < 1, got {self.q3}"
             )
         object.__setattr__(
             self, "kappa", self.q3 / np.sqrt(1.0 - self.q3**2)

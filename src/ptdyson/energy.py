@@ -48,8 +48,9 @@ class Scenario:
 
     def __post_init__(self):
         self.ep_constants()  # EPConstants owns the |q3| < 1 check
-        if self.n < 0 or self.m < 0:
-            raise ConstraintViolationError("quantum numbers must be >= 0")
+        for name, value in (("n", self.n), ("m", self.m)):
+            if value < 0:
+                raise ConstraintViolationError(f"{name} must be >= 0, got {value}")
 
     def ep_constants(self):
         return EPConstants(q2=self.q2, q3=self.q3)

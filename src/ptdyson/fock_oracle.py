@@ -49,7 +49,7 @@ class FockBasis:
     def __init__(self, size):
         if not MIN_SIZE <= size <= MAX_SIZE:
             raise ConstraintViolationError(
-                f"basis size must satisfy {MIN_SIZE} <= size <= {MAX_SIZE}, got {size}"
+                f"size must satisfy {MIN_SIZE} <= size <= {MAX_SIZE}, got {size}"
             )
         self.size = int(size)
         self.states = [

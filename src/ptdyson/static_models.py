@@ -37,8 +37,10 @@ class XYModel:
     coupling: float
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ConstraintViolationError(f"m must be > 0, got {self.m}")
+        for name in ("m", "omega_x", "omega_y"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConstraintViolationError(f"{name} must be > 0, got {value}")
 
     def ep_bound(self):
         """|coupling| must stay strictly below this for the decoupling."""

@@ -16,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptdyson import cli
+from ptdyson import cli, profiles
 from ptdyson.errors import ConfigError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, overrides, name="cfg.json"):
@@ -150,6 +152,10 @@ OVERSIZED_INT_CASES = [
 BUILD_CASES = [
     ({"invariant": {"c3_real": 0.0}}, "invariant.c3_real must be nonzero"),
     ({"static": {"xy": {"m": 0}}}, "static.xy.m must be > 0"),
+    (
+        {"static": {"xy": {"omega_x": 0.0, "coupling": 0.0}}},
+        "static.xy.omega_x must be > 0",
+    ),
 ]
 
 
@@ -208,9 +214,60 @@ def test_numbers_take_their_default_type(tmp_path):
 
 
 def test_readme_config_block_is_the_default_config():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    readme = README.read_text("utf-8")
     block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
     assert json.loads(block) == cli.DEFAULT_CONFIG
+
+
+def readme_commands():
+    """Each `ptdyson ...` line of the README's sh blocks, as an argv."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text("utf-8"), re.DOTALL)
+    return [
+        line.split("#")[0].split()
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("ptdyson ")
+    ]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_run_as_documented(tmp_path, monkeypatch, argv):
+    # relative --out and --config paths resolve under tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my.json").write_text("{}", encoding="utf-8")
+    assert cli.main(argv[1:]) == 0
+
+
+def test_each_object_of_the_run_is_built_once(tmp_path, monkeypatch):
+    counts = {}
+
+    def counting(module, name):
+        make = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(profiles, "CubicSpline")
+    for name in ("invariant_coeffs_for", "XYModel", "FockBasis"):
+        counting(cli, name)
+    tabulated_a = {
+        "kind": "tabulated",
+        "times": [0.0, 2.5, 5.0, 7.5, 10.0],
+        "values": [1.0, 1.1, 0.9, 1.05, 1.0],
+    }
+    cfg = write_config(
+        tmp_path,
+        {"scenario": {"a": tabulated_a}, "grid": {"samples": 5}, "oracle": {"size": 4}},
+    )
+    for command in ("evolve", "spectrum", "oracle"):
+        counts.clear()
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert counts == dict.fromkeys(
+            ("CubicSpline", "invariant_coeffs_for", "XYModel", "FockBasis"), 1
+        ), command
 
 
 # ---------------------------------------------------------------------------

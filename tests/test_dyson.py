@@ -52,9 +52,9 @@ def gamma_closed_form_alt(lam, constants, t):
 def test_constants_guard_and_conserved_combination():
     c = EPConstants(q2=1.0, q3=0.4)
     assert abs(c.kappa - 0.4 / np.sqrt(1.0 - 0.16)) < 1e-15
-    with pytest.raises(ConstraintViolationError):
+    with pytest.raises(ConstraintViolationError, match=r"^q3 must satisfy"):
         EPConstants(q2=0.0, q3=1.0)
-    with pytest.raises(ConstraintViolationError):
+    with pytest.raises(ConstraintViolationError, match=r"^q3 must satisfy"):
         EPConstants(q2=0.0, q3=-1.2)
 
 

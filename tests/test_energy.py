@@ -32,7 +32,7 @@ def default_scenario(**kw):
 def test_scenario_guards():
     with pytest.raises(ConstraintViolationError):
         default_scenario(q3=1.0)
-    with pytest.raises(ConstraintViolationError):
+    with pytest.raises(ConstraintViolationError, match=r"^n must be >= 0"):
         default_scenario(n=-1)
 
 

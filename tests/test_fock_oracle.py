@@ -93,9 +93,9 @@ def test_basis_layout():
         basis.index(2, 1)
     with pytest.raises(ConstraintViolationError):
         basis.block_slice(3)
-    with pytest.raises(ConstraintViolationError):
+    with pytest.raises(ConstraintViolationError, match=r"^size must satisfy"):
         FockBasis(1)
-    with pytest.raises(ConstraintViolationError):
+    with pytest.raises(ConstraintViolationError, match=r"^size must satisfy"):
         FockBasis(61)
 
 

@@ -23,8 +23,10 @@ from ptdyson.errors import (
 
 
 def test_xy_model_guards():
-    with pytest.raises(ConstraintViolationError):
+    with pytest.raises(ConstraintViolationError, match=r"^m must be > 0"):
         XYModel(m=0.0, omega_x=1.0, omega_y=2.0, coupling=0.1)
+    with pytest.raises(ConstraintViolationError, match=r"^omega_y must be > 0"):
+        XYModel(m=1.0, omega_x=1.0, omega_y=0.0, coupling=0.1)
 
 
 def test_decoupling_without_coupling():
