@@ -22,7 +22,6 @@ satisfied by chi = cosh(g3).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .algebra_u2 import AlgebraElement, DysonParams, conjugate, time_term
 from .errors import ConstraintViolationError, IntegrationError, SingularEvaluationError
@@ -31,7 +30,10 @@ from .errors import ConstraintViolationError, IntegrationError, SingularEvaluati
 # checks that divide by it.
 EPS_DRIVER = 1e-8
 
+# Error target of the ODE route at every sample, relative to 1 + |value|,
+# and the most RK4 steps per sample interval it may take to reach it.
 _ODE_TOL = 1e-10
+_ODE_MAX_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -85,30 +87,77 @@ class GammaTrajectory:
 def solve_gamma_ode(lam, gamma3_0, gamma4_0, times):
     """Integrate the Hermiticity constraint system on the given grid.
 
-    Adaptive embedded Runge-Kutta 5(4) with local tolerance 1e-10 and dense
-    output for the grid sampling.  Raises IntegrationError with the failure
-    time if the integrator cannot proceed.
+    Classical RK4 with the same number of steps in every sample interval,
+    doubled from 2 until the Richardson estimate |y_2n - y_n| / 15 of the
+    error of the finer run is at most 1e-10 (1 + |y|) at every sample; the
+    finer run is returned.  Raises IntegrationError, with the failure time
+    in t_fail, where the driver is not finite, and where the state is not
+    finite or the estimate still fails at 1024 steps per interval.
     """
     times = np.asarray(times, dtype=float)
+    y0 = (float(gamma3_0), float(gamma4_0))
+    with np.errstate(all="ignore"):
+        coarse = _rk4_samples(lam, times, y0, 2)
+        steps = 4
+        while True:
+            fine = _rk4_samples(lam, times, y0, steps)
+            error = np.abs(fine - coarse) / 15.0
+            # NaN (a run cut short) fails the comparison as well
+            settled = np.all(error <= _ODE_TOL * (1.0 + np.abs(fine)), axis=0)
+            if settled.all():
+                return GammaTrajectory(
+                    times=times, gamma3=fine[0], gamma4=fine[1], method="ode"
+                )
+            if steps >= _ODE_MAX_STEPS:
+                t_fail = float(times[np.argmin(settled)])
+                raise IntegrationError(
+                    f"constraint integration failed at t = {t_fail}: state "
+                    f"not finite, or error estimate above {_ODE_TOL:g}, at "
+                    f"{steps} RK4 steps per sample interval",
+                    t_fail=t_fail,
+                )
+            coarse, steps = fine, 2 * steps
 
-    sol = solve_ivp(
-        lambda t, y: gamma_rates(lam(t), y[0], y[1]),
-        (times[0], times[-1]),
-        [float(gamma3_0), float(gamma4_0)],
-        method="RK45",
-        rtol=_ODE_TOL,
-        atol=_ODE_TOL,
-        t_eval=times,
+
+def _rk4_samples(lam, times, y0, steps):
+    """(g3, g4) at the samples by RK4 with `steps` equal steps per interval.
+
+    lam is evaluated once, on every step's start, midpoint and end.  The
+    run stops at the first sample with a non-finite state and leaves that
+    sample and the later ones NaN.  Call under np.errstate.
+    """
+    frac = np.arange(2 * steps) / (2 * steps)
+    stage_times = np.append(
+        (times[:-1, None] + np.diff(times)[:, None] * frac).ravel(), times[-1]
     )
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else float(times[0])
+    lam_stages = lam(stage_times)
+    bad = np.flatnonzero(~np.isfinite(lam_stages))
+    if bad.size:
+        t_fail = float(stage_times[bad[0]])
         raise IntegrationError(
-            f"constraint integration failed at t = {t_fail}: {sol.message}",
+            f"constraint integration failed at t = {t_fail}: "
+            f"driver value {lam_stages[bad[0]]}",
             t_fail=t_fail,
         )
-    return GammaTrajectory(
-        times=times, gamma3=sol.y[0], gamma4=sol.y[1], method="ode"
-    )
+    lam_stages = lam_stages.tolist()
+    out = np.full((2, times.size), np.nan)
+    g3, g4 = out[:, 0] = y0
+    step = 0
+    for k, width in enumerate(np.diff(times).tolist(), start=1):
+        h = width / steps
+        for _ in range(steps):
+            l0, lm, l1 = lam_stages[2 * step:2 * step + 3]
+            a3, a4 = gamma_rates(l0, g3, g4)
+            b3, b4 = gamma_rates(lm, g3 + 0.5 * h * a3, g4 + 0.5 * h * a4)
+            c3, c4 = gamma_rates(lm, g3 + 0.5 * h * b3, g4 + 0.5 * h * b4)
+            d3, d4 = gamma_rates(l1, g3 + h * c3, g4 + h * c4)
+            g3 = g3 + h / 6.0 * (a3 + 2.0 * (b3 + c3) + d3)
+            g4 = g4 + h / 6.0 * (a4 + 2.0 * (b4 + c4) + d4)
+            step += 1
+        if not (np.isfinite(g3) and np.isfinite(g4)):
+            break
+        out[:, k] = g3, g4
+    return out
 
 
 def gamma_closed_form(lam, constants, t):

@@ -9,19 +9,26 @@ value, derivative and running integral once.  Supported kinds:
     polynomial   sum_k c_k t^k (a numpy Polynomial)
     sinusoid     offset + amp*sin(omega*t + phase)
     exponential  offset + amp*exp(rate*t)
-    tabulated    cubic-spline interpolation of sampled data
+    tabulated    not-a-knot cubic spline through sampled data
 
 For the closed-form kinds the cumulative integral is analytic.  For
 tabulated data the spline itself is the profile, so integrating the spline
 exactly (polynomial antiderivative per segment) introduces no additional
 error beyond the interpolation already accepted.
+
+The spline is de Boor's not-a-knot cubic: one piecewise cubic with
+continuous second derivative, whose third derivative is also continuous at
+the second and the last-but-one node.  The node slopes come from one
+tridiagonal solve; each segment is then a cubic in t - t_i, evaluated by
+Horner's rule for the value, the derivative and the antiderivative, whose
+constant terms are the running sums of the exact segment integrals.
 """
 
 import math
 import numbers
+from functools import partial
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 
@@ -39,6 +46,82 @@ _KIND_FIELDS = {
     "tabulated": (("times", "values"), ("t_max",)),
 }
 _LIST_FIELDS = ("coeffs", "times", "values")
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """x with diag[i] x[i] + lower[i-1] x[i-1] + upper[i] x[i+1] = rhs[i].
+
+    Elimination without pivoting.  For the spline system below every
+    pivot is positive: the interior rows are diagonally dominant, and
+    eliminating the first row leaves the second a pivot of h0 + h1.
+    """
+    n = diag.size
+    lower, diag, upper, rhs = (a.tolist() for a in (lower, diag, upper, rhs))
+    for i in range(1, n):
+        w = lower[i - 1] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    x = [0.0] * n
+    x[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (rhs[i] - upper[i] * x[i + 1]) / diag[i]
+    return np.array(x)
+
+
+def _horner(coeffs, breaks, interior, t):
+    """Piecewise polynomial at t: coeffs[:, i], highest power first, in
+    powers of t - breaks[i] on [breaks[i], breaks[i+1]).  The last segment
+    also takes its right end, and the outer segments extend beyond the
+    breaks; interior is breaks[1:-1]."""
+    i = np.searchsorted(interior, t, side="right")
+    dt = t - breaks[i]
+    c = coeffs.take(i, axis=1)
+    out = c[0]
+    for ck in c[1:]:
+        out = out * dt + ck
+    return out
+
+
+def _not_a_knot_spline(times, values):
+    """(value, derivative, cumulative) of the not-a-knot cubic spline.
+
+    times increase and hold at least 4 nodes; cumulative is the exact
+    integral from times[0], so it is exactly 0 there.
+    """
+    h = np.diff(times)
+    slope = np.diff(values) / h
+    # Node slopes s: the second derivative is continuous at the interior
+    # nodes (rows 1..n-2), and the third at the second and last-but-one
+    # nodes (rows 0 and n-1, the not-a-knot conditions).
+    diag = np.empty(times.size)
+    rhs = np.empty(times.size)
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+    first, last = h[0] + h[1], h[-1] + h[-2]
+    lower = np.append(h[1:], last)
+    upper = np.insert(h[:-1], 0, first)
+    diag[0], diag[-1] = h[1], h[-2]
+    rhs[0] = ((h[0] + 2.0 * first) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / first
+    rhs[-1] = (
+        h[-1] ** 2 * slope[-2] + (2.0 * last + h[-1]) * h[-2] * slope[-1]
+    ) / last
+    s = _solve_tridiagonal(lower, diag, upper, rhs)
+    # the cubic of each segment in powers of t - times[i], from its end values
+    # and end slopes (Hermite form)
+    excess = (s[:-1] + s[1:] - 2.0 * slope) / h
+    cubic = np.array(
+        [excess / h, (slope - s[:-1]) / h - excess, s[:-1], values[:-1]]
+    )
+    rate = cubic[:-1] * np.array([[3.0], [2.0], [1.0]])
+    integral = cubic / np.array([[4.0], [3.0], [2.0], [1.0]])
+    pieces = (((integral[0] * h + integral[1]) * h + integral[2]) * h + integral[3]) * h
+    integral = np.vstack([integral, np.append(0.0, np.cumsum(pieces[:-1]))])
+    interior = times[1:-1]
+    return (
+        partial(_horner, cubic, times, interior),
+        partial(_horner, rate, times, interior),
+        partial(_horner, integral, times, interior),
+    )
 
 
 def _is_finite_number(value):
@@ -148,7 +231,8 @@ class TimeProfile:
 
     @classmethod
     def tabulated(cls, times, values, t_max=np.inf):
-        """Cubic spline through (times, values); the domain ends at the last node."""
+        """Not-a-knot cubic spline through (times, values); the domain ends at
+        the last node."""
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.size < 4:
@@ -159,13 +243,9 @@ class TimeProfile:
             raise DomainError("times must start at 0")
         if values.shape != times.shape:
             raise DomainError("values must hold one entry per node in times")
-        spline = CubicSpline(times, values)
-        # the antiderivative is exactly 0 at the first node, t = 0
         return cls(
             "tabulated",
-            spline,
-            spline.derivative(),
-            spline.antiderivative(),
+            *_not_a_knot_spline(times, values),
             min(float(t_max), float(times[-1])),
         )
 

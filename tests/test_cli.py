@@ -250,7 +250,7 @@ def test_each_object_of_the_run_is_built_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(profiles, "CubicSpline")
+    counting(profiles, "_not_a_knot_spline")
     for name in ("invariant_coeffs_for", "XYModel", "FockBasis"):
         counting(cli, name)
     tabulated_a = {
@@ -266,7 +266,8 @@ def test_each_object_of_the_run_is_built_once(tmp_path, monkeypatch):
         counts.clear()
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
         assert counts == dict.fromkeys(
-            ("CubicSpline", "invariant_coeffs_for", "XYModel", "FockBasis"), 1
+            ("_not_a_knot_spline", "invariant_coeffs_for", "XYModel", "FockBasis"),
+            1,
         ), command
 
 
@@ -648,3 +649,20 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "wrote" in proc.stdout
     assert (tmp_path / "spectrum_k.csv").exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; importing it would cost most of start-up
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, ptdyson, ptdyson.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

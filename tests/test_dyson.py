@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from ptdyson import (
     DysonParams,
@@ -24,7 +25,13 @@ from ptdyson import (
     solve_gamma_ode,
     to_matrix,
 )
-from ptdyson.errors import ConstraintViolationError, SingularEvaluationError
+from ptdyson.dyson import _rk4_samples
+from ptdyson.errors import (
+    ConstraintViolationError,
+    IntegrationError,
+    SingularEvaluationError,
+)
+from ptdyson.validation import default_scenario, sample_times
 
 LAM = TimeProfile.sinusoid(0.5, 0.3, 1.0)
 A = TimeProfile.sinusoid(1.0, 0.2, 2.0)
@@ -92,6 +99,71 @@ def test_ode_matches_closed_form(lam):
     assert exact.method == "closed_form"
     assert np.max(np.abs(ode.gamma3 - exact.gamma3)) < 1e-6
     assert np.max(np.abs(ode.gamma4 - exact.gamma4)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "lam, times",
+    [
+        (LAM, np.linspace(0.0, 8.0, 60)),
+        # stiff: g4 decays like exp(-50 t), to about 1e-109 at t = 5
+        (TimeProfile.constant(-50.0), np.linspace(0.0, 5.0, 11)),
+    ],
+    ids=["sinusoid", "stiff"],
+)
+def test_ode_matches_scipy(lam, times):
+    g3_0, g4_0 = 0.3, -0.25
+    ode = solve_gamma_ode(lam, g3_0, g4_0, times)
+    ref = solve_ivp(
+        lambda t, y: gamma_rates(lam(t), y[0], y[1]),
+        (times[0], times[-1]),
+        [g3_0, g4_0],
+        method="RK45",
+        rtol=1e-10,
+        atol=1e-10,
+        t_eval=times,
+    )
+    assert ref.success
+    scale = 1.0 + np.abs(ref.y)
+    assert np.max(np.abs(ode.gamma3 - ref.y[0]) / scale[0]) < 1e-8
+    assert np.max(np.abs(ode.gamma4 - ref.y[1]) / scale[1]) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "lam, t_fail",
+    [
+        # the driver itself overflows past t = 0.887; the first stage time
+        # beyond is 0.9
+        (TimeProfile.exponential(0.0, 1.0, 800.0), 0.9),
+        # a finite driver so large that the state overflows at every step
+        # count up to the cap, from the first sample on
+        (TimeProfile.constant(1e300), 0.1),
+    ],
+    ids=["driver", "state"],
+)
+def test_ode_overflow_raises_with_failure_time(lam, t_fail):
+    # the suite turns a RuntimeWarning into an error, so an overflow that
+    # escaped the integrator would fail here as a warning
+    with pytest.raises(IntegrationError, match=r"^constraint integration failed") as exc:
+        solve_gamma_ode(lam, 0.3, -0.25, np.linspace(0.0, 1.0, 11))
+    assert exc.value.t_fail == pytest.approx(t_fail)
+
+
+def test_ode_route_converges_at_fourth_order():
+    scenario = default_scenario()
+    times = sample_times()
+    consts = scenario.ep_constants()
+    exact = closed_form_trajectory(scenario.lam, consts, times)
+    y0 = (exact.gamma3[0], exact.gamma4[0])
+    errors = [
+        np.max(np.abs(
+            _rk4_samples(scenario.lam, times, y0, steps)
+            - np.array([exact.gamma3, exact.gamma4])
+        ))
+        for steps in (1, 2, 4)
+    ]
+    # halving the step divides a 4th-order error by about 2^4
+    assert errors[0] / errors[1] >= 2**3.5
+    assert errors[1] / errors[2] >= 2**3.5
 
 
 def test_conserved_combination_drift():

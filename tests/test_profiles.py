@@ -190,7 +190,6 @@ POLY = np.polynomial.polynomial
 T = np.linspace(0.0, 4.0, 37)
 NODES = np.linspace(0.0, 4.0, 9)
 NODE_VALUES = np.cos(1.3 * NODES) + 0.1 * NODES
-SPLINE = CubicSpline(NODES, NODE_VALUES)
 
 
 def _sinusoid_formulas(offset, amp, omega, phase):
@@ -230,12 +229,6 @@ FORMULAS = {
     "sinusoid-omega-0": _sinusoid_formulas(1.0, 0.2, 0.0, 0.3),
     "exponential": _exponential_formulas(0.2, 0.7, -0.4),
     "exponential-rate-0": _exponential_formulas(0.2, 0.7, 0.0),
-    "tabulated": (
-        TimeProfile.tabulated(NODES, NODE_VALUES),
-        SPLINE(T),
-        SPLINE.derivative()(T),
-        SPLINE.antiderivative()(T) - SPLINE.antiderivative()(0.0),
-    ),
 }
 
 
@@ -247,3 +240,45 @@ def test_each_kind_evaluates_its_formulas_exactly(name):
     assert np.array_equal(profile.evaluate(T), value)
     assert np.array_equal(profile.derivative(T), rate)
     assert np.array_equal(profile.cumulative(T), integral)
+
+
+# The tabulated kind against scipy's not-a-knot CubicSpline as an oracle,
+# on the even NODES and on 64 uneven nodes.
+UNEVEN = np.append(0.0, np.cumsum(np.random.default_rng(5).uniform(0.02, 0.5, 63)))
+SPLINE_CASES = {
+    "even": (NODES, NODE_VALUES),
+    "uneven-64": (UNEVEN, np.cos(1.3 * UNEVEN) + 0.1 * UNEVEN),
+}
+SPLINE_TOL = 1e-13
+
+
+@pytest.mark.parametrize("name", SPLINE_CASES)
+def test_tabulated_matches_scipy_spline(name):
+    times, values = SPLINE_CASES[name]
+    profile = TimeProfile.tabulated(times, values)
+    oracle = CubicSpline(times, values)
+    t = np.linspace(0.0, times[-1], 1001)
+    scale = np.max(np.abs(values))
+    integral = oracle.antiderivative()
+    for got, want in (
+        (profile(t), oracle(t)),
+        (profile.derivative(t), oracle.derivative()(t)),
+        (profile.cumulative(t), integral(t) - integral(0.0)),
+    ):
+        assert np.max(np.abs(got - want)) <= SPLINE_TOL * scale
+    assert profile.cumulative(0.0) == 0.0
+
+
+@pytest.mark.parametrize("name", SPLINE_CASES)
+def test_tabulated_reproduces_a_cubic(name):
+    # a cubic satisfies every spline condition, so it is its own spline
+    times, _ = SPLINE_CASES[name]
+    cubic = np.polynomial.Polynomial([0.3, -1.2, 0.7, 0.05])
+    profile = TimeProfile.tabulated(times, cubic(times))
+    t = np.linspace(0.0, times[-1], 1001)
+    for got, want in (
+        (profile(t), cubic(t)),
+        (profile.derivative(t), cubic.deriv()(t)),
+        (profile.cumulative(t), cubic.integ()(t)),
+    ):
+        assert np.max(np.abs(got - want)) <= SPLINE_TOL * np.max(np.abs(want))
