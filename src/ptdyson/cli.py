@@ -8,13 +8,19 @@ where the default is one), and a profile record of another kind than the
 default's replaces it and may hold only the fields its kind reads (the
 library's `TimeProfile.from_config` ignores the others).  `validate_config`
 then builds the run's objects once, each checking its own values, and the
-subcommands work on those.  All output is deterministic for a fixed config:
-floats are printed with 17 significant digits and nothing depends on wall
-time or dict iteration order.
+subcommands work on those.
+
+Commands compute and `main` writes: each `cmd_*` returns its outputs,
+{file name: (header, rows) or text}, and its exit status, and `main` checks
+every table for NaN and inf before it opens a file, so a run writes all of
+its files or none.  stdout echoes each text output and lists each file
+written.  All output is deterministic for a fixed config: floats are
+printed with 17 significant digits and nothing depends on wall time or dict
+iteration order.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 config violation
 (message names the invariant or key path), 3 numerical failure (message carries the
-context; a NaN or inf in an output table is one).
+context; a NaN or inf in an output table is one, and so is an overflow).
 """
 
 import argparse
@@ -91,10 +97,6 @@ DEFAULT_CONFIG = {
         "times": [0.3, 0.7, 1.5],
     },
 }
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
 
 
 def _read(value, default, path=""):
@@ -248,25 +250,23 @@ def grid_times(cfg):
     return np.linspace(grid["t_start"], grid["t_end"], grid["samples"])
 
 
-def _write_csv(path, header, rows):
-    """Write a table; NonFiniteOutputError, and no file, if a value is NaN or inf."""
+def _csv_text(name, header, rows):
+    """The table as CSV text; NonFiniteOutputError if a value is NaN or inf."""
     table = np.asarray(rows, dtype=float).reshape(-1, len(header))
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         i, j = bad[0]
         where = f"row {i + 1}"
         if "t" in header:
-            where = f"t = {_fmt(table[i, header.index('t')])}"
+            where = f"t = {table[i, header.index('t')]:.17g}"
         raise NonFiniteOutputError(
-            f"{header[j]} = {table[i, j]} at {where}; {path.name} not written"
+            f"{header[j]} = {table[i, j]} at {where} in {name}; no file written"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(row % tuple(r) for r in table.tolist())
 
 
-def cmd_evolve(cfg, built, out_dir):
+def cmd_evolve(cfg, built):
     scenario, coeffs = built["scenario"], built["invariant"]
     consts = scenario.ep_constants()
     t = grid_times(cfg)
@@ -283,46 +283,37 @@ def cmd_evolve(cfg, built, out_dir):
         energy_expectation(scenario, t),
         dyson_residual(scenario.a, scenario.lam, params, rates, t),
     )
-    path = out_dir / "evolve.csv"
-    _write_csv(
-        path,
-        (
-            "t",
-            "gamma3",
-            "gamma4",
-            "beta1",
-            "beta2",
-            "beta3",
-            "beta4",
-            "f_plus",
-            "f_minus",
-            "energy",
-            "dyson_residual",
-        ),
-        np.column_stack(columns),
+    header = (
+        "t",
+        "gamma3",
+        "gamma4",
+        "beta1",
+        "beta2",
+        "beta3",
+        "beta4",
+        "f_plus",
+        "f_minus",
+        "energy",
+        "dyson_residual",
     )
-    print(f"wrote {path}")
-    return 0
+    return {"evolve.csv": (header, np.column_stack(columns))}, 0
 
 
-def cmd_spectrum(cfg, built, out_dir):
+def cmd_spectrum(cfg, built):
     xy_cfg = cfg["static"]["xy"]
     k_cfg = cfg["static"]["k"]
+    outputs = {}
     report = []
     xy = built["xy"]
-    report.append(f"space-coupled model: exceptional point at |coupling| = {_fmt(xy.ep_bound())}")
+    report.append(f"space-coupled model: exceptional point at |coupling| = {xy.ep_bound():.17g}")
     try:
         theta, wx, wy = decouple_xy(xy)
         report.append(
-            f"  decoupled: theta = {_fmt(theta)}, "
-            f"omega_x = {_fmt(wx)}, omega_y = {_fmt(wy)}"
+            f"  decoupled: theta = {theta:.17g}, "
+            f"omega_x = {wx:.17g}, omega_y = {wy:.17g}"
         )
         levels = spectrum_xy(wx, wy, xy_cfg["n_max"], xy_cfg["m_max"])
-        _write_csv(
-            out_dir / "spectrum_xy.csv",
-            ("energy", "n", "m"),
-            [(e, n, m) for e, n, m in levels],
-        )
+        outputs["spectrum_xy.csv"] = (("energy", "n", "m"), levels)
         report.append("  wrote spectrum_xy.csv")
     except ExceptionalPointError as err:
         report.append(f"  no real decoupling: {err}")
@@ -342,23 +333,19 @@ def cmd_spectrum(cfg, built, out_dir):
         theta, herm = result
         c = herm.vector.real
         report.append(
-            f"algebraic model: decoupled with theta = {_fmt(theta)}; "
-            f"frequencies {_fmt(c[0])}, {_fmt(c[1])}"
+            f"algebraic model: decoupled with theta = {theta:.17g}; "
+            f"frequencies {c[0]:.17g}, {c[1]:.17g}"
         )
         rows = sorted(
             ((n + 0.5) * c[0] + (m + 0.5) * c[1], 0.0, n, m) for n, m in pairs
         )
-    _write_csv(out_dir / "spectrum_k.csv", ("energy_re", "energy_im", "n", "m"), rows)
+    outputs["spectrum_k.csv"] = (("energy_re", "energy_im", "n", "m"), rows)
     report.append("wrote spectrum_k.csv")
-    path = out_dir / "ep_report.txt"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(report) + "\n")
-    print("\n".join(report))
-    print(f"wrote {path}")
-    return 0
+    outputs["ep_report.txt"] = "\n".join(report) + "\n"
+    return outputs, 0
 
 
-def cmd_modes(cfg, built, out_dir):
+def cmd_modes(cfg, built):
     scenario = built["scenario"]
     mg = cfg["modes_grid"]
     axis = np.linspace(mg["x_min"], mg["x_max"], mg["points"])
@@ -367,13 +354,10 @@ def cmd_modes(cfg, built, out_dir):
     for t in mg["times"]:
         psi = product_state(scenario.n, scenario.m, scenario, x, y, t)
         rows.append(np.column_stack((x, y, np.full_like(x, t), psi.real, psi.imag)))
-    path = out_dir / "modes.csv"
-    _write_csv(path, ("x", "y", "t", "re_psi", "im_psi"), rows)
-    print(f"wrote {path}")
-    return 0
+    return {"modes.csv": (("x", "y", "t", "re_psi", "im_psi"), rows)}, 0
 
 
-def cmd_oracle(cfg, built, out_dir):
+def cmd_oracle(cfg, built):
     scenario, basis = built["scenario"], built["basis"]
     size, buffer = basis.size, cfg["oracle"]["buffer"]
     gens = build_generators(basis)
@@ -389,31 +373,20 @@ def cmd_oracle(cfg, built, out_dir):
     floors, observed = metric_spectrum_report(basis, gens, params)
     safe = size - buffer + 1
     columns = (times, dy, qh, np.min(floors, axis=0), np.min(observed[:safe], axis=0))
-    path = out_dir / "oracle.csv"
-    _write_csv(
-        path,
-        (
-            "t",
-            "dyson_residual",
-            "quasi_hermiticity_residual",
-            "metric_floor_min",
-            "metric_observed_min",
-        ),
-        np.column_stack(columns),
+    header = (
+        "t",
+        "dyson_residual",
+        "quasi_hermiticity_residual",
+        "metric_floor_min",
+        "metric_observed_min",
     )
-    print(f"wrote {path}")
-    return 0
+    return {"oracle.csv": (header, np.column_stack(columns))}, 0
 
 
-def cmd_validate(cfg, built, out_dir):
+def cmd_validate(cfg, built):
     results = validation.run_all()
-    report = validation.format_report(results)
-    path = out_dir / "validate.txt"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report + "\n")
-    print(report)
-    print(f"wrote {path}")
-    return 0 if all(r.passed for r in results) else 1
+    report = validation.format_report(results) + "\n"
+    return {"validate.txt": report}, 0 if all(r.passed for r in results) else 1
 
 
 _COMMANDS = {
@@ -437,9 +410,11 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         built = validate_config(cfg)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.subcommand](cfg, built, out_dir)
+        outputs, status = _COMMANDS[args.subcommand](cfg, built)
+        texts = {
+            name: out if isinstance(out, str) else _csv_text(name, *out)
+            for name, out in outputs.items()
+        }
     except (
         ConfigError,
         ConstraintViolationError,
@@ -455,9 +430,19 @@ def main(argv=None):
         TruncationError,
         ExceptionalPointError,
         np.linalg.LinAlgError,
+        OverflowError,
     ) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    print("".join(out for out in outputs.values() if isinstance(out, str)), end="")
+    for name in texts:
+        print(f"wrote {out_dir / name}")
+    return status
 
 
 if __name__ == "__main__":

@@ -176,6 +176,8 @@ class TimeProfile:
         self.t_max = float(t_max)
         if self.t_max <= 0:
             raise DomainError(f"t_max must be > 0, got {t_max}")
+        slack = _DOMAIN_SLACK * max(1.0, self.t_max if np.isfinite(self.t_max) else 1.0)
+        self._lower, self._upper = -slack, self.t_max + slack
 
     # -- factories ---------------------------------------------------------
 
@@ -276,9 +278,13 @@ class TimeProfile:
     # -- evaluation --------------------------------------------------------
 
     def _check_domain(self, t):
+        # fmin/fmax skip NaN, so a NaN passes and its neighbours are still
+        # checked; an empty array passes
         t = np.asarray(t, dtype=float)
-        slack = _DOMAIN_SLACK * max(1.0, self.t_max if np.isfinite(self.t_max) else 1.0)
-        if np.any(t < -slack) or np.any(t > self.t_max + slack):
+        if (
+            np.fmin.reduce(t, axis=None, initial=np.inf) < self._lower
+            or np.fmax.reduce(t, axis=None, initial=-np.inf) > self._upper
+        ):
             raise DomainError(
                 f"time outside profile domain [0, {self.t_max}]"
             )

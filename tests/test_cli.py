@@ -633,6 +633,68 @@ def test_oracle_refuses_a_buffer_that_covers_the_basis(tmp_path, capsys):
     assert not (tmp_path / "oracle.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "patch, fragment",
+    [
+        # spectrum_xy.csv is computed first and is finite; spectrum_k.csv is not
+        (
+            {"static": {"k": {"a": 1e308, "b": 1e308}}},
+            "energy_re = inf at row 2 in spectrum_k.csv; no file written",
+        ),
+        # plain-float overflow in the decoupling and in the exceptional point
+        ({"static": {"k": {"a": 1e308}}}, ""),
+        ({"static": {"xy": {"omega_y": 1e200}}}, ""),
+    ],
+    ids=["inf-level", "overflow-k", "overflow-xy"],
+)
+def test_a_failing_run_writes_no_file(tmp_path, capsys, patch, fragment):
+    cfg = write_config(tmp_path, patch)
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure:")
+    assert fragment in captured.err
+    assert captured.out == ""
+    assert list(out.glob("*")) == []
+
+
+def test_stdout_echoes_the_report_and_lists_each_file_written(tmp_path, capsys):
+    assert cli.main(["spectrum", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    report = (tmp_path / "ep_report.txt").read_text(encoding="utf-8")
+    assert out == report + "".join(
+        f"wrote {tmp_path / name}\n"
+        for name in ("spectrum_xy.csv", "spectrum_k.csv", "ep_report.txt")
+    )
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_commands_return_their_outputs_and_write_nothing(
+    tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.chdir(tmp_path)
+    cfg = cli._read(
+        {"grid": {"samples": 5}, "oracle": {"size": 4}, "modes_grid": {"points": 3}},
+        cli.DEFAULT_CONFIG,
+    )
+    outputs, status = cli._COMMANDS[command](cfg, cli.validate_config(cfg))
+    assert status == 0
+    assert outputs and all(isinstance(out, (str, tuple)) for out in outputs.values())
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_text_matches_per_value_formatting():
+    values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]
+    values += [0.1, -0.1, 1.0, -3.0, 2.0**53, 1 / 3]
+    header = ("t", "a", "b", "c")
+    rows = np.array(values).reshape(-1, len(header))
+    expected = "t,a,b,c\n" + "".join(
+        ",".join(f"{float(x):.17g}" for x in row) + "\n" for row in rows
+    )
+    assert cli._csv_text("table.csv", header, rows) == expected
+
+
 def test_main_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

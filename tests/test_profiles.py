@@ -112,6 +112,27 @@ def test_domain_violations():
         TimeProfile.constant(1.0, t_max=0.0)
 
 
+@pytest.mark.parametrize(
+    "t_max, edge, slack",
+    [(5.0, 5.0, 5e-9), (np.inf, 0.0, -1e-9)],
+    ids=["finite", "infinite"],
+)
+def test_domain_slack_edges(t_max, edge, slack):
+    # the domain reaches past each edge by 1e-9 * max(1, t_max), or by 1e-9
+    # when t_max is infinite; NaN and the empty array pass
+    p = TimeProfile.sinusoid(1.0, 0.2, 2.0, t_max=t_max)
+    inside, outside = edge + 0.5 * slack, edge + 2.0 * slack
+    accepted = (inside, np.array([1.0, inside]), np.nan, np.array([np.nan, inside]))
+    for t in accepted + (np.array([]),):
+        p(t)
+        p.cumulative(t)
+    for t in (outside, np.array([1.0, outside]), np.array([np.nan, outside])):
+        with pytest.raises(DomainError, match="outside profile domain"):
+            p(t)
+        with pytest.raises(DomainError, match="outside profile domain"):
+            p.derivative(t)
+
+
 def test_tabulated_construction_guards():
     with pytest.raises(DomainError):
         TimeProfile.tabulated([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])  # too few
