@@ -435,10 +435,15 @@ def main(argv=None):
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as err:
+        # files written before a failed one stay on disk
+        print(f"output error: {err}", file=sys.stderr)
+        return 2
     print("".join(out for out in outputs.values() if isinstance(out, str)), end="")
     for name in texts:
         print(f"wrote {out_dir / name}")

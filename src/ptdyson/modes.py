@@ -212,6 +212,16 @@ def k1_expectation(spec):
     return (spec.n + 0.5) * np.sqrt(1.0 + spec.ktilde**2)
 
 
+def product_specs(n, m, scenario):
+    """The two mode channels of a 2D product.
+
+    Mode n on x under f_plus and mode m on y under f_minus.
+    """
+    spec_x = ModeSpec(n, f_plus_profile(scenario), scenario.ktilde_plus, "+")
+    spec_y = ModeSpec(m, f_minus_profile(scenario), scenario.ktilde_minus, "-")
+    return spec_x, spec_y
+
+
 def product_state(n, m, scenario, x, y, t):
     """The 2D solution for h(t): one mode per axis with the split drivers.
 
@@ -219,6 +229,5 @@ def product_state(n, m, scenario, x, y, t):
     x[:, None] and y[None, :], so each mode is evaluated once per axis
     point rather than once per grid point.
     """
-    spec_x = ModeSpec(n, f_plus_profile(scenario), scenario.ktilde_plus, "+")
-    spec_y = ModeSpec(m, f_minus_profile(scenario), scenario.ktilde_minus, "-")
+    spec_x, spec_y = product_specs(n, m, scenario)
     return pedrosa_mode(spec_x, x, t) * pedrosa_mode(spec_y, y, t)

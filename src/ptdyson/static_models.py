@@ -27,6 +27,14 @@ from .modes import hermite
 MAX_EIGENSTATE_DEGREE = 20
 
 
+def _square(name, value):
+    """value**2 of a plain float; an overflow names the quantity and its value."""
+    try:
+        return value**2
+    except OverflowError:
+        raise OverflowError(f"{name} = {value:g}: its square overflows a float") from None
+
+
 @dataclass(frozen=True)
 class XYModel:
     """Mass, two frequencies, and the imaginary space-space coupling."""
@@ -44,7 +52,8 @@ class XYModel:
 
     def ep_bound(self):
         """|coupling| must stay strictly below this for the decoupling."""
-        return abs(self.m * (self.omega_y**2 - self.omega_x**2)) / 2.0
+        squares = _square("omega_y", self.omega_y) - _square("omega_x", self.omega_x)
+        return abs(self.m * squares) / 2.0
 
 
 @dataclass(frozen=True)
@@ -122,7 +131,7 @@ def decouple_K(model):
     if abs(lam) < abs(a - b):
         theta = float(np.arctanh(lam / (b - a)))
         mean = 0.5 * (a + b)
-        split = 0.5 * np.sqrt((a - b) ** 2 - lam**2)
+        split = 0.5 * np.sqrt(_square("a - b", a - b) - lam**2)
         return theta, AlgebraElement([mean + split, mean - split, 0.0, 0.0])
     return BrokenRegime(complete=(a == b))
 

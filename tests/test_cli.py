@@ -658,6 +658,41 @@ def test_a_failing_run_writes_no_file(tmp_path, capsys, patch, fragment):
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize(
+    "patch, fragment",
+    [
+        ({"static": {"k": {"a": 1e308}}}, "a - b = 1e+308: its square overflows"),
+        ({"static": {"xy": {"omega_y": 1e200}}}, "omega_y = 1e+200: its square overflows"),
+    ],
+    ids=["k", "xy"],
+)
+def test_an_overflow_names_the_quantity_and_its_value(tmp_path, capsys, patch, fragment):
+    cfg = write_config(tmp_path, patch)
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {fragment} a float\n"
+
+
+def test_an_out_path_that_is_a_file_exits_cleanly(tmp_path, capsys):
+    out = tmp_path / "F"
+    out.write_text("kept", encoding="utf-8")
+    assert cli.main(["spectrum", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert out.read_text(encoding="utf-8") == "kept"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_a_file_that_cannot_be_written_exits_cleanly(tmp_path, capsys):
+    (tmp_path / "ep_report.txt").mkdir()
+    assert cli.main(["spectrum", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error:")
+    assert "ep_report.txt" in captured.err
+    assert captured.out == ""
+
+
 def test_stdout_echoes_the_report_and_lists_each_file_written(tmp_path, capsys):
     assert cli.main(["spectrum", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

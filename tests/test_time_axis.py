@@ -7,6 +7,8 @@ parameters the same way, and so do the mode functions, the scale-equation
 residuals, the mode quadrature and the number-basis residuals.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -51,8 +53,10 @@ from ptdyson import (
     verify_dyson,
     verify_quasi_hermiticity,
 )
+from ptdyson import validation
 from ptdyson.dyson import central_derivatives, driver_value
 from ptdyson.validation import (
+    default_scenario,
     mode_k1_quadrature,
     panel_quadrature,
     refining_quadrature,
@@ -281,7 +285,10 @@ def _tdse_residual_2d_on_meshgrid(scenario, t, grid_step, time_step, half_width)
     h_psi = f_plus * 0.5 * (-lap_x + x[1:-1, 1:-1] ** 2 * inner)
     h_psi += f_minus * 0.5 * (-lap_y + y[1:-1, 1:-1] ** 2 * inner)
     resid = 1.0j * dpsi[1:-1, 1:-1] - h_psi
-    return float(np.linalg.norm(resid) / np.linalg.norm(h_psi))
+    # sums of squares per row, then over rows: the order the slabs add in
+    resid_sq = np.sum(resid.real**2 + resid.imag**2, axis=1).sum()
+    h_psi_sq = np.sum(h_psi.real**2 + h_psi.imag**2, axis=1).sum()
+    return float(np.sqrt(resid_sq / h_psi_sq))
 
 
 def test_tdse_residual_2d_matches_meshgrid_evaluation():
@@ -289,6 +296,28 @@ def test_tdse_residual_2d_matches_meshgrid_evaluation():
         got = tdse_residual_2d(SCENARIO, t, grid_step=0.1, half_width=5.0)
         want = _tdse_residual_2d_on_meshgrid(SCENARIO, t, 0.1, 1e-3, 5.0)
         assert got == want
+
+
+def test_tdse_residual_2d_does_not_depend_on_the_slab_height(monkeypatch):
+    # grid step 0.1 on half-width 5 leaves 99 interior rows
+    got = []
+    for rows in (1, 7, 99, 10_000):
+        monkeypatch.setattr(validation, "_SLAB_ROWS", rows)
+        got.append(tdse_residual_2d(SCENARIO, 0.7, grid_step=0.1, half_width=5.0))
+    assert got[1:] == got[:-1]
+
+
+def test_tdse_residual_2d_holds_no_whole_grid_array():
+    # one 561 x 561 complex array is 4.8 MiB; whole-grid evaluation peaks at 43
+    scenario = default_scenario()
+    tdse_residual_2d(scenario, 0.7, grid_step=0.025)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        tdse_residual_2d(scenario, 0.7, grid_step=0.025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_number_basis_residuals_per_time_match_single_time_calls():
