@@ -329,7 +329,9 @@ def _line_eigenvalues(v, j_ops, center, k):
     pn, qn = np.linalg.norm(p), np.linalg.norm(q)
     if mu2 <= 0.0 or qn <= 1e-13 * max(pn, 1.0):
         return np.linalg.eigvals(block)
-    axis = np.cross(p, q)
+    # p x q written out; on 3-vectors np.cross costs ~30x the arithmetic
+    (p1, p2, p3), (q1, q2, q3) = p.tolist(), q.tolist()
+    axis = np.array([p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1])
     axis_norm = np.linalg.norm(axis)
     if axis_norm <= 1e-13 * pn * qn:
         return np.linalg.eigvals(block)

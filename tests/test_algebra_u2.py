@@ -188,3 +188,122 @@ def test_time_term_matches_difference_quotient():
 def test_hermiticity_flag():
     assert AlgebraElement((1.0, 2.0, -0.3, 0.1)).is_hermitian()
     assert not AlgebraElement((1.0, 2.0, -0.3 + 1e-6j, 0.1)).is_hermitian()
+
+
+def _expm_reference(g):
+    """The four factors, eta and eta^{-1} per sample from scipy expm and @."""
+    factors, eta, eta_inv = [], [], []
+    for k in range(g.shape[1]):
+        f = [expm(g[i, k] * BASIS_MATRICES[i]) for i in range(4)]
+        f_inv = [expm(-g[i, k] * BASIS_MATRICES[i]) for i in range(4)]
+        factors.append(f)
+        eta.append(f[0] @ f[1] @ f[2] @ f[3])
+        eta_inv.append(f_inv[3] @ f_inv[2] @ f_inv[1] @ f_inv[0])
+    return factors, np.array(eta), np.array(eta_inv)
+
+
+def _etadot_reference(factors, gdot):
+    """Product rule over the ordered factors: sum_i gdot_i F1..(K_i F_i)..F4."""
+    out = []
+    for k, f in enumerate(factors):
+        total = np.zeros((2, 2), dtype=complex)
+        for i in range(4):
+            left, right = np.eye(2), np.eye(2)
+            for j in range(i):
+                left = left @ f[j]
+            for j in range(i, 4):
+                right = right @ f[j]
+            total += gdot[i, k] * left @ BASIS_MATRICES[i] @ right
+        out.append(total)
+    return np.array(out)
+
+
+def _scale(m):
+    return np.linalg.norm(m, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("layout", ["scalar", "stacked", "broadcast"])
+def test_group_helpers_match_expm_products(layout):
+    # |gamma| up to 8: eta and its inverse reach entries of e^8 ~ 3e3, so
+    # each error is read against ||eta|| ||a|| ||eta^-1||; the bound is
+    # scipy's, whose expm of one mixing factor is off by up to ~1e-14
+    # relative at these angles (the closed forms are within an ulp)
+    rng = np.random.default_rng(61)
+    count = 1 if layout == "scalar" else 40
+    g = rng.uniform(-8.0, 8.0, size=(4, count))
+    if layout == "broadcast":
+        g[1] = g[0] = g[0, 0]
+        params = DysonParams(g[0, 0], g[1, 0], g[2], g[3])
+    elif layout == "scalar":
+        params = DysonParams(*g[:, 0])
+    else:
+        params = DysonParams(*g)
+    c = rng.normal(size=(4, count)) + 1j * rng.normal(size=(4, count))
+    gdot = rng.normal(size=(4, count))
+    if layout == "scalar":
+        a, rates = AlgebraElement(c[:, 0]), gdot[:, 0]
+    else:
+        a, rates = AlgebraElement(c), gdot
+
+    factors, eta, eta_inv = _expm_reference(g)
+    image = np.array([to_matrix(AlgebraElement(c[:, k])) for k in range(count)])
+    want_conj = eta @ image @ eta_inv
+    want_term = 1j * _etadot_reference(factors, gdot) @ eta_inv
+
+    got_eta, got_inv = group_matrix(params), group_inverse(params)
+    got_conj, got_term = conjugate(params, a).vector, time_term(params, rates).vector
+    if layout == "scalar":
+        assert got_eta.shape == got_inv.shape == (2, 2)
+        assert got_conj.shape == got_term.shape == (4,)
+    else:
+        assert got_eta.shape == got_inv.shape == (count, 2, 2)
+        assert got_conj.shape == got_term.shape == (4, count)
+    cond = _scale(eta) * _scale(eta_inv)
+    conj_m, term_m = to_matrix(AlgebraElement(got_conj)), to_matrix(AlgebraElement(got_term))
+    got = {
+        "eta": (got_eta, eta, _scale(eta)),
+        "inverse": (got_inv, eta_inv, _scale(eta_inv)),
+        "conjugate": (conj_m, want_conj, cond * _scale(image)),
+        "time term": (term_m, want_term, cond * np.linalg.norm(gdot, axis=0)),
+    }
+    for name, (value, want, scale) in got.items():
+        err = _scale(np.reshape(value, want.shape) - want) / scale
+        assert np.max(err) < 1e-13, name
+
+
+def test_stacked_group_helpers_equal_per_sample_calls_bit_for_bit():
+    # the layer is entry-wise, so stacking changes no rounding
+    rng = np.random.default_rng(67)
+    count = 37
+    g = rng.uniform(-8.0, 8.0, size=(4, count))
+    c = rng.normal(size=(4, count)) + 1j * rng.normal(size=(4, count))
+    gdot = rng.normal(size=(4, count))
+    for params, one in (
+        (DysonParams(*g), lambda k: DysonParams(*g[:, k])),
+        (
+            DysonParams(0.4, 0.4, g[2], g[3]),
+            lambda k: DysonParams(0.4, 0.4, g[2, k], g[3, k]),
+        ),
+    ):
+        eta, inv = group_matrix(params), group_inverse(params)
+        image = conjugate(params, AlgebraElement(c)).vector
+        term = time_term(params, gdot).vector
+        for k in range(count):
+            assert (eta[k] == group_matrix(one(k))).all()
+            assert (inv[k] == group_inverse(one(k))).all()
+            want = conjugate(one(k), AlgebraElement(c[:, k])).vector
+            assert (image[:, k] == want).all()
+            assert (term[:, k] == time_term(one(k), gdot[:, k]).vector).all()
+
+
+def test_scalar_params_broadcast_against_stacked_coefficients():
+    rng = np.random.default_rng(71)
+    params = DysonParams(*rng.normal(size=4))
+    c = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+    gdot = rng.normal(size=(4, 6))
+    image = conjugate(params, AlgebraElement(c)).vector
+    term = time_term(params, gdot).vector
+    assert image.shape == term.shape == (4, 6)
+    for k in range(6):
+        assert (image[:, k] == conjugate(params, AlgebraElement(c[:, k])).vector).all()
+        assert (term[:, k] == time_term(params, gdot[:, k]).vector).all()
