@@ -56,7 +56,6 @@ from .errors import (
     IntegrationError,
     PtdysonError,
     SingularEvaluationError,
-    TruncationError,
     UnsupportedDegreeError,
 )
 from .fock_oracle import (
@@ -68,7 +67,6 @@ from .fock_oracle import (
     dyson_residuals,
     element_matrix,
     invariant_eigen_flow,
-    map_state,
     metric_floor,
     metric_spectrum_report,
     quasi_hermiticity_residuals,

@@ -41,7 +41,6 @@ from .errors import (
     IntegrationError,
     NonFiniteOutputError,
     SingularEvaluationError,
-    TruncationError,
     UnsupportedDegreeError,
 )
 from .fock_oracle import (
@@ -427,7 +426,6 @@ def main(argv=None):
         IntegrationError,
         NonFiniteOutputError,
         SingularEvaluationError,
-        TruncationError,
         ExceptionalPointError,
         np.linalg.LinAlgError,
         OverflowError,

@@ -40,10 +40,6 @@ class UnsupportedDegreeError(PtdysonError):
     """Polynomial degree above the supported cap."""
 
 
-class TruncationError(PtdysonError):
-    """State has support outside the truncation-safe subspace."""
-
-
 class NonFiniteOutputError(PtdysonError):
     """A computed table holds NaN or inf. The message names column and time."""
 

@@ -16,9 +16,9 @@ the only dense (dim x dim) view, for callers that want one matrix.
 
 Conditioning, not truncation, is the real constraint: the group factors
 grow like exp(|gamma| * k) on block k, so checks that invert or normalize
-by the map are run on the low blocks and the `buffer` arguments exist to
-keep state-mapping honest when vectors were produced by operators that do
-mix blocks (position, momentum).
+by the map are run on the low blocks, and the residuals' `buffer` argument
+skips the top blocks, where the fastest-growing singular direction makes
+the finite-difference step stop being the leading error.
 """
 
 import numpy as np
@@ -26,13 +26,12 @@ import numpy as np
 from .algebra_u2 import DysonParams
 from .dyson import scenario_params
 from .energy import f_pm
-from .errors import ConstraintViolationError, TruncationError
+from .errors import ConstraintViolationError
 from .invariants import alpha_coeffs
 
 MIN_SIZE = 2
 MAX_SIZE = 60
 
-_SUPPORT_TOL = 1e-14
 # Bytes of one residual stack of block maps over times and stencil rows;
 # the residuals take times in chunks that keep the top block under it.
 _STACK_BYTES = 2**19
@@ -42,8 +41,8 @@ class FockBasis:
     """Two-mode number states (na, nb) with na + nb <= size.
 
     Flat ordering is by total k = na + nb, first-mode count descending
-    inside each block, so index(na, nb) = k (k + 1) / 2 + nb and the block
-    of total k occupies a contiguous slice of length k + 1.
+    inside each block, so state (na, nb) sits at k (k + 1) / 2 + nb and the
+    block of total k occupies a contiguous slice of length k + 1.
     """
 
     def __init__(self, size):
@@ -52,16 +51,7 @@ class FockBasis:
                 f"size must satisfy {MIN_SIZE} <= size <= {MAX_SIZE}, got {size}"
             )
         self.size = int(size)
-        self.states = [
-            (k - nb, nb) for k in range(self.size + 1) for nb in range(k + 1)
-        ]
         self.dim = (self.size + 1) * (self.size + 2) // 2
-
-    def index(self, na, nb):
-        if na < 0 or nb < 0 or na + nb > self.size:
-            raise ConstraintViolationError(f"state ({na}, {nb}) outside the basis")
-        k = na + nb
-        return k * (k + 1) // 2 + nb
 
     def block_slice(self, k):
         if not 0 <= k <= self.size:
@@ -155,9 +145,10 @@ def build_eta_inverse(basis, gens, params):
 
 
 # Second-order first derivatives times 2 h, as (offset / h, weight) per node:
-# central (with a zero-weight centre node), forward, backward.
+# central, forward, backward.  Every row starts at the time itself, so the
+# first node's map is the map at t.
 _STENCILS = np.array([
-    [(1.0, 1.0), (-1.0, -1.0), (0.0, 0.0)],
+    [(0.0, 0.0), (1.0, 1.0), (-1.0, -1.0)],
     [(0.0, -3.0), (1.0, 4.0), (2.0, -1.0)],
     [(0.0, 3.0), (-1.0, -4.0), (-2.0, 1.0)],
 ])
@@ -195,20 +186,22 @@ def _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer):
     times = np.atleast_1d(np.asarray(times, dtype=float))
     nodes, weights = _fd_stencil(times, fd_step, scenario.t_max())
     gammas = scenario_params(
-        scenario.ep_constants(), scenario.lam, np.vstack([times, nodes]), q1=scenario.q1
+        scenario.ep_constants(), scenario.lam, nodes, q1=scenario.q1
     ).as_array()
     # per-time coefficients and stencil weights, broadcast against the blocks
     coeffs = np.array(
         [scenario.a(times), scenario.lam(times), *f_pm(scenario, times), *weights]
     )[..., None, None]
-    step = max(1, _STACK_BYTES // (64 * (k_top + 1) ** 2))
+    # 16 bytes per complex entry, one map per stencil row
+    step = max(1, _STACK_BYTES // (16 * len(_STENCILS[0]) * (k_top + 1) ** 2))
     chunks = [slice(i, i + step) for i in range(0, times.size, step)]
     worst = np.zeros(times.shape)
     for g, f in zip(gens, _block_factors(gens[: k_top + 1])):
         k1, k2, k3 = g[:3]
         for sl in chunks:
             a_t, lam_t, f_plus, f_minus, *w = coeffs[:, sl]
-            eta, *stencil = _block_map(f, DysonParams(*gammas[..., sl]))
+            stencil = _block_map(f, DysonParams(*gammas[..., sl]))
+            eta = stencil[0]
             eta_dot = sum(wi * m for wi, m in zip(w, stencil)) / (2.0 * fd_step)
             ham = a_t * (k1 + k2) + 1j * lam_t * k3
             herm = f_plus * k1 + f_minus * k2
@@ -380,35 +373,6 @@ def invariant_eigen_flow(coeffs, lam, times, basis, gens=None):
         for ref, now in zip(reference, block_eigs(*snapshot)):
             drift = max(drift, float(np.max(np.abs(now - ref))))
     return reference, drift
-
-
-def map_state(basis, gens, params, psi, inverse=False, buffer=2):
-    """Apply the frame map (or its inverse) to a basis-expanded state.
-
-    inverse=False sends a state of the non-Hermitian frame to the Hermitian
-    frame; inverse=True undoes it.  The map itself is block exact, but a
-    vector produced by block-mixing operators is only trustworthy below the
-    truncation edge, so any support on the top `buffer` blocks beyond
-    1e-14 of the norm raises TruncationError.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (basis.dim,):
-        raise ConstraintViolationError(
-            f"state must have length {basis.dim}, got shape {psi.shape}"
-        )
-    total = np.linalg.norm(psi)
-    if total > 0.0 and buffer > 0:
-        edge = basis.block_slice(max(basis.size - buffer + 1, 0)).start
-        spill = np.linalg.norm(psi[edge:])
-        if spill > _SUPPORT_TOL * total:
-            raise TruncationError(
-                f"state has relative support {spill / total:.3e} on the top "
-                f"{buffer} blocks; result would not be truncation safe"
-            )
-    return np.concatenate([
-        _block_map(f, params, inverse) @ psi[basis.block_slice(k)]
-        for k, f in enumerate(_block_factors(gens))
-    ])
 
 
 def metric_floor(params, k):

@@ -60,7 +60,6 @@ from .fock_oracle import (
     metric_spectrum_report,
     sort_along_line,
     verify_dyson,
-    verify_quasi_hermiticity,
 )
 from .invariants import (
     alpha_coeffs,
@@ -224,25 +223,21 @@ def refining_quadrature(fn, lo, hi, tol=1e-10, panels=8):
 def mode_k1_quadrature(spec, t):
     """<mode| (p^2 + x^2)/2 |mode> by quadrature, norm divided out.
 
-    Scalar or array t; an array gives one value per entry from one
-    refining quadrature over all of them (each time settles on its own).
+    Scalar or array t; an array gives one value per entry.  Value and norm
+    of every time come from one refining quadrature, and each of them
+    settles on its own.
     """
     reach = 8.0 * math.sqrt(math.sqrt(1.0 + spec.ktilde**2) + abs(spec.ktilde))
     reach *= math.sqrt(spec.n + 1.0)
     # time on the leading axes, quadrature nodes on the trailing two
     t = np.asarray(t, dtype=float)[..., None, None]
 
-    def density(x):
-        p = pedrosa_mode(spec, x, t)
-        return np.conj(p) * p
-
     def integrand(x):
         p = pedrosa_mode(spec, x, t)
         pxx = pedrosa_mode_xx(spec, x, t)
-        return np.conj(p) * 0.5 * (-pxx + x**2 * p)
+        return np.array([np.conj(p) * 0.5 * (-pxx + x**2 * p), np.conj(p) * p])
 
-    value = refining_quadrature(integrand, -reach, reach)
-    norm = refining_quadrature(density, -reach, reach)
+    value, norm = refining_quadrature(integrand, -reach, reach)
     return value / norm
 
 

@@ -20,7 +20,6 @@ from ptdyson import (
     f_pm,
     invariant_coeffs_for,
     invariant_eigen_flow,
-    map_state,
     metric_floor,
     metric_spectrum_report,
     quasi_hermiticity_residuals,
@@ -30,7 +29,7 @@ from ptdyson import (
     verify_quasi_hermiticity,
 )
 from ptdyson import fock_oracle
-from ptdyson.errors import ConstraintViolationError, TruncationError
+from ptdyson.errors import ConstraintViolationError
 
 A = TimeProfile.sinusoid(1.0, 0.2, 2.0)
 LAM = TimeProfile.sinusoid(0.5, 0.3, 1.0)
@@ -42,16 +41,27 @@ def default_scenario(**kw):
     return Scenario(**base)
 
 
+def flat_states(basis):
+    # the flat ordering of the number states, written out on its own: by
+    # total k = na + nb, first-mode count descending inside each block
+    return [(k - nb, nb) for k in basis.blocks() for nb in range(k + 1)]
+
+
+def flat_index(na, nb):
+    k = na + nb
+    return k * (k + 1) // 2 + nb
+
+
 def ladder_matrices(basis):
     # truncated lowering operators of the two modes
     dim = basis.dim
     low_a = np.zeros((dim, dim), dtype=complex)
     low_b = np.zeros((dim, dim), dtype=complex)
-    for idx, (na, nb) in enumerate(basis.states):
+    for idx, (na, nb) in enumerate(flat_states(basis)):
         if na >= 1:
-            low_a[basis.index(na - 1, nb), idx] = np.sqrt(na)
+            low_a[flat_index(na - 1, nb), idx] = np.sqrt(na)
         if nb >= 1:
-            low_b[basis.index(na, nb - 1), idx] = np.sqrt(nb)
+            low_b[flat_index(na, nb - 1), idx] = np.sqrt(nb)
     return low_a, low_b
 
 
@@ -60,16 +70,16 @@ def ladder_reference(basis):
     # state: a^dag a, b^dag b and the a^dag b / b^dag a hopping pair
     dim = basis.dim
     k1, k2, k3, k4 = (np.zeros((dim, dim), dtype=complex) for _ in range(4))
-    for idx, (na, nb) in enumerate(basis.states):
+    for idx, (na, nb) in enumerate(flat_states(basis)):
         k1[idx, idx] = na + 0.5
         k2[idx, idx] = nb + 0.5
         if nb >= 1:
-            jdx = basis.index(na + 1, nb - 1)
+            jdx = flat_index(na + 1, nb - 1)
             amp = 0.5 * np.sqrt((na + 1) * nb)
             k3[jdx, idx] += amp
             k4[jdx, idx] += -1j * amp
         if na >= 1:
-            jdx = basis.index(na - 1, nb + 1)
+            jdx = flat_index(na - 1, nb + 1)
             amp = 0.5 * np.sqrt(na * (nb + 1))
             k3[jdx, idx] += amp
             k4[jdx, idx] += 1j * amp
@@ -84,13 +94,11 @@ def dense_generators(gens):
 def test_basis_layout():
     basis = FockBasis(2)
     assert basis.dim == 6
-    assert basis.states == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    for idx, (na, nb) in enumerate(basis.states):
-        assert basis.index(na, nb) == idx
+    assert flat_states(basis) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    for idx, (na, nb) in enumerate(flat_states(basis)):
+        assert flat_index(na, nb) == idx
     assert basis.block_slice(1) == slice(1, 3)
     assert list(basis.blocks()) == [0, 1, 2]
-    with pytest.raises(ConstraintViolationError):
-        basis.index(2, 1)
     with pytest.raises(ConstraintViolationError):
         basis.block_slice(3)
     with pytest.raises(ConstraintViolationError, match=r"^size must satisfy"):
@@ -161,7 +169,9 @@ def test_generators_against_ladder_definitions():
         0.5 * (x_a @ p_b - x_b @ p_a),
     )
     safe = [
-        idx for idx, (na, nb) in enumerate(basis.states) if na + nb <= basis.size - 2
+        idx
+        for idx, (na, nb) in enumerate(flat_states(basis))
+        if na + nb <= basis.size - 2
     ]
     grid = np.ix_(safe, safe)
     for built, defined in zip(gens, defs):
@@ -315,6 +325,76 @@ def test_stacked_residuals_equal_the_worst_per_time_call():
         per_time = [verify(sc, basis, [t], gens=gens) for t in times]
         assert verify(sc, basis, times, gens=gens) == max(per_time)
         assert max(per_time) < 1e-8
+
+
+def _dyson_defect(eta, eta_dot, ham, herm):
+    return eta @ ham + 1j * eta_dot - herm @ eta, eta
+
+
+def _metric_defect(eta, eta_dot, ham, herm):
+    eta_h, eta_dot_h, ham_h = (
+        np.swapaxes(m.conj(), -1, -2) for m in (eta, eta_dot, ham)
+    )
+    rho = eta_h @ eta
+    rho_dot = eta_dot_h @ eta + eta_h @ eta_dot
+    return ham_h @ rho - rho @ ham - 1j * rho_dot, rho
+
+
+def separate_map_residuals(defect, sc, basis, times, fd_step=1e-5, buffer=2):
+    # one time at a time, the map at t and the stencil nodes built as two
+    # separate block maps, the central stencil on its two outer nodes alone
+    gens = build_generators(basis)
+    consts = sc.ep_constants()
+    times = np.asarray(times, dtype=float)
+    h = fd_step
+    a_t, lam_t = sc.a(times), sc.lam(times)
+    f_plus, f_minus = f_pm(sc, times)
+    worst = np.zeros(times.shape)
+    for i, t in enumerate(times):
+        if t - h < 0.0:
+            offsets, weights = (0.0, 1.0, 2.0), (-3.0, 4.0, -1.0)
+        elif t + h <= sc.t_max():
+            offsets, weights = (1.0, -1.0), (1.0, -1.0)
+        else:
+            offsets, weights = (0.0, -1.0, -2.0), (3.0, -4.0, 1.0)
+        nodes = t + h * np.array(offsets)[:, None]
+        at_t = scenario_params(consts, sc.lam, np.array([t]), q1=sc.q1)
+        at_nodes = scenario_params(consts, sc.lam, nodes, q1=sc.q1)
+        safe = gens[: basis.size - buffer + 1]
+        for g, f in zip(safe, fock_oracle._block_factors(safe)):
+            eta = fock_oracle._block_map(f, at_t)
+            stencil = fock_oracle._block_map(f, at_nodes)
+            eta_dot = sum(w * m for w, m in zip(weights, stencil)) / (2.0 * h)
+            ham = a_t[i] * (g[0] + g[1]) + 1j * lam_t[i] * g[2]
+            herm = f_plus[i] * g[0] + f_minus[i] * g[1]
+            resid, scale = defect(eta, eta_dot, ham, herm)
+            ratio = np.linalg.norm(resid[0], 2) / np.linalg.norm(scale[0], 2)
+            worst[i] = max(worst[i], ratio)
+    return worst
+
+
+def test_the_map_at_t_from_the_stencil_equals_a_separate_map():
+    # the first stencil node is the time itself, so its map is the map at
+    # t; building that map on its own must give the same bits at interior
+    # times, at t = 0 (forward stencil) and at t_max (backward stencil)
+    bounded = default_scenario(
+        a=TimeProfile.sinusoid(1.0, 0.2, 2.0, t_max=5.0),
+        lam=TimeProfile.sinusoid(0.5, 0.3, 1.0, t_max=5.0),
+    )
+    cases = (
+        (default_scenario(), [0.7, 2.5, 6.1]),
+        (bounded, [0.0, 1.3, 2.9, 5.0 - 5e-6, 5.0]),
+    )
+    basis = FockBasis(8)
+    for sc, times in cases:
+        for residuals, defect in (
+            (dyson_residuals, _dyson_defect),
+            (quasi_hermiticity_residuals, _metric_defect),
+        ):
+            got = residuals(sc, basis, times)
+            want = separate_map_residuals(defect, sc, basis, times)
+            assert np.array_equal(got, want)
+            assert np.all(got < 1e-8)
 
 
 def test_residuals_do_not_depend_on_the_time_chunks(monkeypatch):
@@ -475,37 +555,6 @@ def test_invariant_spectrum_detects_tampering():
         np.linalg.eigvals(element_matrix(AlgebraElement(tampered), basis, gens)[2])
     )
     assert np.max(np.abs(dirty - clean)) > 1e-3
-
-
-def test_state_map_identity_and_norm_transport():
-    basis = FockBasis(8)
-    gens = build_generators(basis)
-    rng = np.random.default_rng(67)
-    psi = np.zeros(basis.dim, dtype=complex)
-    low = basis.block_slice(3).stop
-    psi[:low] = rng.normal(size=low) + 1j * rng.normal(size=low)
-    psi /= np.linalg.norm(psi)
-
-    assert np.max(np.abs(map_state(basis, gens, DysonParams(0, 0, 0, 0), psi) - psi)) < 1e-14
-
-    params = scenario_params(default_scenario().ep_constants(), LAM, 1.4)
-    psi_other = map_state(basis, gens, params, psi, inverse=True)
-    # the metric pairing of the pulled-back state equals the plain norm
-    # upstairs; evaluate it in the well-conditioned factored grouping
-    rho_norm = np.linalg.norm(map_state(basis, gens, params, psi_other)) ** 2
-    assert abs(rho_norm - 1.0) < 1e-10
-
-
-def test_state_map_guards():
-    basis = FockBasis(6)
-    gens = build_generators(basis)
-    params = DysonParams(0.0, 0.0, 0.3, 0.1)
-    with pytest.raises(ConstraintViolationError):
-        map_state(basis, gens, params, np.ones(5))
-    psi = np.zeros(basis.dim, dtype=complex)
-    psi[basis.index(5, 0)] = 1.0
-    with pytest.raises(TruncationError):
-        map_state(basis, gens, params, psi)
 
 
 def test_metric_floors_certify_positivity():

@@ -257,6 +257,39 @@ def test_mode_quadrature_takes_array_t():
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+def _two_pass_k1_quadrature(spec, t):
+    # value and norm as two separate refining quadratures, each evaluating
+    # the mode on its own
+    reach = 8.0 * np.sqrt(np.sqrt(1.0 + spec.ktilde**2) + abs(spec.ktilde))
+    reach *= np.sqrt(spec.n + 1.0)
+    t = np.asarray(t, dtype=float)[..., None, None]
+
+    def density(x):
+        p = pedrosa_mode(spec, x, t)
+        return np.conj(p) * p
+
+    def integrand(x):
+        p = pedrosa_mode(spec, x, t)
+        pxx = pedrosa_mode_xx(spec, x, t)
+        return np.conj(p) * 0.5 * (-pxx + x**2 * p)
+
+    value = refining_quadrature(integrand, -reach, reach)
+    norm = refining_quadrature(density, -reach, reach)
+    return value / norm
+
+
+def test_mode_quadrature_equals_the_two_pass_form_bit_for_bit():
+    # value and norm share one quadrature pass, yet each settles on its own
+    driver = f_plus_profile(default_scenario())
+    specs = (*SPECS, *(ModeSpec(n, driver, k, "+") for k in (0.0, 2.0) for n in (1, 3)))
+    for spec in specs:
+        for times in (1.7, np.array([0.3, 2.9, 7.4]), np.linspace(0.4, 9.6, 6)):
+            got = mode_k1_quadrature(spec, times)
+            want = _two_pass_k1_quadrature(spec, times)
+            assert np.shape(got) == np.shape(want)
+            assert np.all(got == want)
+
+
 def test_driver_value_names_the_first_singular_time():
     # (t - 1)(t - 2): zeros at 1 and 2, both on the grid
     driver = TimeProfile.polynomial([2.0, -3.0, 1.0])
