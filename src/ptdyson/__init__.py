@@ -14,8 +14,6 @@ from .algebra_u2 import (
     basis_element,
     commutator,
     conjugate,
-    factor_matrix,
-    from_matrix,
     group_inverse,
     group_matrix,
     time_term,
@@ -23,9 +21,7 @@ from .algebra_u2 import (
 )
 from .dyson import (
     EPConstants,
-    GammaTrajectory,
     chi_closed_form,
-    closed_form_trajectory,
     dyson_residual,
     energy_operator,
     ep_dissipative_residual,
@@ -62,7 +58,6 @@ from .fock_oracle import (
     FockBasis,
     broken_spectrum_numeric,
     build_eta,
-    build_eta_inverse,
     build_generators,
     dyson_residuals,
     element_matrix,

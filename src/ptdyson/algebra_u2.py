@@ -29,9 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Max imaginary coefficient magnitude for the Hermiticity classification.
-HERMITIAN_TOL = 1e-10
-
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
@@ -48,28 +45,20 @@ BASIS_MATRICES = (
 class AlgebraElement:
     """Complex coefficient 4-vector c over the generator basis.
 
-    Represents c[0]*K1 + c[1]*K2 + c[2]*K3 + c[3]*K4.  Immutable.  Each
-    coefficient may be a scalar or an array (one entry per sample); they
-    are broadcast together, so `vector` has shape (4, ...) and every
-    operation below acts sample by sample.
+    Represents c[0]*K1 + c[1]*K2 + c[2]*K3 + c[3]*K4.  Immutable: `vector`
+    is a read-only complex array.  Each coefficient may be a scalar or an
+    array (one entry per sample); they are broadcast together, so `vector`
+    has shape (4, ...) and every operation below acts sample by sample.
     """
 
-    coeffs: tuple
+    vector: np.ndarray
 
     def __init__(self, coeffs):
         c = np.array(np.broadcast_arrays(*coeffs), dtype=complex)
         if c.shape[:1] != (4,):
             raise ValueError("AlgebraElement needs exactly 4 coefficients")
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    @property
-    def vector(self):
-        return np.array(self.coeffs, dtype=complex)
-
-    def is_hermitian(self, tol=HERMITIAN_TOL):
-        # Generators are self-adjoint, so Hermiticity is reality of the
-        # coefficients.
-        return np.max(np.abs(self.vector.imag), axis=0) < tol
+        c.flags.writeable = False
+        object.__setattr__(self, "vector", c)
 
     def norm(self):
         """Euclidean norm over the coefficient axis, per sample."""
@@ -123,8 +112,8 @@ class DysonParams:
 
 def commutator(a, b):
     """[a, b] expanded in the generator basis via the structure constants."""
-    a1, a2, a3, a4 = a.coeffs
-    b1, b2, b3, b4 = b.coeffs
+    a1, a2, a3, a4 = a.vector
+    b1, b2, b3, b4 = b.vector
     c1 = 0.5j * (a3 * b4 - a4 * b3)
     c3 = 1.0j * ((a2 - a1) * b4 + a4 * (b1 - b2))
     c4 = 1.0j * ((a1 - a2) * b3 - a3 * (b1 - b2))
@@ -192,20 +181,6 @@ def _product(g, order):
 def to_matrix(a):
     """2x2 image of an element, shape (..., 2, 2)."""
     return _last(_image(a.vector))
-
-
-def from_matrix(m):
-    """Inverse of to_matrix on (..., 2, 2); the coefficient map is a bijection."""
-    m = np.asarray(m, dtype=complex)
-    return _element(m.transpose(-2, -1, *range(m.ndim - 2)))
-
-
-def factor_matrix(i, gamma):
-    """Closed-form exp(gamma K_i) in the 2x2 image, i in 1..4, gamma real.
-
-    Broadcasts over gamma: the result has shape gamma.shape + (2, 2).
-    """
-    return _last(_factor(i, np.asarray(gamma, dtype=float)))
 
 
 def group_matrix(params):

@@ -1,14 +1,15 @@
 """Batch front door: config in, CSV and reports out.
 
 One JSON config drives every subcommand; missing keys fall back to the
-bundled defaults below, so `ptdyson validate` with no flags runs the
-reference configuration.  One walk reads the config against the defaults:
-a key they lack is refused, a number takes its default's type (an int
-where the default is one), and a profile record of another kind than the
-default's replaces it and may hold only the fields its kind reads (the
-library's `TimeProfile.from_config` ignores the others).  `validate_config`
-then builds the run's objects once, each checking its own values, and the
-subcommands work on those.
+bundled defaults below.  `ptdyson validate` runs its own pinned inputs
+whatever the config, which it reads only to check; those inputs equal the
+defaults, and a test keeps the two in step.  One walk reads the config
+against the defaults: a key they lack is refused, a number takes its
+default's type (an int where the default is one), and a profile record of
+another kind than the default's replaces it and may hold only the fields
+its kind reads (the library's `TimeProfile.from_config` ignores the
+others).  `validate_config` then builds the run's objects once, each
+checking its own values, and the subcommands work on those.
 
 Commands compute and `main` writes: each `cmd_*` returns its outputs,
 {file name: (header, rows) or text}, and its exit status, and `main` checks
@@ -265,6 +266,12 @@ def _csv_text(name, header, rows):
     return ",".join(header) + "\n" + "".join(row % tuple(r) for r in table.tolist())
 
 
+def _table(columns):
+    """(header, rows) of a table given as ordered (name, column) pairs."""
+    header, values = zip(*columns)
+    return header, np.column_stack(values)
+
+
 def cmd_evolve(cfg, built):
     scenario, coeffs = built["scenario"], built["invariant"]
     consts = scenario.ep_constants()
@@ -272,30 +279,18 @@ def cmd_evolve(cfg, built):
     params = scenario_params(consts, scenario.lam, t, q1=scenario.q1)
     rates = scenario_rates(consts, scenario.lam, t)
     f_plus, f_minus = f_pm(scenario, t)
+    beta = beta_from_match(coeffs, scenario.lam, t)
     columns = (
-        t,
-        params.gamma3,
-        params.gamma4,
-        *beta_from_match(coeffs, scenario.lam, t),
-        f_plus,
-        f_minus,
-        energy_expectation(scenario, t),
-        dyson_residual(scenario.a, scenario.lam, params, rates, t),
+        ("t", t),
+        ("gamma3", params.gamma3),
+        ("gamma4", params.gamma4),
+        *((f"beta{i}", b) for i, b in enumerate(beta, start=1)),
+        ("f_plus", f_plus),
+        ("f_minus", f_minus),
+        ("energy", energy_expectation(scenario, t)),
+        ("dyson_residual", dyson_residual(scenario.a, scenario.lam, params, rates, t)),
     )
-    header = (
-        "t",
-        "gamma3",
-        "gamma4",
-        "beta1",
-        "beta2",
-        "beta3",
-        "beta4",
-        "f_plus",
-        "f_minus",
-        "energy",
-        "dyson_residual",
-    )
-    return {"evolve.csv": (header, np.column_stack(columns))}, 0
+    return {"evolve.csv": _table(columns)}, 0
 
 
 def cmd_spectrum(cfg, built):
@@ -371,15 +366,14 @@ def cmd_oracle(cfg, built):
     params = scenario_params(consts, scenario.lam, times, q1=scenario.q1)
     floors, observed = metric_spectrum_report(basis, gens, params)
     safe = size - buffer + 1
-    columns = (times, dy, qh, np.min(floors, axis=0), np.min(observed[:safe], axis=0))
-    header = (
-        "t",
-        "dyson_residual",
-        "quasi_hermiticity_residual",
-        "metric_floor_min",
-        "metric_observed_min",
+    columns = (
+        ("t", times),
+        ("dyson_residual", dy),
+        ("quasi_hermiticity_residual", qh),
+        ("metric_floor_min", np.min(floors, axis=0)),
+        ("metric_observed_min", np.min(observed[:safe], axis=0)),
     )
-    return {"oracle.csv": (header, np.column_stack(columns))}, 0
+    return {"oracle.csv": _table(columns)}, 0
 
 
 def cmd_validate(cfg, built):

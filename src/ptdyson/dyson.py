@@ -70,29 +70,16 @@ def fit_ep_constants(gamma3_0, gamma4_0):
     return EPConstants(q2=float(q2), q3=float(q3))
 
 
-@dataclass(frozen=True)
-class GammaTrajectory:
-    """Sampled map parameters with their method tag ('ode' or 'closed_form')."""
-
-    times: np.ndarray
-    gamma3: np.ndarray
-    gamma4: np.ndarray
-    method: str
-
-    def conserved(self):
-        """sinh(g4) cosh(g3) along the samples; constant up to solver drift."""
-        return np.sinh(self.gamma4) * np.cosh(self.gamma3)
-
-
 def solve_gamma_ode(lam, gamma3_0, gamma4_0, times):
     """Integrate the Hermiticity constraint system on the given grid.
 
     Classical RK4 with the same number of steps in every sample interval,
     doubled from 2 until the Richardson estimate |y_2n - y_n| / 15 of the
     error of the finer run is at most 1e-10 (1 + |y|) at every sample; the
-    finer run is returned.  Raises IntegrationError, with the failure time
-    in t_fail, where the driver is not finite, and where the state is not
-    finite or the estimate still fails at 1024 steps per interval.
+    finer run's (g3, g4), each shaped like times, is returned.  Raises
+    IntegrationError, with the failure time in t_fail, where the driver is
+    not finite, and where the state is not finite or the estimate still
+    fails at 1024 steps per interval.
     """
     times = np.asarray(times, dtype=float)
     y0 = (float(gamma3_0), float(gamma4_0))
@@ -105,9 +92,7 @@ def solve_gamma_ode(lam, gamma3_0, gamma4_0, times):
             # NaN (a run cut short) fails the comparison as well
             settled = np.all(error <= _ODE_TOL * (1.0 + np.abs(fine)), axis=0)
             if settled.all():
-                return GammaTrajectory(
-                    times=times, gamma3=fine[0], gamma4=fine[1], method="ode"
-                )
+                return fine[0], fine[1]
             if steps >= _ODE_MAX_STEPS:
                 t_fail = float(times[np.argmin(settled)])
                 raise IntegrationError(
@@ -178,15 +163,6 @@ def gamma_closed_form(lam, constants, t):
     g3 = np.arcsinh(np.sinh(u) / np.sqrt(1.0 - q3**2))
     g4 = np.arcsinh(constants.kappa / np.cosh(g3))
     return g3, g4
-
-
-def closed_form_trajectory(lam, constants, times):
-    times = np.asarray(times, dtype=float)
-    g3, g4 = gamma_closed_form(lam, constants, times)
-    return GammaTrajectory(
-        times=times, gamma3=np.asarray(g3), gamma4=np.asarray(g4),
-        method="closed_form",
-    )
 
 
 def gamma_rates(lam_value, gamma3, gamma4):

@@ -11,8 +11,8 @@ inside the two verification residuals.
 One routine builds a block of the map in either direction, for a stack of
 times at once, from mixing-generator eigensystems computed once per call;
 the two residuals share one routine that builds each block over chunks of
-times and all finite-difference nodes.  build_eta and build_eta_inverse are
-the only dense (dim x dim) view, for callers that want one matrix.
+times and all finite-difference nodes.  build_eta is the only dense
+(dim x dim) view, kept for the per-layer benchmark.
 
 Conditioning, not truncation, is the real constraint: the group factors
 grow like exp(|gamma| * k) on block k, so checks that invert or normalize
@@ -125,23 +125,14 @@ def _block_map(factors, params, inverse=False):
     return out
 
 
-def _dense_map(basis, gens, params, inverse):
+def build_eta(basis, gens, params):
+    """Dense matrix of the ordered-product group map, assembled block by block."""
     # the only dense (dim x dim) array of the module: the blocks on a diagonal
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     for k, f in enumerate(_block_factors(gens)):
         sl = basis.block_slice(k)
-        out[sl, sl] = _block_map(f, params, inverse)
+        out[sl, sl] = _block_map(f, params)
     return out
-
-
-def build_eta(basis, gens, params):
-    """Dense matrix of the ordered-product group map, assembled block by block."""
-    return _dense_map(basis, gens, params, inverse=False)
-
-
-def build_eta_inverse(basis, gens, params):
-    """Exact inverse: reversed factors with negated parameters."""
-    return _dense_map(basis, gens, params, inverse=True)
 
 
 # Second-order first derivatives times 2 h, as (offset / h, weight) per node:

@@ -31,7 +31,6 @@ from .algebra_u2 import (
 from .dyson import (
     _rk4_samples,
     chi_closed_form,
-    closed_form_trajectory,
     dyson_residual,
     energy_operator,
     ep_dissipative_residual,
@@ -140,7 +139,7 @@ def format_report(results):
 # shared fixtures
 
 
-def default_scenario(n=1, m=0):
+def default_scenario():
     return Scenario(
         a=TimeProfile.sinusoid(1.0, 0.2, 2.0),
         lam=TimeProfile.sinusoid(0.5, 0.3, 1.0),
@@ -148,8 +147,8 @@ def default_scenario(n=1, m=0):
         q3=0.4,
         ktilde_plus=0.5,
         ktilde_minus=0.5,
-        n=n,
-        m=m,
+        n=1,
+        m=0,
     )
 
 
@@ -358,7 +357,7 @@ def check_dyson_relation():
         dyson_residual(scenario.a, scenario.lam, params, rates, times)
     )
     basis = FockBasis(12)
-    worst_fock = verify_dyson(scenario, basis, sample_times())
+    worst_fock = verify_dyson(scenario, basis, times)
     return CheckResult(
         2,
         "dyson relation",
@@ -374,12 +373,12 @@ def check_route_equivalence():
     consts = scenario.ep_constants()
     times = sample_times()
     g30, g40 = gamma_closed_form(scenario.lam, consts, 0.0)
-    ode = solve_gamma_ode(scenario.lam, g30, g40, times)
-    closed = closed_form_trajectory(scenario.lam, consts, times)
-    d3 = _max_abs(ode.gamma3 - closed.gamma3)
-    d4 = _max_abs(ode.gamma4 - closed.gamma4)
+    ode3, ode4 = solve_gamma_ode(scenario.lam, g30, g40, times)
+    g3, g4 = gamma_closed_form(scenario.lam, consts, times)
+    d3 = _max_abs(ode3 - g3)
+    d4 = _max_abs(ode4 - g4)
     # halving the RK4 step divides a 4th-order error by about 2^4
-    exact = np.array([closed.gamma3, closed.gamma4])
+    exact = np.array([g3, g4])
     with np.errstate(all="ignore"):
         coarse, fine = (
             _max_abs(_rk4_samples(scenario.lam, times, (g30, g40), steps) - exact)
@@ -536,7 +535,7 @@ def check_mode_expectation_constancy():
 
 
 def check_schrodinger_residual():
-    scenario = default_scenario(n=1, m=0)
+    scenario = default_scenario()
     t_check = 0.7
     spec = ModeSpec(1, f_plus_profile(scenario), scenario.ktilde_plus, "+")
     r1 = tdse_residual_1d(spec, t_check)
@@ -558,7 +557,7 @@ def check_schrodinger_residual():
 
 
 def check_energy_reality():
-    scenario = default_scenario(n=1, m=0)
+    scenario = default_scenario()
     times = np.linspace(0.4, 9.6, 6)
     spec_x, spec_y = product_specs(scenario.n, scenario.m, scenario)
     f_plus, f_minus = f_pm(scenario, times)

@@ -9,13 +9,12 @@ from ptdyson import (
     basis_element,
     commutator,
     conjugate,
-    factor_matrix,
-    from_matrix,
     group_inverse,
     group_matrix,
     time_term,
     to_matrix,
 )
+from ptdyson.algebra_u2 import _element, _image
 
 # full bracket table among the four generators; entries are the coefficient
 # vectors of the results, structure factors of i included
@@ -69,16 +68,19 @@ def test_bracket_antisymmetry_and_jacobi():
 
 
 def test_matrix_roundtrip():
+    # the entry-first image and its decoding, the pair conjugate and
+    # time_term go through
     rng = np.random.default_rng(3)
     for _ in range(10):
         a = random_element(rng, complex_coeffs=True)
-        back = from_matrix(to_matrix(a))
+        back = _element(_image(a.vector))
         assert np.max(np.abs(back.vector - a.vector)) < 1e-14
     # stacked coefficients, coefficient axis first
     stacked = AlgebraElement(rng.normal(size=(4, 3, 5)) + 1j * rng.normal(size=(4, 3, 5)))
-    m = to_matrix(stacked)
-    assert m.shape == (3, 5, 2, 2)
-    assert np.max(np.abs(from_matrix(m).vector - stacked.vector)) < 1e-14
+    assert to_matrix(stacked).shape == (3, 5, 2, 2)
+    e = _image(stacked.vector)
+    assert e.shape == (2, 2, 3, 5)
+    assert np.max(np.abs(_element(e).vector - stacked.vector)) < 1e-14
 
 
 def test_first_two_generators_sum_to_identity():
@@ -94,10 +96,13 @@ def test_mixing_bracket_is_half_difference():
 
 
 def test_factor_matrix_vs_expm():
+    # one nonzero parameter: the ordered product is that single factor
     rng = np.random.default_rng(5)
     for i in range(1, 5):
         for gamma in rng.normal(scale=0.8, size=3):
-            direct = factor_matrix(i, gamma)
+            g = np.zeros(4)
+            g[i - 1] = gamma
+            direct = group_matrix(DysonParams(*g))
             ref = expm(gamma * BASIS_MATRICES[i - 1])
             assert np.max(np.abs(direct - ref)) < 1e-13
 
@@ -185,9 +190,18 @@ def test_time_term_matches_difference_quotient():
         assert np.max(np.abs(to_matrix(term) - 1j * fd)) < 1e-9
 
 
-def test_hermiticity_flag():
-    assert AlgebraElement((1.0, 2.0, -0.3, 0.1)).is_hermitian()
-    assert not AlgebraElement((1.0, 2.0, -0.3 + 1e-6j, 0.1)).is_hermitian()
+def test_vector_is_read_only_and_built_once():
+    a = AlgebraElement((1.0, 2.0, -0.3, 0.1))
+    assert a.vector is a.vector
+    assert a.vector.dtype == complex and a.vector.shape == (4,)
+    with pytest.raises(ValueError):
+        a.vector[0] = 5.0
+    # the element owns its array: the caller's input stays writable and apart
+    c = np.array([[1.0, 2.0], [0.5, 0.5], [0.0, 0.1], [0.2, 0.3]])
+    b = AlgebraElement(c)
+    assert not np.shares_memory(b.vector, c) and c.flags.writeable
+    with pytest.raises(ValueError):
+        b.vector[:, 1] *= 2.0
 
 
 def _expm_reference(g):

@@ -6,6 +6,7 @@ text are asserted exactly; one subprocess smoke test covers the
 kept small so the whole file stays fast.
 """
 
+import inspect
 import json
 import math
 import re
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptdyson import cli, profiles
+from ptdyson import cli, profiles, validation
 from ptdyson.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -534,6 +535,56 @@ def test_validate_passes_and_writes_report(tmp_path, capsys):
     assert report.count("criterion") == 13
     out = capsys.readouterr().out
     assert "overall PASS" in out
+
+
+def test_validate_pins_the_default_config(monkeypatch):
+    # validate runs its own fixtures whatever the config; they must be the
+    # objects the default config builds
+    cfg = cli.load_config(None)
+    built = cli.validate_config(cfg)
+    times = validation.sample_times()
+    pinned, default = validation.default_scenario(), built["scenario"]
+    for key in ("a", "lam"):
+        assert np.array_equal(getattr(pinned, key)(times), getattr(default, key)(times))
+    for key in ("q1", "q2", "q3", "ktilde_plus", "ktilde_minus", "n", "m"):
+        assert getattr(pinned, key) == getattr(default, key), key
+    assert validation.default_invariant_coeffs() == built["invariant"]
+    grid = cfg["grid"]
+    assert validation.SAMPLE_COUNT == grid["samples"]
+    assert validation.T_END == grid["t_end"]
+    assert np.array_equal(times, cli.grid_times(cfg))
+
+    # the number basis and buffer of criteria 02 and 12, as they use them
+    size, buffer = built["basis"].size, cfg["oracle"]["buffer"]
+    seen = {}
+    real_dyson, real_report = validation.verify_dyson, validation.metric_spectrum_report
+
+    def verify_dyson(scenario, basis, times, *args, **kwargs):
+        bound = inspect.signature(real_dyson).bind(
+            scenario, basis, times, *args, **kwargs
+        )
+        bound.apply_defaults()
+        seen["02"] = basis.size, bound.arguments["buffer"]
+        return real_dyson(scenario, basis, times, *args, **kwargs)
+
+    class Blocks(list):
+        # the observed block minima, recording which blocks the check reads
+        def __getitem__(self, key):
+            seen["12 blocks"] = key
+            return super().__getitem__(key)
+
+    def metric_spectrum_report(basis, gens, params):
+        floors, observed = real_report(basis, gens, params)
+        seen["12"] = basis.size
+        return floors, Blocks(observed)
+
+    monkeypatch.setattr(validation, "verify_dyson", verify_dyson)
+    monkeypatch.setattr(validation, "metric_spectrum_report", metric_spectrum_report)
+    validation.check_dyson_relation()
+    validation.check_metric_positivity()
+    assert seen["02"] == (size, buffer)
+    assert seen["12"] == size
+    assert seen["12 blocks"] == slice(None, size - buffer + 1)
 
 
 # ---------------------------------------------------------------------------
