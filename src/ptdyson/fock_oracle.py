@@ -14,6 +14,11 @@ the two residuals share one routine that builds each block over chunks of
 times and all finite-difference nodes.  build_eta is the only dense
 (dim x dim) view, kept for the per-layer benchmark.
 
+No SVD runs here: a spectral norm is the square root of the top eigenvalue
+of a Hermitian Gram product, and the metric's smallest eigenvalue on a
+block is read from the largest singular value of the exact inverse block,
+which keeps full relative accuracy.
+
 Conditioning, not truncation, is the real constraint: the group factors
 grow like exp(|gamma| * k) on block k, so checks that invert or normalize
 by the map are run on the low blocks, and the residuals' `buffer` argument
@@ -135,6 +140,23 @@ def build_eta(basis, gens, params):
     return out
 
 
+def _spectral_norms(a):
+    """Largest singular value of each matrix in a (..., n, n) stack.
+
+    The square root of the top eigenvalue of the Hermitian Gram product,
+    which is accurate to rounding relative to the norm itself.  Each
+    matrix is first scaled by the power of two of its largest entry, so
+    the Gram product cannot overflow or underflow where the matrix fits.
+    The Gram product is formed from contiguous operands, so a stacked call
+    equals the per-matrix calls bit for bit.
+    """
+    _, exponent = np.frexp(np.max(np.abs(a), axis=(-2, -1)))
+    scaled = np.ldexp(1.0, -exponent)[..., None, None] * a
+    adjoint = np.ascontiguousarray(np.swapaxes(scaled.conj(), -1, -2))
+    top = np.linalg.eigvalsh(adjoint @ np.ascontiguousarray(scaled))[..., -1]
+    return np.ldexp(np.sqrt(top), exponent)
+
+
 # Second-order first derivatives times 2 h, as (offset / h, weight) per node:
 # central, forward, backward.  Every row starts at the time itself, so the
 # first node's map is the map at t.
@@ -197,8 +219,8 @@ def _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer):
             ham = a_t * (k1 + k2) + 1j * lam_t * k3
             herm = f_plus * k1 + f_minus * k2
             resid, scale = defect(eta, eta_dot, ham, herm)
-            norms = np.linalg.norm(np.stack([resid, scale]), 2, axis=(-2, -1))
-            worst[sl] = np.maximum(worst[sl], norms[0] / norms[1])
+            ratio = _spectral_norms(resid) / _spectral_norms(scale)
+            worst[sl] = np.maximum(worst[sl], ratio)
     return worst
 
 
@@ -386,15 +408,21 @@ def metric_floor(params, k):
 def metric_spectrum_report(basis, gens, params):
     """Per-block rigorous floors next to observed smallest metric eigenvalues.
 
-    Returns (floors, observed); observed[k] is the squared smallest singular
-    value of the map's block, which equals the metric block's smallest
-    eigenvalue.  floors[k] <= observed[k] certifies positivity without
+    Returns (floors, observed).  floors covers every block of `basis`;
+    observed covers the blocks of the `gens` passed in, so a caller that
+    skips the top blocks passes gens[: k + 1] and they are never built.
+    observed[k] is 1 / |eta_k^{-1}|_2^2, the metric block's smallest
+    eigenvalue.  The norm is the largest singular value of the exact
+    inverse block, so it keeps full relative accuracy where the smallest
+    singular value of the map itself is lost to rounding on ill-conditioned
+    blocks.  floors[k] <= observed[k] certifies positivity without
     trusting the numerics; the observed value shows the actual margin.
     Block eigensystems are computed once per call; stacked params give arrays.
     """
     floors = [metric_floor(params, k) for k in basis.blocks()]
-    return floors, [
-        # each block's map lives only for its own SVD
-        np.linalg.svd(_block_map(f, params), compute_uv=False)[..., -1] ** 2
-        for f in _block_factors(gens)
-    ]
+    observed = []
+    for f in _block_factors(gens):
+        # each inverse block lives only for its own norm
+        s = _spectral_norms(_block_map(f, params, inverse=True))
+        observed.append(1.0 / (s * s))
+    return floors, observed

@@ -178,8 +178,7 @@ def pedrosa_mode(spec, x, t):
     driver vanishes at any t.
     """
     x = np.asarray(x, dtype=float)
-    kt, _, amp, gauss, norm = _mode_factors(spec, x, t)
-    return amp * gauss * hermite(spec.n, x / kt) / norm
+    return _mode(spec, x, _mode_factors(spec, x, t))
 
 
 def pedrosa_mode_xx(spec, x, t):
@@ -192,8 +191,26 @@ def pedrosa_mode_xx(spec, x, t):
     Used by the quadrature oracles; a grid check would lose too many digits.
     """
     x = np.asarray(x, dtype=float)
+    return _mode_xx(spec, x, _mode_factors(spec, x, t))
+
+
+def _mode_pair(spec, x, t):
+    """(pedrosa_mode, pedrosa_mode_xx) from one pass over the shared factors."""
+    x = np.asarray(x, dtype=float)
+    factors = _mode_factors(spec, x, t)
+    return _mode(spec, x, factors), _mode_xx(spec, x, factors)
+
+
+def _mode(spec, x, factors):
+    # pedrosa_mode from the output of _mode_factors
+    kt, _, amp, gauss, norm = factors
+    return amp * gauss * hermite(spec.n, x / kt) / norm
+
+
+def _mode_xx(spec, x, factors):
+    # pedrosa_mode_xx from the output of _mode_factors
     n = spec.n
-    kt, width, amp, gauss, norm = _mode_factors(spec, x, t)
+    kt, width, amp, gauss, norm = factors
     pref = amp / norm * gauss
     xi = x / kt
     total = (width + width**2 * x**2) * hermite(n, xi)

@@ -26,6 +26,7 @@ from .algebra_u2 import (
     basis_element,
     commutator,
     conjugate,
+    group_matrix,
     to_matrix,
 )
 from .dyson import (
@@ -52,6 +53,7 @@ from .fock_oracle import (
     FockBasis,
     _block_factors,
     _block_map,
+    _spectral_norms,
     broken_spectrum_numeric,
     build_generators,
     element_matrix,
@@ -68,7 +70,7 @@ from .invariants import (
     invariant_coeffs_for,
     invariant_element,
 )
-from .modes import ModeSpec, k1_expectation, pedrosa_mode, pedrosa_mode_xx, product_specs
+from .modes import ModeSpec, _mode_pair, k1_expectation, pedrosa_mode, product_specs
 from .profiles import TimeProfile
 from .static_models import XYModel, broken_spectrum, decouple_xy
 from .static_models import static_eigenstate
@@ -232,8 +234,7 @@ def mode_k1_quadrature(spec, t):
     t = np.asarray(t, dtype=float)[..., None, None]
 
     def integrand(x):
-        p = pedrosa_mode(spec, x, t)
-        pxx = pedrosa_mode_xx(spec, x, t)
+        p, pxx = _mode_pair(spec, x, t)
         return np.array([np.conj(p) * 0.5 * (-pxx + x**2 * p), np.conj(p) * p])
 
     value, norm = refining_quadrature(integrand, -reach, reach)
@@ -243,14 +244,31 @@ def mode_k1_quadrature(spec, t):
 # ---------------------------------------------------------------------------
 # finite-difference Schrodinger residuals
 
-# Grid rows per slab of the 2D residual: a slab holds a few (rows, points)
-# complex arrays, never the whole grid.
-_SLAB_ROWS = 16
+
+def _outer_sum_norm(left, right):
+    """Frobenius norm of sum_i outer(left[i], right[i]), from two thin QRs.
+
+    With L = Q_L R_L and M = Q_R R_R for the stacked columns, the sum is
+    Q_L R_L R_R^T Q_R^T, whose norm is that of the small R_L R_R^T.
+    """
+    r_left, r_right = (np.linalg.qr(np.transpose(v), mode="r") for v in (left, right))
+    return float(np.linalg.norm(r_left @ r_right.T))
 
 
-def _row_sum_sq(z):
-    """Sum of |z|^2 along each row."""
-    return np.sum(z.real**2 + z.imag**2, axis=1)
+def _axis_terms(spec, driver, axis, t, grid_step, time_step):
+    """One mode on a grid axis, on the interior points.
+
+    Returns (psi, h psi, i dpsi/dt, mean of psi at t +- time_step) with
+    h = driver (p^2 + x^2)/2 by the second-order stencil and the time
+    derivative by the central difference.
+    """
+    psi, psi_p, psi_m = (
+        pedrosa_mode(spec, axis, s) for s in (t, t + time_step, t - time_step)
+    )
+    inner, psi_p, psi_m = psi[1:-1], psi_p[1:-1], psi_m[1:-1]
+    lap = (psi[2:] - 2.0 * inner + psi[:-2]) / grid_step**2
+    h_psi = driver * 0.5 * (-lap + axis[1:-1] ** 2 * inner)
+    return inner, h_psi, (0.5j / time_step) * (psi_p - psi_m), 0.5 * (psi_p + psi_m)
 
 
 def tdse_residual_1d(spec, t, grid_step=0.05, time_step=1e-3, half_width=10.0):
@@ -262,47 +280,32 @@ def tdse_residual_1d(spec, t, grid_step=0.05, time_step=1e-3, half_width=10.0):
     """
     n_pts = int(round(2.0 * half_width / grid_step))
     x = -half_width + grid_step * np.arange(n_pts + 1)
-    psi = pedrosa_mode(spec, x, t)
-    psi_p = pedrosa_mode(spec, x, t + time_step)
-    psi_m = pedrosa_mode(spec, x, t - time_step)
-    dpsi = (psi_p - psi_m) / (2.0 * time_step)
-    lap = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / grid_step**2
-    h_psi = float(spec.driver(t)) * 0.5 * (-lap + x[1:-1] ** 2 * psi[1:-1])
-    resid = 1.0j * dpsi[1:-1] - h_psi
-    return float(np.linalg.norm(resid) / np.linalg.norm(h_psi))
+    driver = float(spec.driver(t))
+    _, h_psi, i_dpsi, _ = _axis_terms(spec, driver, x, t, grid_step, time_step)
+    return float(np.linalg.norm(i_dpsi - h_psi) / np.linalg.norm(h_psi))
 
 
 def tdse_residual_2d(scenario, t, grid_step=0.05, time_step=1e-3, half_width=7.0):
     """Relative residual of the 2D product solution under the split drivers.
 
-    The two mode factors are evaluated once on the axis at t and t +- the
-    time step; the grid is then walked in slabs of _SLAB_ROWS rows, each
-    slab forming its products, stencils and per-row sums of squares, so
-    no whole-grid array is ever held.  The per-row sums do not depend on
-    how rows are grouped, so neither does the result, to the bit.
+    The state is the outer product px (x) py of two mode factors, each
+    evaluated once on the axis at t and t +- the time step.  On the grid's
+    interior, h psi = u (x) py + px (x) v, with u and v the 1D stencils of
+    each factor under its driver.  With d the difference and the bar the
+    mean of a factor's values at t +- the time step, the time difference
+    is dx (x) ybar + xbar (x) dy exactly.  So the residual is a sum of four
+    outer products and h psi one of two; each norm comes from two thin QRs
+    (_outer_sum_norm), and no grid-sized array is ever formed.
     """
     n_pts = int(round(2.0 * half_width / grid_step))
     axis = -half_width + grid_step * np.arange(n_pts + 1)
     spec_x, spec_y = product_specs(scenario.n, scenario.m, scenario)
-    times = (t, t + time_step, t - time_step)
-    px, px_p, px_m = (pedrosa_mode(spec_x, axis, s) for s in times)
-    py, py_p, py_m = (pedrosa_mode(spec_y, axis, s) for s in times)
     f_plus, f_minus = f_pm(scenario, t)
-    resid_sq, h_psi_sq = np.empty(n_pts - 1), np.empty(n_pts - 1)
-    for lo in range(1, n_pts, _SLAB_ROWS):
-        rows = slice(lo, min(lo + _SLAB_ROWS, n_pts))
-        psi = px[lo - 1 : rows.stop + 1, None] * py
-        inner = psi[1:-1, 1:-1]
-        lap_x = (psi[2:, 1:-1] - 2.0 * inner + psi[:-2, 1:-1]) / grid_step**2
-        lap_y = (psi[1:-1, 2:] - 2.0 * inner + psi[1:-1, :-2]) / grid_step**2
-        dpsi = px_p[rows, None] * py_p[1:-1] - px_m[rows, None] * py_m[1:-1]
-        dpsi /= 2.0 * time_step
-        h_psi = f_plus * 0.5 * (-lap_x + axis[rows, None] ** 2 * inner)
-        h_psi += f_minus * 0.5 * (-lap_y + axis[1:-1] ** 2 * inner)
-        out = slice(lo - 1, rows.stop - 1)
-        resid_sq[out] = _row_sum_sq(1.0j * dpsi - h_psi)
-        h_psi_sq[out] = _row_sum_sq(h_psi)
-    return float(np.sqrt(resid_sq.sum() / h_psi_sq.sum()))
+    steps = (axis, t, grid_step, time_step)
+    px, ux, dx, mx = _axis_terms(spec_x, f_plus, *steps)
+    py, vy, dy, my = _axis_terms(spec_y, f_minus, *steps)
+    resid = _outer_sum_norm((dx, mx, -ux, -px), (my, dy, py, vy))
+    return resid / _outer_sum_norm((ux, px), (py, vy))
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +620,25 @@ def check_metric_positivity():
     buffer = 2
     basis = FockBasis(size)
     params = scenario_params(scenario.ep_constants(), scenario.lam, sample_times())
-    floors, observed = metric_spectrum_report(basis, build_generators(basis), params)
+    safe = build_generators(basis)[: size - buffer + 1]
+    floors, observed = metric_spectrum_report(basis, safe, params)
+    # block k carries sqrt(det M) Sym^k(M), M the 2x2 image: the metric
+    # block's smallest eigenvalue is |det M| s2^(2k), s2 = |det M| / |M|_2
+    matrix = group_matrix(params)
+    det = np.abs(np.linalg.det(matrix))
+    s2 = det / _spectral_norms(matrix)
+    ladder_gap = max(
+        _max_abs(obs / (det * s2 ** (2 * k)) - 1.0) for k, obs in enumerate(observed)
+    )
     floor_min = float(np.min(floors))
-    observed_min = float(np.min(observed[: size - buffer + 1]))
+    observed_min = float(np.min(observed))
     return CheckResult(
         12,
         "metric positivity",
         (
             exceeds("closed-form eigenvalue floor, all blocks", floor_min, 0.0),
             exceeds("observed block minimum (safe blocks)", observed_min, 0.0),
+            bounded("observed vs spin-ladder minimum (safe blocks)", ladder_gap, 1e-9),
         ),
     )
 

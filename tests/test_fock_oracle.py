@@ -17,6 +17,7 @@ from ptdyson import (
     dyson_residuals,
     element_matrix,
     f_pm,
+    group_matrix,
     invariant_coeffs_for,
     invariant_eigen_flow,
     metric_floor,
@@ -27,7 +28,7 @@ from ptdyson import (
     verify_dyson,
     verify_quasi_hermiticity,
 )
-from ptdyson import fock_oracle
+from ptdyson import fock_oracle, validation
 from ptdyson.errors import ConstraintViolationError
 
 A = TimeProfile.sinusoid(1.0, 0.2, 2.0)
@@ -375,7 +376,8 @@ def separate_map_residuals(defect, sc, basis, times, fd_step=1e-5, buffer=2):
             ham = a_t[i] * (g[0] + g[1]) + 1j * lam_t[i] * g[2]
             herm = f_plus[i] * g[0] + f_minus[i] * g[1]
             resid, scale = defect(eta, eta_dot, ham, herm)
-            ratio = np.linalg.norm(resid[0], 2) / np.linalg.norm(scale[0], 2)
+            norms = fock_oracle._spectral_norms
+            ratio = norms(resid[0]) / norms(scale[0])
             worst[i] = max(worst[i], ratio)
     return worst
 
@@ -592,6 +594,67 @@ def test_stacked_metric_report_equals_per_params_calls():
         want = metric_spectrum_report(basis, gens, params)
         assert [f[i] for f in floors] == want[0]
         assert [o[i] for o in observed] == want[1]
+
+
+def test_spectral_norms_match_the_svd():
+    rng = np.random.default_rng(83)
+    norms = fock_oracle._spectral_norms
+    for n in (1, 2, 5, 11):
+        a = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        # near 1e200 the unscaled Gram product overflows, near 1e-200 it
+        # underflows; the SVD handles both
+        for scale in (1.0, 1e200, 1e-200):
+            got = norms(scale * a)
+            want = np.linalg.svd(scale * a, compute_uv=False)[:, 0]
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+            assert [norms(m) for m in scale * a] == list(got)
+    assert norms(np.zeros((3, 3))) == 0.0
+
+
+def spin_ladder(params, k):
+    # block k carries sqrt(det M) Sym^k(M) for the 2x2 image M, so the
+    # metric block's smallest eigenvalue is |det M| s2^(2k); s2 = |det M| / s1
+    # avoids the cancellation of the smaller singular value
+    matrix = group_matrix(params)
+    det = np.abs(np.linalg.det(matrix))
+    s2 = det / np.linalg.svd(matrix, compute_uv=False)[..., 0]
+    return det * s2 ** (2 * k)
+
+
+def test_metric_report_matches_the_spin_ladder():
+    consts = default_scenario().ep_constants()
+    cases = (
+        (FockBasis(12), scenario_params(consts, LAM, validation.sample_times())),
+        (FockBasis(24), scenario_params(consts, LAM, 10.0)),
+    )
+    for basis, params in cases:
+        safe = build_generators(basis)[: basis.size - 1]  # buffer 2
+        floors, observed = metric_spectrum_report(basis, safe, params)
+        assert len(floors) == basis.size + 1
+        assert len(observed) == basis.size - 1
+        for k, obs in enumerate(observed):
+            exact = spin_ladder(params, k)
+            assert np.all(np.abs(obs - exact) <= 1e-10 * exact), k
+            assert np.all(floors[k] <= obs)
+
+
+def _forward_svd_report(basis, gens, params):
+    # the smallest singular value of the forward map's block, squared: it
+    # is lost to rounding once the block's condition number nears 1e16
+    floors = [metric_floor(params, k) for k in basis.blocks()]
+    return floors, [
+        np.linalg.svd(fock_oracle._block_map(f, params), compute_uv=False)[..., -1] ** 2
+        for f in fock_oracle._block_factors(gens)
+    ]
+
+
+def test_metric_positivity_fails_on_the_forward_map_svd(monkeypatch):
+    assert validation.check_metric_positivity().passed
+    monkeypatch.setattr(validation, "metric_spectrum_report", _forward_svd_report)
+    result = validation.check_metric_positivity()
+    assert not result.passed
+    failed = [s.label for s in result.subchecks if not s.ok]
+    assert failed == ["observed vs spin-ladder minimum (safe blocks)"]
 
 
 def test_scalar_call_shapes_keep_their_returns():

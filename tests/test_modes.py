@@ -17,6 +17,7 @@ from ptdyson import (
     phase_integral,
     product_state,
 )
+from ptdyson import modes
 from ptdyson.errors import (
     ConstraintViolationError,
     SingularEvaluationError,
@@ -206,6 +207,27 @@ def test_modes_take_the_running_integral_once(monkeypatch):
     pedrosa_mode(spec, x, t)
     pedrosa_mode_xx(spec, x, t)
     assert len(calls) == 2
+
+
+def test_mode_pair_equals_the_two_modes(monkeypatch):
+    x = np.linspace(-3.0, 3.0, 7)
+    for t in (1.1, np.array([[0.4], [2.3], [7.9]])):
+        for n in range(4):
+            spec = ModeSpec(n, DRIVER, 0.5)
+            psi, psi_xx = modes._mode_pair(spec, x, t)
+            assert np.array_equal(psi, pedrosa_mode(spec, x, t))
+            assert np.array_equal(psi_xx, pedrosa_mode_xx(spec, x, t))
+    # one pass over the shared factors: one read of the running integral
+    calls = []
+    cumulative = TimeProfile.cumulative
+
+    def counted(self, s):
+        calls.append(s)
+        return cumulative(self, s)
+
+    monkeypatch.setattr(TimeProfile, "cumulative", counted)
+    modes._mode_pair(ModeSpec(2, DRIVER, 0.5), x, 1.1)
+    assert len(calls) == 1
 
 
 def test_mode_guards_vanishing_driver():

@@ -53,7 +53,6 @@ from ptdyson import (
     verify_dyson,
     verify_quasi_hermiticity,
 )
-from ptdyson import validation
 from ptdyson.dyson import central_derivatives, driver_value
 from ptdyson.validation import (
     default_scenario,
@@ -318,30 +317,24 @@ def _tdse_residual_2d_on_meshgrid(scenario, t, grid_step, time_step, half_width)
     h_psi = f_plus * 0.5 * (-lap_x + x[1:-1, 1:-1] ** 2 * inner)
     h_psi += f_minus * 0.5 * (-lap_y + y[1:-1, 1:-1] ** 2 * inner)
     resid = 1.0j * dpsi[1:-1, 1:-1] - h_psi
-    # sums of squares per row, then over rows: the order the slabs add in
+    # sums of squares per row, then over rows
     resid_sq = np.sum(resid.real**2 + resid.imag**2, axis=1).sum()
     h_psi_sq = np.sum(h_psi.real**2 + h_psi.imag**2, axis=1).sum()
     return float(np.sqrt(resid_sq / h_psi_sq))
 
 
 def test_tdse_residual_2d_matches_meshgrid_evaluation():
+    # the separable form rounds in another order than the grid sums; the
+    # algebra is the same, and the measured gap is about 1e-13
     for t in (0.7, 4.3):
         got = tdse_residual_2d(SCENARIO, t, grid_step=0.1, half_width=5.0)
         want = _tdse_residual_2d_on_meshgrid(SCENARIO, t, 0.1, 1e-3, 5.0)
-        assert got == want
-
-
-def test_tdse_residual_2d_does_not_depend_on_the_slab_height(monkeypatch):
-    # grid step 0.1 on half-width 5 leaves 99 interior rows
-    got = []
-    for rows in (1, 7, 99, 10_000):
-        monkeypatch.setattr(validation, "_SLAB_ROWS", rows)
-        got.append(tdse_residual_2d(SCENARIO, 0.7, grid_step=0.1, half_width=5.0))
-    assert got[1:] == got[:-1]
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_tdse_residual_2d_holds_no_whole_grid_array():
-    # one 561 x 561 complex array is 4.8 MiB; whole-grid evaluation peaks at 43
+    # one 561 x 561 complex array is 4.8 MiB; the separable form holds
+    # only axis-length vectors
     scenario = default_scenario()
     tdse_residual_2d(scenario, 0.7, grid_step=0.025)  # warm caches and imports
     tracemalloc.start()
@@ -350,7 +343,7 @@ def test_tdse_residual_2d_holds_no_whole_grid_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert peak < 2**20
 
 
 def test_number_basis_residuals_per_time_match_single_time_calls():
