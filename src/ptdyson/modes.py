@@ -147,13 +147,12 @@ def _phase(ktilde, a_int):
     return winding * np.pi + np.arctan2(g * np.sin(reduced), np.cos(reduced))
 
 
-def _mode_factors(spec, x, t):
-    """Pieces shared by the mode and its second derivative.
+def _time_factors(spec, t):
+    """The pieces of the mode that depend on t alone.
 
-    Returns (kt, W, amp, gauss, norm): the scale, the complex width
-    W = i ktdot/(d kt) - 1/kt^2, amp = e^{i phase_n} / sqrt(kt), the Gaussian
-    exp(W x^2 / 2) and the Hermite normalization.  The time-only pieces
-    are shaped like t, and t broadcasts against x.  Raises
+    Returns (kt, W, amp, norm): the scale, the complex width
+    W = i ktdot/(d kt) - 1/kt^2, amp = e^{i phase_n} / sqrt(kt) and the
+    Hermite normalization; the first three are shaped like t.  Raises
     SingularEvaluationError when the driver vanishes at any t (the generic
     ansatz divides by it, even though the closed-form scale cancels the
     division analytically).
@@ -166,6 +165,16 @@ def _mode_factors(spec, x, t):
     phase = -(spec.n + 0.5) * _phase(spec.ktilde, a_int)
     norm = math.sqrt(2.0**spec.n * math.factorial(spec.n) * math.sqrt(math.pi))
     amp = np.exp(1.0j * phase) / np.sqrt(kt)
+    return kt, width, amp, norm
+
+
+def _mode_factors(time_factors, x):
+    """Pieces shared by the mode and its second derivative.
+
+    Returns (kt, W, amp, gauss, norm): the output of _time_factors with the
+    Gaussian exp(W x^2 / 2) added; t's shape broadcasts against x.
+    """
+    kt, width, amp, norm = time_factors
     return kt, width, amp, np.exp(0.5 * width * x**2), norm
 
 
@@ -178,7 +187,7 @@ def pedrosa_mode(spec, x, t):
     driver vanishes at any t.
     """
     x = np.asarray(x, dtype=float)
-    return _mode(spec, x, _mode_factors(spec, x, t))
+    return _mode(spec, x, _mode_factors(_time_factors(spec, t), x))
 
 
 def pedrosa_mode_xx(spec, x, t):
@@ -191,13 +200,23 @@ def pedrosa_mode_xx(spec, x, t):
     Used by the quadrature oracles; a grid check would lose too many digits.
     """
     x = np.asarray(x, dtype=float)
-    return _mode_xx(spec, x, _mode_factors(spec, x, t))
+    return _mode_xx(spec, x, _mode_factors(_time_factors(spec, t), x))
 
 
 def _mode_pair(spec, x, t):
     """(pedrosa_mode, pedrosa_mode_xx) from one pass over the shared factors."""
+    return _mode_pair_at(spec, x, _time_factors(spec, t))
+
+
+def _mode_pair_at(spec, x, time_factors):
+    """_mode_pair from the output of _time_factors.
+
+    A caller that evaluates the pair on many x at the same times computes
+    the time factors once and forms only the Gaussian and the Hermite terms
+    per call.
+    """
     x = np.asarray(x, dtype=float)
-    factors = _mode_factors(spec, x, t)
+    factors = _mode_factors(time_factors, x)
     return _mode(spec, x, factors), _mode_xx(spec, x, factors)
 
 

@@ -70,7 +70,14 @@ from .invariants import (
     invariant_coeffs_for,
     invariant_element,
 )
-from .modes import ModeSpec, _mode_pair, k1_expectation, pedrosa_mode, product_specs
+from .modes import (
+    ModeSpec,
+    _mode_pair_at,
+    _time_factors,
+    k1_expectation,
+    pedrosa_mode,
+    product_specs,
+)
 from .profiles import TimeProfile
 from .static_models import XYModel, broken_spectrum, decouple_xy
 from .static_models import static_eigenstate
@@ -78,7 +85,28 @@ from .static_models import static_eigenstate
 SAMPLE_COUNT = 200
 T_END = 10.0
 
-_SEED = 20240817
+# Criteria 09 and 11 read inputs that were drawn once from numpy's generator
+# and are stored here, so the gate loads no random-number module:
+# default_rng(20240817).uniform(0.3, 9.7, 10) gives the sample times, and
+# default_rng(20240818), with two standard_normal(10) calls, gives the real
+# and the imaginary parts of the raw state.
+_C09_TIMES = (
+    5.4020466832164376, 2.67807233303254, 2.940760691263577, 2.885019073189172,
+    7.852360583506165, 8.378522911199267, 9.698970764481343, 7.408442961175948,
+    1.1478800614962765, 1.5617723741200913,
+)
+_C11_RAW_REAL = (
+    0.6227898902857755, -0.7276147717224881, 1.3018007436197707,
+    0.8821859507805818, -1.304428513030248, 1.5395337544086225,
+    -0.5021920643334735, 0.8285044527889661, 0.37586884817857175,
+    -0.44319301867506067,
+)
+_C11_RAW_IMAG = (
+    -1.3966419817127107, -1.0625286245440482, 0.4288801206212602,
+    0.18608323942673544, -0.4304596653731932, 1.753707619669798,
+    -0.42128148326009623, 2.051989543002625, 1.5667317694738494,
+    0.33642951197143545,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +260,11 @@ def mode_k1_quadrature(spec, t):
     reach *= math.sqrt(spec.n + 1.0)
     # time on the leading axes, quadrature nodes on the trailing two
     t = np.asarray(t, dtype=float)[..., None, None]
+    # t is fixed while the panel count refines: its factors are formed once
+    time_factors = _time_factors(spec, t)
 
     def integrand(x):
-        p, pxx = _mode_pair(spec, x, t)
+        p, pxx = _mode_pair_at(spec, x, time_factors)
         return np.array([np.conj(p) * 0.5 * (-pxx + x**2 * p), np.conj(p) * p])
 
     value, norm = refining_quadrature(integrand, -reach, reach)
@@ -521,8 +551,7 @@ def check_eigenstate_orthonormality():
 
 def check_mode_expectation_constancy():
     scenario = default_scenario()
-    rng = np.random.default_rng(_SEED)
-    times = rng.uniform(0.3, 9.7, size=10)
+    times = np.array(_C09_TIMES)
     driver = f_plus_profile(scenario)
     worst = 0.0
     for ktilde in (0.0, 0.5, 2.0):
@@ -587,9 +616,7 @@ def _fock_frame_equivalence(scenario, times):
     """
     basis = FockBasis(12)
     gens = build_generators(basis)[:4]
-    rng = np.random.default_rng(_SEED + 1)
-    cutoff = basis.block_slice(3).stop
-    raw = rng.standard_normal(cutoff) + 1j * rng.standard_normal(cutoff)
+    raw = np.array(_C11_RAW_REAL) + 1j * np.array(_C11_RAW_IMAG)
     psi_h = raw / np.linalg.norm(raw)
     params = scenario_params(scenario.ep_constants(), scenario.lam, times)
     f_plus, f_minus = (f[:, None, None] for f in f_pm(scenario, times))

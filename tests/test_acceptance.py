@@ -6,6 +6,7 @@ shows a pass/fail verdict per criterion.  The detailed measurement line
 assertion message, so a red criterion carries its numbers with it.
 """
 
+import numpy as np
 import pytest
 
 from ptdyson import validation
@@ -42,3 +43,14 @@ def test_full_report(results):
     report = validation.format_report(results)
     print(report)
     assert "overall PASS: 13/13 criteria passed" in report
+
+
+def test_pinned_draws_are_the_seeded_generator_draws():
+    # the gate stores these draws so that it loads no generator; they must
+    # be the doubles the seeded generator returns, bit for bit
+    times = np.random.default_rng(20240817).uniform(0.3, 9.7, size=10)
+    assert np.all(np.array(validation._C09_TIMES) == times)
+    rng = np.random.default_rng(20240818)
+    real, imag = rng.standard_normal(10), rng.standard_normal(10)
+    assert np.all(np.array(validation._C11_RAW_REAL) == real)
+    assert np.all(np.array(validation._C11_RAW_IMAG) == imag)

@@ -807,3 +807,22 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_validate_loads_no_random_number_generator(tmp_path):
+    # criteria 09 and 11 read stored draws; numpy.random costs about 5 MiB
+    script = (
+        "import sys\n"
+        "from ptdyson import cli\n"
+        f"status = cli.main(['validate', '--out', {str(tmp_path)!r}])\n"
+        "print(status, sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "validate.txt").exists()

@@ -289,6 +289,27 @@ def test_mode_quadrature_equals_the_two_pass_form_bit_for_bit():
             assert np.all(got == want)
 
 
+def test_mode_quadrature_forms_the_time_factors_once(monkeypatch):
+    # t is fixed while the panel count refines, so the running integral is
+    # read once per quadrature, however many panel counts are tried
+    calls = []
+    cumulative = TimeProfile.cumulative
+
+    def counted(self, s):
+        calls.append((self, np.shape(s)))
+        return cumulative(self, s)
+
+    monkeypatch.setattr(TimeProfile, "cumulative", counted)
+    times = np.array([0.3, 2.9, 7.4])
+    for spec in SPECS:
+        calls.clear()
+        mode_k1_quadrature(spec, times)
+        # the split drivers read the scenario's profiles in turn: count
+        # only the reads of the mode's own driver
+        own = [shape for profile, shape in calls if profile is spec.driver]
+        assert own == [(3, 1, 1)]
+
+
 def test_driver_value_names_the_first_singular_time():
     # (t - 1)(t - 2): zeros at 1 and 2, both on the grid
     driver = TimeProfile.polynomial([2.0, -3.0, 1.0])
