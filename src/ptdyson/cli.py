@@ -263,7 +263,7 @@ def _csv_text(name, header, rows):
             f"{header[j]} = {table[i, j]} at {where} in {name}; no file written"
         )
     row = ",".join(["%.17g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join(row % tuple(r) for r in table.tolist())
+    return ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def _table(columns):

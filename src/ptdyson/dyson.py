@@ -19,6 +19,7 @@ the auxiliary scale-function equation
 satisfied by chi = cosh(g3).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,9 +108,10 @@ def solve_gamma_ode(lam, gamma3_0, gamma4_0, times):
 def _rk4_samples(lam, times, y0, steps):
     """(g3, g4) at the samples by RK4 with `steps` equal steps per interval.
 
-    lam is evaluated once, on every step's start, midpoint and end.  The
-    run stops at the first sample with a non-finite state and leaves that
-    sample and the later ones NaN.  Call under np.errstate.
+    lam is evaluated once, on every step's start, midpoint and end, and
+    the steps run on Python floats.  The run stops at the first sample with
+    a non-finite state, or where a rate overflows, and leaves that sample
+    and the later ones NaN.  Call under np.errstate.
     """
     frac = np.arange(2 * steps) / (2 * steps)
     stage_times = np.append(
@@ -125,23 +127,33 @@ def _rk4_samples(lam, times, y0, steps):
             t_fail=t_fail,
         )
     lam_stages = lam_stages.tolist()
+
+    def rates(lam_value, g3, g4):
+        # gamma_rates on Python floats: math costs a third of a numpy ufunc
+        return -lam_value * math.cosh(g4), lam_value * math.tanh(g3) * math.sinh(g4)
+
     out = np.full((2, times.size), np.nan)
-    g3, g4 = out[:, 0] = y0
+    out[:, 0] = y0
+    g3, g4 = out[:, 0].tolist()
     step = 0
-    for k, width in enumerate(np.diff(times).tolist(), start=1):
-        h = width / steps
-        for _ in range(steps):
-            l0, lm, l1 = lam_stages[2 * step:2 * step + 3]
-            a3, a4 = gamma_rates(l0, g3, g4)
-            b3, b4 = gamma_rates(lm, g3 + 0.5 * h * a3, g4 + 0.5 * h * a4)
-            c3, c4 = gamma_rates(lm, g3 + 0.5 * h * b3, g4 + 0.5 * h * b4)
-            d3, d4 = gamma_rates(l1, g3 + h * c3, g4 + h * c4)
-            g3 = g3 + h / 6.0 * (a3 + 2.0 * (b3 + c3) + d3)
-            g4 = g4 + h / 6.0 * (a4 + 2.0 * (b4 + c4) + d4)
-            step += 1
-        if not (np.isfinite(g3) and np.isfinite(g4)):
-            break
-        out[:, k] = g3, g4
+    try:
+        for k, width in enumerate(np.diff(times).tolist(), start=1):
+            h = width / steps
+            for _ in range(steps):
+                l0, lm, l1 = lam_stages[2 * step:2 * step + 3]
+                a3, a4 = rates(l0, g3, g4)
+                b3, b4 = rates(lm, g3 + 0.5 * h * a3, g4 + 0.5 * h * a4)
+                c3, c4 = rates(lm, g3 + 0.5 * h * b3, g4 + 0.5 * h * b4)
+                d3, d4 = rates(l1, g3 + h * c3, g4 + h * c4)
+                g3 = g3 + h / 6.0 * (a3 + 2.0 * (b3 + c3) + d3)
+                g4 = g4 + h / 6.0 * (a4 + 2.0 * (b4 + c4) + d4)
+                step += 1
+            if not (math.isfinite(g3) and math.isfinite(g4)):
+                break
+            out[:, k] = g3, g4
+    except OverflowError:
+        # math raises where numpy gives inf: a non-finite state all the same
+        pass
     return out
 
 

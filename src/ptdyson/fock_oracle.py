@@ -101,32 +101,44 @@ def element_matrix(elem, basis, gens=None):
 def _block_factors(gens):
     """Time-independent pieces of the map, yielded block by block.
 
-    Per block: the diagonals of the two number generators and the
-    eigensystems of the two mixing generators.  Iterated once per public
-    call, so no eigendecomposition runs inside a time or difference loop.
+    Per block: the diagonals of the two number generators, the
+    eigensystems of the two mixing generators and the overlap of their
+    eigenbases.  Iterated once per public call, so no eigendecomposition
+    runs inside a time or difference loop.
     """
-    return (
-        (g[0].diagonal().real, g[1].diagonal().real,
-         np.linalg.eigh(g[2]), np.linalg.eigh(g[3]))
-        for g in gens
-    )
+    for g in gens:
+        vals3, vecs3 = np.linalg.eigh(g[2])
+        vals4, vecs4 = np.linalg.eigh(g[3])
+        yield (g[0].diagonal().real, g[1].diagonal().real,
+               vals3, vecs3, vals4, vecs4, vecs3.conj().T @ vecs4)
 
 
 def _block_map(factors, params, inverse=False):
     """One block of the ordered-product map, or of its exact inverse.
 
     Diagonal pair first, then the two mixing factors, each a Hermitian
-    exponential through the block's eigensystem (computed once per call);
-    the inverse is the reversed product with negated parameters.  Stacked
-    params (one set per time) give a (..., k+1, k+1) stack.
+    exponential through the block's eigensystem (computed once per call).
+    The two exponentials meet through the eigenbasis overlap W, so the
+    block is V3 (D3 W D4) V4^H: two products, the diagonal factors applied
+    entry-wise.  The inverse is the reversed product with negated
+    parameters, V4 (D4 W^H D3) V3^H.  Stacked params (one set per time)
+    give a (..., k+1, k+1) stack.
     """
-    d1, d2, (vals3, vecs3), (vals4, vecs4) = factors
+    d1, d2, vals3, vecs3, vals4, vecs4, overlap = factors
     g1, g2, g3, g4 = (-1.0 if inverse else 1.0) * params.as_array()[..., None]
     diag = np.exp(g1 * d1 + g2 * d2)
-    e3 = (vecs3 * np.exp(g3 * vals3)[..., None, :]) @ vecs3.conj().T
-    e4 = (vecs4 * np.exp(g4 * vals4)[..., None, :]) @ vecs4.conj().T
-    out = e4 @ e3 if inverse else e3 @ e4
-    out *= diag[..., None, :] if inverse else diag[..., :, None]  # no extra stack
+    e3, e4 = np.exp(g3 * vals3), np.exp(g4 * vals4)
+    if inverse:
+        v_left, e_left, middle, v_right, e_right = vecs4, e4, overlap.conj().T, vecs3, e3
+    else:
+        v_left, e_left, middle, v_right, e_right = vecs3, e3, overlap, vecs4, e4
+    # a C-ordered stack whose buffer takes the result: two stacks live at a time
+    out = np.multiply(e_left[..., :, None], middle, order="C")
+    out *= e_right[..., None, :]
+    # the right factor multiplies every row of the stack: one flat product
+    rows = out.reshape(-1, out.shape[-1])
+    np.matmul((v_left @ out).reshape(rows.shape), v_right.conj().T, out=rows)
+    out *= diag[..., None, :] if inverse else diag[..., :, None]
     return out
 
 
@@ -283,22 +295,24 @@ def sort_along_line(vals):
     rounding (the broken-spectrum blocks are exactly that case), so the
     values are projected onto the direction of their largest deviation from
     the mean and ordered by that projection.  Stable whenever the spacing
-    along the line dominates the rounding noise.
+    along the line dominates the rounding noise.  A (..., n) stack is
+    sorted row by row.
     """
     vals = np.asarray(vals, dtype=complex)
-    if vals.size < 2:
+    if vals.ndim == 0 or vals.shape[-1] < 2:
         return vals.copy()
-    dev = vals - vals.mean()
-    pivot = dev[np.argmax(np.abs(dev))]
-    if abs(pivot) == 0.0:
-        return np.sort_complex(vals)
-    direction = pivot / abs(pivot)
+    dev = vals - vals.mean(axis=-1, keepdims=True)
+    pivot = np.take_along_axis(dev, np.argmax(np.abs(dev), axis=-1)[..., None], -1)
+    # a row whose values all coincide has no direction; any order is sorted
+    moved = np.abs(pivot) > 0.0
+    direction = np.where(moved, pivot, 1.0) / np.where(moved, np.abs(pivot), 1.0)
     # orient by the dominant component; the minor one is rounding noise
-    if max(direction.real, direction.imag, key=abs) < 0:
-        direction = -direction
+    major = np.where(abs(direction.imag) > abs(direction.real), direction.imag,
+                     direction.real)
+    direction = np.where(major < 0, -direction, direction)
     keys = dev / direction
-    order = np.lexsort((keys.imag, keys.real))
-    return vals[order]
+    order = np.lexsort((keys.imag, keys.real), axis=-1)
+    return np.take_along_axis(vals, order, -1)
 
 
 def broken_spectrum_numeric(a_value, lam_value, basis, gens=None):
@@ -317,7 +331,8 @@ def broken_spectrum_numeric(a_value, lam_value, basis, gens=None):
 def _line_eigenvalues(v, j_ops, center, k):
     """Eigenvalues of center I + v . J on a block, conditioning-proof.
 
-    v is a complex 3-vector with p = Re v, q = Im v, p . q = 0 and
+    v is a (T, 3) stack of complex 3-vectors and center a (T,) stack; the
+    result is (T, k + 1).  Each v has p = Re v, q = Im v, p . q = 0 and
     mu^2 = |p|^2 - |q|^2 > 0 (the reality conditions).  In the ladder basis
     of the real direction p x q the matrix is exactly tridiagonal;
     unscaling the hyperbolic factor exp(zeta J) with sinh(zeta) = |q| / mu
@@ -325,32 +340,41 @@ def _line_eigenvalues(v, j_ops, center, k):
     to machine precision instead of degrading like exp(zeta k).  The scale
     orientation is picked as the candidate with the smaller Frobenius norm
     (the wrong sign inflates one off-diagonal by exp(2 zeta)).  Snapshots
-    violating the reality conditions fall back to the plain solver.
+    violating the reality conditions fall back to the plain solver.  One
+    stacked eigh and two stacked eigvals serve every snapshot.
     """
     j1, j2, j3 = j_ops
-    block = center * np.eye(k + 1, dtype=complex)
-    block += v[0] * j1 + v[1] * j2 + v[2] * j3
+    block = center[:, None, None] * np.eye(k + 1, dtype=complex)
+    block += v[:, 0, None, None] * j1 + v[:, 1, None, None] * j2
+    block += v[:, 2, None, None] * j3
     p, q = v.real, v.imag
-    mu2 = float(p @ p - q @ q)
-    pn, qn = np.linalg.norm(p), np.linalg.norm(q)
-    if mu2 <= 0.0 or qn <= 1e-13 * max(pn, 1.0):
-        return np.linalg.eigvals(block)
-    # p x q written out; on 3-vectors np.cross costs ~30x the arithmetic
-    (p1, p2, p3), (q1, q2, q3) = p.tolist(), q.tolist()
-    axis = np.array([p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1])
-    axis_norm = np.linalg.norm(axis)
-    if axis_norm <= 1e-13 * pn * qn:
-        return np.linalg.eigvals(block)
-    axis = axis / axis_norm
-    zeta = float(np.arcsinh(qn / np.sqrt(mu2)))
-    ladder = axis[0] * j1 + axis[1] * j2 + axis[2] * j3
+    mu2 = np.sum(p * p, axis=-1) - np.sum(q * q, axis=-1)
+    pn, qn = np.linalg.norm(p, axis=-1), np.linalg.norm(q, axis=-1)
+    # p x q written out; on short stacks np.cross costs twice the arithmetic
+    (p1, p2, p3), (q1, q2, q3) = p.T, q.T
+    axis = np.stack([p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1], -1)
+    axis_norm = np.linalg.norm(axis, axis=-1)
+    normal = (
+        (mu2 > 0.0)
+        & (qn > 1e-13 * np.maximum(pn, 1.0))
+        & (axis_norm > 1e-13 * pn * qn)
+    )
+    out = np.empty((len(v), k + 1), dtype=complex)
+    out[~normal] = np.linalg.eigvals(block[~normal])
+    axis = axis[normal] / axis_norm[normal, None]
+    zeta = np.arcsinh(qn[normal] / np.sqrt(mu2[normal]))
+    ladder = axis[:, 0, None, None] * j1 + axis[:, 1, None, None] * j2
+    ladder += axis[:, 2, None, None] * j3
     _, w = np.linalg.eigh(ladder)
-    tri = w.conj().T @ block @ w
+    tri = np.swapaxes(w.conj(), -1, -2) @ block[normal] @ w
     # everything outside the three diagonals is structurally zero
     tri = np.triu(np.tril(tri, 1), -1)
     m = np.arange(k + 1) - 0.5 * k
-    cands = [tri * np.exp(s * zeta * (m[None, :] - m[:, None])) for s in (1.0, -1.0)]
-    return np.linalg.eigvals(min(cands, key=np.linalg.norm))
+    skew = zeta[:, None, None] * (m[None, :] - m[:, None])
+    up, down = tri * np.exp(skew), tri * np.exp(-skew)
+    smaller = np.linalg.norm(up, axis=(-2, -1)) <= np.linalg.norm(down, axis=(-2, -1))
+    out[normal] = np.linalg.eigvals(np.where(smaller[:, None, None], up, down))
+    return out
 
 
 def invariant_eigen_flow(coeffs, lam, times, basis, gens=None):
@@ -361,30 +385,25 @@ def invariant_eigen_flow(coeffs, lam, times, basis, gens=None):
     index and the integrated driver, swamping the interesting scale long
     before the top block.  Each block is center I plus a complex 3-vector
     contracted with the block's traceless directions, which
-    _line_eigenvalues diagonalizes through its exact normal form instead.
-    Returns (reference, drift): the sorted eigenvalue arrays at times[0]
-    and the largest absolute deviation from them over the later times.
+    _line_eigenvalues diagonalizes through its exact normal form, for all
+    times in one stacked solve per block.  Returns (reference, drift): the
+    sorted eigenvalue arrays at times[0] and the largest absolute deviation
+    from them over the later times.
     """
     if gens is None:
         gens = build_generators(basis)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    # traceless directions per block: mixing pair, half the number imbalance
-    spin_ops = [(g[2], g[3], 0.5 * (g[0] - g[1])) for g in gens]
-
-    def block_eigs(a1, a2, a3, a4):
-        v = np.array([a3, a4, a1 - a2], dtype=complex)
-        center = 0.5 * (a1 + a2)
-        return [
-            sort_along_line(_line_eigenvalues(v, ops, center * (k + 1), k))
-            for k, ops in enumerate(spin_ops)
-        ]
-
-    alpha = alpha_coeffs(coeffs, lam, times).T
-    reference = block_eigs(*alpha[0])
+    a1, a2, a3, a4 = alpha_coeffs(coeffs, lam, times)
+    v = np.stack([a3, a4, a1 - a2], axis=-1)
+    center = 0.5 * (a1 + a2)
+    reference = []
     drift = 0.0
-    for snapshot in alpha[1:]:
-        for ref, now in zip(reference, block_eigs(*snapshot)):
-            drift = max(drift, float(np.max(np.abs(now - ref))))
+    for k, g in enumerate(gens):
+        # traceless directions: mixing pair, half the number imbalance
+        ops = (g[2], g[3], 0.5 * (g[0] - g[1]))
+        eigs = sort_along_line(_line_eigenvalues(v, ops, center * (k + 1), k))
+        reference.append(eigs[0])
+        drift = max(drift, float(np.max(np.abs(eigs[1:] - eigs[0]), initial=0.0)))
     return reference, drift
 
 

@@ -540,7 +540,8 @@ def check_eigenstate_orthonormality():
     values = np.array(
         [static_eigenstate(n, m, x, y) * bare for n, m in states]
     )
-    gram = np.einsum("aij,bij,i,j->ab", values, values, weights, weights)
+    flat = values.reshape(len(states), -1)
+    gram = (flat * np.outer(weights, weights).ravel()) @ flat.T
     worst = _max_abs(gram - np.eye(len(states)))
     return CheckResult(
         8,

@@ -171,6 +171,38 @@ def test_ode_route_converges_at_fourth_order():
     assert errors[1] / errors[2] >= 2**3.5
 
 
+def rk4_with_gamma_rates(lam, times, y0, steps):
+    # classical RK4 around the array formula, one sample interval at a time
+    out = [y0]
+    g3, g4 = y0
+    for t0, width in zip(times[:-1], np.diff(times)):
+        h = width / steps
+        for i in range(steps):
+            l0, lm, l1 = (lam(t0 + width * (2 * i + j) / (2 * steps)) for j in range(3))
+            a3, a4 = gamma_rates(l0, g3, g4)
+            b3, b4 = gamma_rates(lm, g3 + 0.5 * h * a3, g4 + 0.5 * h * a4)
+            c3, c4 = gamma_rates(lm, g3 + 0.5 * h * b3, g4 + 0.5 * h * b4)
+            d3, d4 = gamma_rates(l1, g3 + h * c3, g4 + h * c4)
+            g3 = g3 + h / 6.0 * (a3 + 2.0 * (b3 + c3) + d3)
+            g4 = g4 + h / 6.0 * (a4 + 2.0 * (b4 + c4) + d4)
+        out.append((g3, g4))
+    return np.array(out, dtype=float).T
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4])
+def test_float_rk4_matches_an_rk4_around_gamma_rates(steps):
+    scenario = default_scenario()
+    times = sample_times()
+    g3, g4 = gamma_closed_form(scenario.lam, scenario.ep_constants(), times)
+    y0 = (float(g3[0]), float(g4[0]))
+    got = _rk4_samples(scenario.lam, times, y0, steps)
+    want = rk4_with_gamma_rates(scenario.lam, times, y0, steps)
+    # relative to each parameter's scale: math and numpy may round the
+    # hyperbolic functions one unit apart, and that carries along the run
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
 def test_conserved_combination_drift():
     times = np.linspace(0.0, 8.0, 60)
     g3, g4 = solve_gamma_ode(LAM, 0.4, 0.35, times)

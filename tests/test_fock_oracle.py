@@ -236,6 +236,27 @@ def test_map_matches_exponential_product():
         assert np.max(np.abs(prod - np.eye(basis.dim))) < 1e-12
 
 
+def test_two_product_block_map_equals_the_three_product_form():
+    gens = build_generators(FockBasis(12))
+    rng = np.random.default_rng(89)
+    g1, g2, g3, g4 = rng.uniform(-1.0, 1.0, size=(4, 6))
+    params = DysonParams(g1, g2, g3, g4)
+
+    def mixing(g, gamma):
+        vals, vecs = np.linalg.eigh(g)
+        return (vecs * np.exp(gamma[:, None] * vals)[:, None, :]) @ vecs.conj().T
+
+    for k, (g, factors) in enumerate(zip(gens, fock_oracle._block_factors(gens))):
+        d1, d2 = g[0].diagonal().real, g[1].diagonal().real
+        diag = np.exp(np.multiply.outer(g1, d1) + np.multiply.outer(g2, d2))
+        forward = diag[:, :, None] * (mixing(g[2], g3) @ mixing(g[3], g4))
+        inverse = (mixing(g[3], -g4) @ mixing(g[2], -g3)) / diag[:, None, :]
+        for want, inv in ((forward, False), (inverse, True)):
+            got = fock_oracle._block_map(factors, params, inverse=inv)
+            scale = np.max(np.abs(want), axis=(-2, -1))
+            assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-13 * scale), k
+
+
 def test_conjugation_agrees_across_representations():
     # eta K_i eta^-1 computed with dense matrices must land on the same
     # coefficients the 2x2 image predicts
@@ -498,6 +519,105 @@ def test_line_sort_stability():
     # degenerate inputs
     assert sort_along_line(np.array([5.0 + 1j])).tolist() == [5.0 + 1j]
     assert sort_along_line(np.full(3, 2.0 + 2.0j)).tolist() == [2.0 + 2.0j] * 3
+
+
+def test_stacked_line_sort_equals_per_row_calls():
+    rng = np.random.default_rng(83)
+    rows = [
+        2.0 + 1j * rng.permutation([0.3, -0.45, 0.1, -0.2]) + rng.normal(0, 1e-15, 4),
+        (1.0 + 2.0j) * rng.permutation([-1.2, 0.3, 1.7, 0.9]) + 0.5,
+        rng.permutation([3.0, 1.0, 2.0, -4.0]).astype(complex),
+        (-1.0 - 0.5j) * rng.normal(size=4),
+        np.full(4, 2.0 + 2.0j),  # zero pivot
+        np.zeros(4, dtype=complex),  # zero pivot at zero
+    ]
+    stack = np.array(rows + [r[::-1] for r in rows])
+    got = sort_along_line(stack)
+    assert got.shape == stack.shape
+    for row, want in zip(got, stack):
+        assert (row == sort_along_line(want)).all()
+    # a 3-D stack sorts its rows the same way
+    deeper = sort_along_line(stack.reshape(2, -1, 4))
+    assert (deeper.reshape(stack.shape) == got).all()
+    # rows of length 1 come back as they are
+    single = rng.normal(size=(5, 1)) + 1j * rng.normal(size=(5, 1))
+    assert (sort_along_line(single) == single).all()
+
+
+def assert_flow_equals_per_snapshot_calls(coeffs, lam, times, basis):
+    # the reference: one call per later time, on [times[0], t] alone
+    reference, drift = invariant_eigen_flow(coeffs, lam, times, basis)
+    pairs = [invariant_eigen_flow(coeffs, lam, [times[0], t], basis) for t in times[1:]]
+    assert drift == max(pair_drift for _, pair_drift in pairs)
+    for pair_reference, _ in pairs:
+        assert all((a == b).all() for a, b in zip(reference, pair_reference))
+
+
+def test_eigen_flow_at_criterion_05_inputs_equals_per_snapshot_calls():
+    coeffs = validation.default_invariant_coeffs()
+    lam = validation.default_scenario().lam
+    times = np.linspace(0.0, validation.T_END, 10)
+    assert_flow_equals_per_snapshot_calls(coeffs, lam, times, FockBasis(12))
+
+
+def test_eigen_flow_mixes_fallback_and_normal_form_snapshots(monkeypatch):
+    basis = FockBasis(6)
+    coeffs = invariant_coeffs_for(1.0, 0.4)
+    times = np.linspace(0.0, 4.0, 5)
+
+    def mixed_alpha(coeffs, lam, t):
+        # t = 1: i alpha swaps the real and imaginary parts, so mu^2 < 0;
+        # t >= 3: a real alpha has no imaginary part; both fall back
+        t = np.asarray(t)
+        alpha = alpha_coeffs(coeffs, lam, t)
+        alpha = np.where(t == 1.0, 1j * alpha, alpha)
+        return np.where(t >= 3.0, alpha.real, alpha)
+
+    sizes = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(a):
+        sizes.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(fock_oracle, "alpha_coeffs", mixed_alpha)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    invariant_eigen_flow(coeffs, LAM, times, basis)
+    # per block: the three fallback snapshots in one call, the two others in one
+    assert sorted(set(sizes)) == [2, 3]
+    assert len(sizes) == 2 * len(basis.blocks())
+    assert_flow_equals_per_snapshot_calls(coeffs, LAM, times, basis)
+    # each snapshot's eigenvalues, unsorted, as a call on that snapshot alone
+    a1, a2, a3, a4 = mixed_alpha(coeffs, LAM, times)
+    v, center = np.stack([a3, a4, a1 - a2], axis=-1), 0.5 * (a1 + a2)
+    for k, g in enumerate(build_generators(basis)):
+        ops = (g[2], g[3], 0.5 * (g[0] - g[1]))
+        stacked = fock_oracle._line_eigenvalues(v, ops, center * (k + 1), k)
+        for i in range(times.size):
+            alone = fock_oracle._line_eigenvalues(
+                v[i:i + 1], ops, center[i:i + 1] * (k + 1), k
+            )
+            assert (stacked[i] == alone[0]).all()
+
+
+def test_criterion_05_solves_each_block_once(monkeypatch):
+    counts = {"eigh": 0, "eigvals": 0}
+
+    def counting(name):
+        solver = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return solver(*args, **kwargs)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    assert validation.check_invariant_conservation().passed
+    # FockBasis(12) has 13 blocks
+    assert counts["eigh"] <= 13
+    assert counts["eigvals"] <= 26
 
 
 def test_invariant_spectrum_is_constant():
