@@ -17,7 +17,10 @@ times and all finite-difference nodes.  build_eta is the only dense
 No SVD runs here: a spectral norm is the square root of the top eigenvalue
 of a Hermitian Gram product, and the metric's smallest eigenvalue on a
 block is read from the largest singular value of the exact inverse block,
-which keeps full relative accuracy.
+which keeps full relative accuracy.  The residuals solve no block for
+their scale: block k is the spin-k/2 image of block 1, so its norm follows
+from blocks 0 and 1 alone.  Their defects get an exact norm only where a
+cheap upper bound cannot settle which block is a time's worst.
 
 Conditioning, not truncation, is the real constraint: the group factors
 grow like exp(|gamma| * k) on block k, so checks that invert or normalize
@@ -160,13 +163,54 @@ def _spectral_norms(a):
     matrix is first scaled by the power of two of its largest entry, so
     the Gram product cannot overflow or underflow where the matrix fits.
     The Gram product is formed from contiguous operands, so a stacked call
-    equals the per-matrix calls bit for bit.
+    equals the per-matrix calls bit for bit.  A matrix with a NaN or inf
+    entry gets its largest magnitude, NaN or inf, instead of an error.
     """
-    _, exponent = np.frexp(np.max(np.abs(a), axis=(-2, -1)))
+    peak = np.max(np.abs(a), axis=(-2, -1))
+    _, exponent = np.frexp(peak)
     scaled = np.ldexp(1.0, -exponent)[..., None, None] * a
+    finite = np.isfinite(peak)
+    scaled[~finite] = 0.0
     adjoint = np.ascontiguousarray(np.swapaxes(scaled.conj(), -1, -2))
     top = np.linalg.eigvalsh(adjoint @ np.ascontiguousarray(scaled))[..., -1]
-    return np.ldexp(np.sqrt(top), exponent)
+    return np.where(finite, np.ldexp(np.sqrt(top), exponent), peak)
+
+
+def _norm_bounds(a):
+    """Upper bounds on the spectral norms of a (..., n, n) stack.
+
+    |A|_2 <= min(|A|_F, sqrt(|A|_1 |A|_inf)) holds for every matrix, and
+    both sides are tight for rank-one and for diagonal matrices.  Scaled
+    by the power of two of the largest entry, as in _spectral_norms, so
+    that no square underflows to below the true bound.  A NaN entry gives
+    a NaN bound.
+    """
+    mag = np.abs(a)
+    _, exponent = np.frexp(np.max(mag, axis=(-2, -1)))
+    mag *= np.ldexp(1.0, -exponent)[..., None, None]
+    frobenius = np.sqrt(np.sum(mag * mag, axis=(-2, -1)))
+    one = np.max(np.sum(mag, axis=-2), axis=-1)
+    inf = np.max(np.sum(mag, axis=-1), axis=-1)
+    return np.ldexp(np.minimum(frobenius, np.sqrt(one * inf)), exponent)
+
+
+def _ladder_scales(eta0, eta1, k_top, power):
+    """|eta_k|_2 ** power for blocks k = 0..k_top, from blocks 0 and 1.
+
+    Block k of the map is eta_0 Sym^k(eta_1 / eta_0) (the Schwinger
+    realization) and |Sym^k(M)|_2 = |M|_2^k, so |eta_k|_2 is
+    |eta_0| (|eta_1|_2 / |eta_0|)^k.  Mantissas and exponents are kept
+    apart, so a scale fits wherever its block does, and the powers are
+    running products, which round alike whatever the stack's length.
+    eta0 and eta1 are (..., 1, 1) and (..., 2, 2) stacks; returns a
+    (k_top + 1, ...) array.
+    """
+    m0, e0 = np.frexp(np.abs(eta0[..., 0, 0]))
+    m1, e1 = np.frexp(_spectral_norms(eta1))
+    steps = np.empty((k_top + 1,) + m0.shape)
+    steps[0], steps[1:] = m0, m1 / m0
+    k = np.arange(k_top + 1).reshape((-1,) + (1,) * m0.ndim)
+    return np.ldexp(np.cumprod(steps, axis=0) ** power, power * (e0 + k * (e1 - e0)))
 
 
 # Second-order first derivatives times 2 h, as (offset / h, weight) per node:
@@ -190,15 +234,21 @@ def _fd_stencil(times, fd_step, t_max):
     return times + h * offsets, weights
 
 
-def _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer):
+def _block_residuals(defect, power, scenario, basis, times, gens, fd_step, buffer):
     """Worst per-block ratio of a defect to its scale at each time.
 
     defect(eta, eta_dot, ham, herm) receives one block of the map, its
     finite-difference time derivative, the non-Hermitian generator and the
-    Hermitian image, each stacked over times, and returns (defect, scale);
-    the ratio of their spectral norms is the block's residual.  Only blocks
-    0..size - buffer are built, each once per chunk of times for all
-    stencil nodes.  Returns one worst-over-blocks value per time.
+    Hermitian image, each stacked over times, and returns the defect; its
+    spectral norm over the block's scale |eta_k|_2 ** power is the block's
+    residual, the scale read off the spin ladder of the map's own blocks 0
+    and 1 at each time (_ladder_scales).  Only blocks 0..size - buffer are
+    built, each once per chunk of times for all stencil nodes, walked from
+    the top down.  Each defect first gets the cheap bound of _norm_bounds;
+    the exact norm runs only at the times where that bound cannot rule the
+    block out as the worst so far, so the result equals, bit for bit, the
+    one with every block solved.  A NaN is never ruled out.  Returns one
+    worst-over-blocks value per time.
     """
     k_top = basis.size - buffer
     if k_top < 1:
@@ -217,12 +267,18 @@ def _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer):
     coeffs = np.array(
         [scenario.a(times), scenario.lam(times), *f_pm(scenario, times), *weights]
     )[..., None, None]
+    factors = list(_block_factors(gens[: k_top + 1]))
+    # the first stencil row is the time itself
+    at_t = DysonParams(*gammas[:, 0])
+    scales = _ladder_scales(
+        _block_map(factors[0], at_t), _block_map(factors[1], at_t), k_top, power
+    )
     # 16 bytes per complex entry, one map per stencil row
     step = max(1, _STACK_BYTES // (16 * len(_STENCILS[0]) * (k_top + 1) ** 2))
     chunks = [slice(i, i + step) for i in range(0, times.size, step)]
     worst = np.zeros(times.shape)
-    for g, f in zip(gens, _block_factors(gens[: k_top + 1])):
-        k1, k2, k3 = g[:3]
+    for k in range(k_top, -1, -1):
+        (k1, k2, k3), f, scale = gens[k][:3], factors[k], scales[k]
         for sl in chunks:
             a_t, lam_t, f_plus, f_minus, *w = coeffs[:, sl]
             stencil = _block_map(f, DysonParams(*gammas[..., sl]))
@@ -230,9 +286,15 @@ def _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer):
             eta_dot = sum(wi * m for wi, m in zip(w, stencil)) / (2.0 * fd_step)
             ham = a_t * (k1 + k2) + 1j * lam_t * k3
             herm = f_plus * k1 + f_minus * k2
-            resid, scale = defect(eta, eta_dot, ham, herm)
-            ratio = _spectral_norms(resid) / _spectral_norms(scale)
-            worst[sl] = np.maximum(worst[sl], ratio)
+            resid = defect(eta, eta_dot, ham, herm)
+            # 1e-12 covers the rounding of the bound and of the exact norm
+            live = ~(_norm_bounds(resid) / scale[sl] * (1.0 + 1e-12) <= worst[sl])
+            if live.all():
+                worst[sl] = np.maximum(worst[sl], _spectral_norms(resid) / scale[sl])
+            elif live.any():
+                rows = sl.start + np.flatnonzero(live)
+                ratio = _spectral_norms(resid[live]) / scale[rows]
+                worst[rows] = np.maximum(worst[rows], ratio)
     return worst
 
 
@@ -242,16 +304,16 @@ def dyson_residuals(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
     The map composed with the non-Hermitian generator plus i times the map's
     time derivative must equal the Hermitian image composed with the map;
     the residual of each block is normalized by that block's spectral norm
-    of the map.  Blocks above size - buffer are skipped (their norms are
-    dominated by the fastest-growing singular direction and the
-    finite-difference step stops being the leading error there).  Returns
-    one value per time.
+    of the map, taken from the spin ladder of blocks 0 and 1.  Blocks above
+    size - buffer are skipped (their norms are dominated by the
+    fastest-growing singular direction and the finite-difference step stops
+    being the leading error there).  Returns one value per time.
     """
 
     def defect(eta, eta_dot, ham, herm):
-        return eta @ ham + 1j * eta_dot - herm @ eta, eta
+        return eta @ ham + 1j * eta_dot - herm @ eta
 
-    return _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer)
+    return _block_residuals(defect, 1, scenario, basis, times, gens, fd_step, buffer)
 
 
 def verify_dyson(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
@@ -266,8 +328,8 @@ def quasi_hermiticity_residuals(
 
     The adjoint generator composed with the metric, minus the metric
     composed with the generator, must equal i times the metric's time
-    derivative; normalized per block by the metric's spectral norm.
-    Returns one value per time.
+    derivative; normalized per block by the metric's spectral norm, the
+    square of the map block's.  Returns one value per time.
     """
 
     def defect(eta, eta_dot, ham, herm):
@@ -276,9 +338,9 @@ def quasi_hermiticity_residuals(
         )
         rho = eta_h @ eta
         rho_dot = eta_dot_h @ eta + eta_h @ eta_dot
-        return ham_h @ rho - rho @ ham - 1j * rho_dot, rho
+        return ham_h @ rho - rho @ ham - 1j * rho_dot
 
-    return _block_residuals(defect, scenario, basis, times, gens, fd_step, buffer)
+    return _block_residuals(defect, 2, scenario, basis, times, gens, fd_step, buffer)
 
 
 def verify_quasi_hermiticity(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
@@ -301,18 +363,22 @@ def sort_along_line(vals):
     vals = np.asarray(vals, dtype=complex)
     if vals.ndim == 0 or vals.shape[-1] < 2:
         return vals.copy()
-    dev = vals - vals.mean(axis=-1, keepdims=True)
-    pivot = np.take_along_axis(dev, np.argmax(np.abs(dev), axis=-1)[..., None], -1)
+    n = vals.shape[-1]
+    # flat offset of each row: one fancy index gathers an entry per row
+    rows = np.arange(0, vals.size, n).reshape(vals.shape[:-1] + (1,))
+    # the sum over n is the mean, bit for bit, at half its call cost
+    dev = vals - vals.sum(axis=-1, keepdims=True) / n
+    pivot = dev.reshape(-1)[rows + np.abs(dev).argmax(axis=-1, keepdims=True)]
     # a row whose values all coincide has no direction; any order is sorted
-    moved = np.abs(pivot) > 0.0
-    direction = np.where(moved, pivot, 1.0) / np.where(moved, np.abs(pivot), 1.0)
+    size = np.abs(pivot)
+    direction = np.divide(pivot, size, out=np.ones_like(pivot), where=size > 0.0)
     # orient by the dominant component; the minor one is rounding noise
-    major = np.where(abs(direction.imag) > abs(direction.real), direction.imag,
-                     direction.real)
-    direction = np.where(major < 0, -direction, direction)
+    re, im = direction.real, direction.imag
+    major = np.where(abs(im) > abs(re), im, re)
+    np.negative(direction, out=direction, where=major < 0)
     keys = dev / direction
     order = np.lexsort((keys.imag, keys.real), axis=-1)
-    return np.take_along_axis(vals, order, -1)
+    return vals.reshape(-1)[rows + order]
 
 
 def broken_spectrum_numeric(a_value, lam_value, basis, gens=None):
@@ -435,7 +501,9 @@ def metric_spectrum_report(basis, gens, params):
     inverse block, so it keeps full relative accuracy where the smallest
     singular value of the map itself is lost to rounding on ill-conditioned
     blocks.  floors[k] <= observed[k] certifies positivity without
-    trusting the numerics; the observed value shows the actual margin.
+    trusting the numerics (criterion 12 checks the floor against the exact
+    spin-ladder minimum on blocks 1..size; on block 0 the two are equal);
+    the observed value shows the actual margin.
     Block eigensystems are computed once per call; stacked params give arrays.
     """
     floors = [metric_floor(params, k) for k in basis.blocks()]

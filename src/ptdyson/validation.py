@@ -655,9 +655,10 @@ def check_metric_positivity():
     matrix = group_matrix(params)
     det = np.abs(np.linalg.det(matrix))
     s2 = det / _spectral_norms(matrix)
-    ladder_gap = max(
-        _max_abs(obs / (det * s2 ** (2 * k)) - 1.0) for k, obs in enumerate(observed)
-    )
+    exact = [det * s2 ** (2 * k) for k in basis.blocks()]
+    ladder_gap = max(_max_abs(obs / exact[k] - 1.0) for k, obs in enumerate(observed))
+    # block 0's floor is its exact value by construction; the rest must lie below
+    floor_ratio = max(_max_abs(floors[k] / exact[k]) for k in range(1, size + 1))
     floor_min = float(np.min(floors))
     observed_min = float(np.min(observed))
     return CheckResult(
@@ -667,6 +668,11 @@ def check_metric_positivity():
             exceeds("closed-form eigenvalue floor, all blocks", floor_min, 0.0),
             exceeds("observed block minimum (safe blocks)", observed_min, 0.0),
             bounded("observed vs spin-ladder minimum (safe blocks)", ladder_gap, 1e-9),
+            bounded(
+                "closed-form floor / spin-ladder minimum (blocks 1..size)",
+                floor_ratio,
+                1.0,
+            ),
         ),
     )
 

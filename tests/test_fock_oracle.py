@@ -28,7 +28,7 @@ from ptdyson import (
     verify_dyson,
     verify_quasi_hermiticity,
 )
-from ptdyson import fock_oracle, validation
+from ptdyson import cli, fock_oracle, validation
 from ptdyson.errors import ConstraintViolationError
 
 A = TimeProfile.sinusoid(1.0, 0.2, 2.0)
@@ -357,7 +357,7 @@ def test_stacked_residuals_equal_the_worst_per_time_call():
 
 
 def _dyson_defect(eta, eta_dot, ham, herm):
-    return eta @ ham + 1j * eta_dot - herm @ eta, eta
+    return eta @ ham + 1j * eta_dot - herm @ eta
 
 
 def _metric_defect(eta, eta_dot, ham, herm):
@@ -366,12 +366,14 @@ def _metric_defect(eta, eta_dot, ham, herm):
     )
     rho = eta_h @ eta
     rho_dot = eta_dot_h @ eta + eta_h @ eta_dot
-    return ham_h @ rho - rho @ ham - 1j * rho_dot, rho
+    return ham_h @ rho - rho @ ham - 1j * rho_dot
 
 
-def separate_map_residuals(defect, sc, basis, times, fd_step=1e-5, buffer=2):
+def separate_map_residuals(defect, power, sc, basis, times, fd_step=1e-5, buffer=2):
     # one time at a time, the map at t and the stencil nodes built as two
-    # separate block maps, the central stencil on its two outer nodes alone
+    # separate block maps, the central stencil on its two outer nodes alone;
+    # every block solved, each scaled by the spin ladder of its own blocks
+    # 0 and 1
     gens = build_generators(basis)
     consts = sc.ep_constants()
     times = np.asarray(times, dtype=float)
@@ -379,6 +381,7 @@ def separate_map_residuals(defect, sc, basis, times, fd_step=1e-5, buffer=2):
     a_t, lam_t = sc.a(times), sc.lam(times)
     f_plus, f_minus = f_pm(sc, times)
     worst = np.zeros(times.shape)
+    k_top = basis.size - buffer
     for i, t in enumerate(times):
         if t - h < 0.0:
             offsets, weights = (0.0, 1.0, 2.0), (-3.0, 4.0, -1.0)
@@ -389,16 +392,19 @@ def separate_map_residuals(defect, sc, basis, times, fd_step=1e-5, buffer=2):
         nodes = t + h * np.array(offsets)[:, None]
         at_t = scenario_params(consts, sc.lam, np.array([t]), q1=sc.q1)
         at_nodes = scenario_params(consts, sc.lam, nodes, q1=sc.q1)
-        safe = gens[: basis.size - buffer + 1]
+        safe = gens[: k_top + 1]
+        maps, defects = [], []
         for g, f in zip(safe, fock_oracle._block_factors(safe)):
             eta = fock_oracle._block_map(f, at_t)
             stencil = fock_oracle._block_map(f, at_nodes)
             eta_dot = sum(w * m for w, m in zip(weights, stencil)) / (2.0 * h)
             ham = a_t[i] * (g[0] + g[1]) + 1j * lam_t[i] * g[2]
             herm = f_plus[i] * g[0] + f_minus[i] * g[1]
-            resid, scale = defect(eta, eta_dot, ham, herm)
-            norms = fock_oracle._spectral_norms
-            ratio = norms(resid[0]) / norms(scale[0])
+            maps.append(eta)
+            defects.append(defect(eta, eta_dot, ham, herm))
+        scales = fock_oracle._ladder_scales(maps[0], maps[1], k_top, power)
+        for resid, scale in zip(defects, scales):
+            ratio = fock_oracle._spectral_norms(resid[0]) / scale[0]
             worst[i] = max(worst[i], ratio)
     return worst
 
@@ -417,12 +423,12 @@ def test_the_map_at_t_from_the_stencil_equals_a_separate_map():
     )
     basis = FockBasis(8)
     for sc, times in cases:
-        for residuals, defect in (
-            (dyson_residuals, _dyson_defect),
-            (quasi_hermiticity_residuals, _metric_defect),
+        for residuals, defect, power in (
+            (dyson_residuals, _dyson_defect, 1),
+            (quasi_hermiticity_residuals, _metric_defect, 2),
         ):
             got = residuals(sc, basis, times)
-            want = separate_map_residuals(defect, sc, basis, times)
+            want = separate_map_residuals(defect, power, sc, basis, times)
             assert np.array_equal(got, want)
             assert np.all(got < 1e-8)
 
@@ -438,6 +444,140 @@ def test_residuals_do_not_depend_on_the_time_chunks(monkeypatch):
     monkeypatch.setattr(fock_oracle, "_STACK_BYTES", 1)
     for r, want in zip(residuals, whole):
         assert np.array_equal(r(sc, basis, times), want)
+
+
+def every_block_residuals(defect, power, sc, basis, times, fd_step=1e-5, buffer=2):
+    # no bound: every block's defect gets its exact norm, all times at once
+    gens = build_generators(basis)
+    k_top = basis.size - buffer
+    times = np.asarray(times, dtype=float)
+    nodes, weights = fock_oracle._fd_stencil(times, fd_step, sc.t_max())
+    params = scenario_params(sc.ep_constants(), sc.lam, nodes, q1=sc.q1)
+    per_time = (sc.a(times), sc.lam(times), *f_pm(sc, times), *weights)
+    a_t, lam_t, f_plus, f_minus, *w = (x[:, None, None] for x in per_time)
+    safe = gens[: k_top + 1]
+    maps, norms = [], []
+    for g, f in zip(safe, fock_oracle._block_factors(safe)):
+        stencil = fock_oracle._block_map(f, params)
+        eta_dot = sum(wi * m for wi, m in zip(w, stencil)) / (2.0 * fd_step)
+        ham = a_t * (g[0] + g[1]) + 1j * lam_t * g[2]
+        herm = f_plus * g[0] + f_minus * g[1]
+        maps.append(stencil[0])
+        resid = defect(stencil[0], eta_dot, ham, herm)
+        norms.append(fock_oracle._spectral_norms(resid))
+    scales = fock_oracle._ladder_scales(maps[0], maps[1], k_top, power)
+    return np.max(np.array(norms) / scales, axis=0)
+
+
+@pytest.mark.parametrize("size", [8, 12, 24])
+def test_residuals_equal_every_block_solved(size):
+    # the bound only skips exact norms that cannot be a time's worst, so the
+    # result is the one with every block solved, bit for bit: criterion 02's
+    # inputs, and a bounded domain with both one-sided stencils
+    bounded = default_scenario(
+        a=TimeProfile.sinusoid(1.0, 0.2, 2.0, t_max=5.0),
+        lam=TimeProfile.sinusoid(0.5, 0.3, 1.0, t_max=5.0),
+    )
+    cases = (
+        (validation.default_scenario(), validation.sample_times()),
+        (bounded, np.append(np.linspace(0.0, 5.0, 41), 5.0 - 5e-6)),
+    )
+    basis = FockBasis(size)
+    for sc, times in cases:
+        for residuals, defect, power in (
+            (dyson_residuals, _dyson_defect, 1),
+            (quasi_hermiticity_residuals, _metric_defect, 2),
+        ):
+            got = residuals(sc, basis, times)
+            want = every_block_residuals(defect, power, sc, basis, times)
+            assert np.array_equal(got, want)
+            assert np.all(got < 1e-6)
+
+
+def test_norm_bounds_lie_above_the_spectral_norms():
+    rng = np.random.default_rng(29)
+    bounds, norms = fock_oracle._norm_bounds, fock_oracle._spectral_norms
+    for n in (1, 2, 5, 11):
+        shape = (40, n, n)
+        plain = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = rng.standard_normal((40, n, 1)) + 1j * rng.standard_normal((40, n, 1))
+        v = rng.standard_normal((40, 1, n)) + 1j * rng.standard_normal((40, 1, n))
+        diagonal = plain * np.eye(n)
+        # rank one and diagonal make one side of the bound an equality, so
+        # there the bound may sit below the exact norm by rounding only
+        for stack in (plain, u * v, diagonal):
+            for scale in (1.0, 1e200, 1e-200):
+                exact = norms(scale * stack)
+                assert np.all(bounds(scale * stack) * (1.0 + 1e-12) >= exact)
+        assert np.all(np.abs(bounds(u * v) / norms(u * v) - 1.0) < 1e-14)
+        assert np.all(np.abs(bounds(diagonal) / norms(diagonal) - 1.0) < 1e-14)
+
+
+def test_a_nan_in_one_blocks_defect_reaches_the_output(monkeypatch, tmp_path):
+    sc = default_scenario()
+    basis = FockBasis(12)
+    times = np.linspace(0.0, 10.0, 25)
+    clean = dyson_residuals(sc, basis, times)
+    solve = fock_oracle._block_residuals
+
+    def poisoned(defect, *args):
+        def nan_in_block_5(eta, eta_dot, ham, herm):
+            out = defect(eta, eta_dot, ham, herm)
+            if out.shape[-1] == 6:
+                out[7, 2, 3] = np.nan
+            return out
+
+        return solve(nan_in_block_5, *args)
+
+    monkeypatch.setattr(fock_oracle, "_block_residuals", poisoned)
+    # all 25 times fit in one chunk, so row 7 of the defect is the 8th time
+    got = dyson_residuals(sc, basis, times)
+    assert np.isnan(got[7])
+    assert np.array_equal(np.delete(got, 7), np.delete(clean, 7))
+    assert cli.main(["oracle", "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "oracle.csv").exists()
+
+
+def test_ladder_scales_match_the_norms_of_the_built_blocks():
+    # at size 60 the metric's scale reaches 1e116 and must stay finite
+    sc = validation.default_scenario()
+    consts = sc.ep_constants()
+    cases = (
+        (FockBasis(12), validation.sample_times()),
+        (FockBasis(60), np.linspace(0.0, 10.0, 25)),
+    )
+    for basis, times in cases:
+        params = scenario_params(consts, sc.lam, times, q1=sc.q1)
+        k_top = basis.size - 2
+        gens = build_generators(basis)[: k_top + 1]
+        low, norms = [], []
+        for f in fock_oracle._block_factors(gens):
+            block = fock_oracle._block_map(f, params)
+            if len(low) < 2:
+                low.append(block)
+            norms.append(fock_oracle._spectral_norms(block))
+        for power in (1, 2):
+            scales = fock_oracle._ladder_scales(*low, k_top, power)
+            assert scales.shape == (k_top + 1, times.size)
+            assert np.all(np.isfinite(scales))
+            for k, norm in enumerate(norms):
+                gap = np.abs(scales[k] / norm**power - 1.0)
+                assert np.all(gap <= 1e-12), (k, power)
+
+
+def test_criterion_02_solves_few_norms_exactly(monkeypatch):
+    # the top block holds most times' worst, and the bound rules out the
+    # rest: about 460 matrices, against 4,400 with every block solved
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert validation.check_dyson_relation().passed
+    assert 0 < sum(solved) < 1000
 
 
 def test_residuals_need_a_block_below_the_buffer():
@@ -775,6 +915,16 @@ def test_metric_positivity_fails_on_the_forward_map_svd(monkeypatch):
     assert not result.passed
     failed = [s.label for s in result.subchecks if not s.ok]
     assert failed == ["observed vs spin-ladder minimum (safe blocks)"]
+
+
+def test_metric_positivity_fails_on_a_floor_above_the_spin_ladder(monkeypatch):
+    # the floor reads 0.994 of the exact minimum at its tightest; 1% more
+    # puts it above, which only the floor-over-ladder subcheck can see
+    floor = fock_oracle.metric_floor
+    monkeypatch.setattr(fock_oracle, "metric_floor", lambda p, k: 1.01 * floor(p, k))
+    result = validation.check_metric_positivity()
+    failed = [s.label for s in result.subchecks if not s.ok]
+    assert failed == ["closed-form floor / spin-ladder minimum (blocks 1..size)"]
 
 
 def test_scalar_call_shapes_keep_their_returns():
