@@ -14,7 +14,6 @@ from .algebra_u2 import (
     basis_element,
     commutator,
     conjugate,
-    group_inverse,
     group_matrix,
     time_term,
     to_matrix,

@@ -188,11 +188,6 @@ def group_matrix(params):
     return _last(_product(params.as_array(), (1, 2, 3, 4)))
 
 
-def group_inverse(params):
-    """eta^{-1}, built from reversed negated factors (no matrix inverse)."""
-    return _last(_product(-params.as_array(), (4, 3, 2, 1)))
-
-
 def conjugate(params, a):
     """eta a eta^{-1} computed in the 2x2 image.
 

@@ -216,6 +216,17 @@ def driver_value(profile, t):
     return value
 
 
+# The package's five-point weights, times 12 h ** order, on the nodes
+# t + (j - c) h, j = 0..4: first derivatives with t at node c = 2, 0 and 4,
+# then the central second derivative.  Summed left to right, node by node.
+_FIVE_POINT = np.array([
+    [1.0, -8.0, 0.0, 8.0, -1.0],
+    [-25.0, 48.0, -36.0, 16.0, -3.0],
+    [3.0, -16.0, 36.0, -48.0, 25.0],
+    [-1.0, 16.0, -30.0, 16.0, -1.0],
+])
+
+
 def central_derivatives(fn, t, h):
     """fn(t) with its first two derivatives by 4th-order central differences.
 
@@ -226,12 +237,23 @@ def central_derivatives(fn, t, h):
     t = np.asarray(t, dtype=float)
     nodes = t + np.arange(-2.0, 3.0).reshape((5,) + (1,) * t.ndim) * h
     stencil = np.broadcast_to(fn(nodes), nodes.shape)
-    d1 = (stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (12 * h)
-    d2 = (
-        -stencil[0] + 16 * stencil[1] - 30 * stencil[2]
-        + 16 * stencil[3] - stencil[4]
-    ) / (12 * h**2)
-    return stencil[2], d1, d2
+    d1, d2 = (sum(w * s for w, s in zip(_FIVE_POINT[i], stencil)) for i in (0, 3))
+    return stencil[2], d1 / (12 * h), d2 / (12 * h**2)
+
+
+def first_derivative(fn, t, h, t_max=np.inf):
+    """First derivative of fn at t by a 4th-order five-point difference.
+
+    Central where the nodes t + k h, k = -2..2, lie in [0, t_max], else the
+    one-sided row from the end they would leave (profiles refuse times
+    outside their domain).  fn is called once per node on an array shaped
+    like t; its result's trailing axes broadcast against t.
+    """
+    t = np.asarray(t, dtype=float)
+    row = np.where(t - 2.0 * h < 0.0, 1, np.where(t + 2.0 * h <= t_max, 0, 2))
+    weights = np.moveaxis(_FIVE_POINT[row], -1, 0)
+    offsets = np.arange(5.0).reshape((5,) + (1,) * t.ndim) - np.choose(row, (2, 0, 4))
+    return sum(w * fn(t + k * h) for w, k in zip(weights, offsets)) / (12 * h)
 
 
 def ep_dissipative_residual(chi, lam, kappa, t, fd_step=1e-2):

@@ -5,14 +5,14 @@ on a finite basis.  The four quadratic generators all preserve the total
 excitation number, so every operator here is stored block by block: block
 k is the spin-k/2 irrep of the Schwinger two-boson realization, and the
 truncation at total <= size introduces no error inside any block.  The
-only approximation anywhere is the finite-difference time derivative
-inside the two verification residuals.
+only approximation anywhere is the five-point time derivative of the four
+map parameters inside the two verification residuals; the map's own
+derivative follows from those rates exactly, by the product rule.
 
-One routine builds a block of the map in either direction, for a stack of
-times at once, from mixing-generator eigensystems computed once per call;
-the two residuals share one routine that builds each block over chunks of
-times and all finite-difference nodes.  build_eta is the only dense
-(dim x dim) view, kept for the per-layer benchmark.
+One routine builds a block of the map in either direction, and the forward
+map's derivative with it, for a stack of times at once; the two residuals
+share one routine over blocks and chunks of times.  build_eta is the only
+dense (dim x dim) view, kept for the per-layer benchmark.
 
 No SVD runs here: a spectral norm is the square root of the top eigenvalue
 of a Hermitian Gram product, and the metric's smallest eigenvalue on a
@@ -25,14 +25,13 @@ cheap upper bound cannot settle which block is a time's worst.
 Conditioning, not truncation, is the real constraint: the group factors
 grow like exp(|gamma| * k) on block k, so checks that invert or normalize
 by the map are run on the low blocks, and the residuals' `buffer` argument
-skips the top blocks, where the fastest-growing singular direction makes
-the finite-difference step stop being the leading error.
+skips the top blocks, whose rounding grows with their conditioning.
 """
 
 import numpy as np
 
 from .algebra_u2 import DysonParams
-from .dyson import scenario_params
+from .dyson import first_derivative, scenario_params
 from .energy import f_pm
 from .errors import ConstraintViolationError
 from .invariants import alpha_coeffs
@@ -40,9 +39,12 @@ from .invariants import alpha_coeffs
 MIN_SIZE = 2
 MAX_SIZE = 60
 
-# Bytes of one residual stack of block maps over times and stencil rows;
-# the residuals take times in chunks that keep the top block under it.
+# Bytes of one residual stack of block maps and their derivatives over
+# times; the residuals take times in chunks that keep the top block under it.
 _STACK_BYTES = 2**19
+
+# Step of the parameters' five-point rates, short of the rule's rounding.
+_FD_STEP = 1e-3
 
 
 class FockBasis:
@@ -116,16 +118,20 @@ def _block_factors(gens):
                vals3, vecs3, vals4, vecs4, vecs3.conj().T @ vecs4)
 
 
-def _block_map(factors, params, inverse=False):
+def _block_map(factors, params, inverse=False, rates=None):
     """One block of the ordered-product map, or of its exact inverse.
 
     Diagonal pair first, then the two mixing factors, each a Hermitian
     exponential through the block's eigensystem (computed once per call).
     The two exponentials meet through the eigenbasis overlap W, so the
-    block is V3 (D3 W D4) V4^H: two products, the diagonal factors applied
-    entry-wise.  The inverse is the reversed product with negated
+    block is V3 M V4^H with M = D3 W D4: two products, the diagonal factors
+    applied entry-wise.  The inverse is the reversed product with negated
     parameters, V4 (D4 W^H D3) V3^H.  Stacked params (one set per time)
-    give a (..., k+1, k+1) stack.
+    give a (..., k+1, k+1) stack.  Given the parameters' `rates` (forward
+    only), the map and its exact time derivative come stacked as
+    (2, ..., k+1, k+1): by the product rule the derivative's middle factor is
+    (g3' vals3[:, None] + g4' vals4[None, :]) * M, through the same two
+    products, plus (g1' d1 + g2' d2) times the map.
     """
     d1, d2, vals3, vecs3, vals4, vecs4, overlap = factors
     g1, g2, g3, g4 = (-1.0 if inverse else 1.0) * params.as_array()[..., None]
@@ -135,13 +141,20 @@ def _block_map(factors, params, inverse=False):
         v_left, e_left, middle, v_right, e_right = vecs4, e4, overlap.conj().T, vecs3, e3
     else:
         v_left, e_left, middle, v_right, e_right = vecs3, e3, overlap, vecs4, e4
-    # a C-ordered stack whose buffer takes the result: two stacks live at a time
-    out = np.multiply(e_left[..., :, None], middle, order="C")
-    out *= e_right[..., None, :]
+    # C-ordered: holds the middle factors, then the result (two such live at once)
+    n = len(d1)
+    out = np.empty((1 if rates is None else 2,) + e_left.shape[:-1] + (n, n), complex)
+    np.multiply(e_left[..., :, None] * middle, e_right[..., None, :], out=out[0])
+    if rates is not None:
+        r1, r2, r3, r4 = rates.as_array()[..., None]
+        out[1] = out[0] * ((r3 * vals3)[..., :, None] + (r4 * vals4)[..., None, :])
     # the right factor multiplies every row of the stack: one flat product
-    rows = out.reshape(-1, out.shape[-1])
+    rows = out.reshape(-1, n)
     np.matmul((v_left @ out).reshape(rows.shape), v_right.conj().T, out=rows)
     out *= diag[..., None, :] if inverse else diag[..., :, None]
+    if rates is None:
+        return out[0]
+    out[1] += (r1 * d1 + r2 * d2)[..., :, None] * out[0]
     return out
 
 
@@ -213,42 +226,21 @@ def _ladder_scales(eta0, eta1, k_top, power):
     return np.ldexp(np.cumprod(steps, axis=0) ** power, power * (e0 + k * (e1 - e0)))
 
 
-# Second-order first derivatives times 2 h, as (offset / h, weight) per node:
-# central, forward, backward.  Every row starts at the time itself, so the
-# first node's map is the map at t.
-_STENCILS = np.array([
-    [(0.0, 0.0), (1.0, 1.0), (-1.0, -1.0)],
-    [(0.0, -3.0), (1.0, 4.0), (2.0, -1.0)],
-    [(0.0, 3.0), (-1.0, -4.0), (-2.0, 1.0)],
-])
-
-
-def _fd_stencil(times, fd_step, t_max):
-    """Nodes and weights, each (3, T), of a first derivative times 2 fd_step.
-
-    Central inside [0, t_max], one-sided at the domain edges.
-    """
-    h = fd_step
-    kind = np.where(times - h < 0.0, 1, np.where(times + h <= t_max, 0, 2))
-    offsets, weights = _STENCILS[kind].T
-    return times + h * offsets, weights
-
-
-def _block_residuals(defect, power, scenario, basis, times, gens, fd_step, buffer):
+def _block_residuals(defect, power, scenario, basis, times, gens, buffer):
     """Worst per-block ratio of a defect to its scale at each time.
 
     defect(eta, eta_dot, ham, herm) receives one block of the map, its
-    finite-difference time derivative, the non-Hermitian generator and the
-    Hermitian image, each stacked over times, and returns the defect; its
-    spectral norm over the block's scale |eta_k|_2 ** power is the block's
-    residual, the scale read off the spin ladder of the map's own blocks 0
-    and 1 at each time (_ladder_scales).  Only blocks 0..size - buffer are
-    built, each once per chunk of times for all stencil nodes, walked from
-    the top down.  Each defect first gets the cheap bound of _norm_bounds;
-    the exact norm runs only at the times where that bound cannot rule the
-    block out as the worst so far, so the result equals, bit for bit, the
-    one with every block solved.  A NaN is never ruled out.  Returns one
-    worst-over-blocks value per time.
+    exact time derivative (from the parameters' five-point rates), the
+    non-Hermitian generator and the Hermitian image, each stacked over
+    times, and returns the defect; its spectral norm over the block's scale
+    |eta_k|_2 ** power is the block's residual, the scale read off the spin
+    ladder of the map's own blocks 0 and 1 at each time (_ladder_scales).
+    Only blocks 0..size - buffer are built, each with its derivative once
+    per chunk of times, walked from the top down.  Each defect first
+    gets the cheap bound of _norm_bounds; the exact norm runs only at the
+    times where that bound cannot rule the block out as the worst so far,
+    so the result equals, bit for bit, the one with every block solved.  A
+    NaN is never ruled out.  Returns one worst-over-blocks value per time.
     """
     k_top = basis.size - buffer
     if k_top < 1:
@@ -259,71 +251,69 @@ def _block_residuals(defect, power, scenario, basis, times, gens, fd_step, buffe
     if gens is None:
         gens = build_generators(basis)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    nodes, weights = _fd_stencil(times, fd_step, scenario.t_max())
-    gammas = scenario_params(
-        scenario.ep_constants(), scenario.lam, nodes, q1=scenario.q1
-    ).as_array()
-    # per-time coefficients and stencil weights, broadcast against the blocks
+    consts = scenario.ep_constants()
+
+    def gammas_at(t):
+        return scenario_params(consts, scenario.lam, t, q1=scenario.q1).as_array()
+
+    gammas = gammas_at(times)
+    rates = first_derivative(gammas_at, times, _FD_STEP, scenario.t_max())
+    # per-time coefficients, broadcast against the blocks
     coeffs = np.array(
-        [scenario.a(times), scenario.lam(times), *f_pm(scenario, times), *weights]
+        [scenario.a(times), scenario.lam(times), *f_pm(scenario, times)]
     )[..., None, None]
     factors = list(_block_factors(gens[: k_top + 1]))
-    # the first stencil row is the time itself
-    at_t = DysonParams(*gammas[:, 0])
+    at_t = DysonParams(*gammas)
     scales = _ladder_scales(
         _block_map(factors[0], at_t), _block_map(factors[1], at_t), k_top, power
     )
-    # 16 bytes per complex entry, one map per stencil row
-    step = max(1, _STACK_BYTES // (16 * len(_STENCILS[0]) * (k_top + 1) ** 2))
+    # 16 bytes per complex entry, the map and its derivative per time
+    step = max(1, _STACK_BYTES // (32 * (k_top + 1) ** 2))
     chunks = [slice(i, i + step) for i in range(0, times.size, step)]
     worst = np.zeros(times.shape)
     for k in range(k_top, -1, -1):
         (k1, k2, k3), f, scale = gens[k][:3], factors[k], scales[k]
         for sl in chunks:
-            a_t, lam_t, f_plus, f_minus, *w = coeffs[:, sl]
-            stencil = _block_map(f, DysonParams(*gammas[..., sl]))
-            eta = stencil[0]
-            eta_dot = sum(wi * m for wi, m in zip(w, stencil)) / (2.0 * fd_step)
+            a_t, lam_t, f_plus, f_minus = coeffs[:, sl]
+            eta, eta_dot = _block_map(
+                f, DysonParams(*gammas[:, sl]), rates=DysonParams(*rates[:, sl])
+            )
             ham = a_t * (k1 + k2) + 1j * lam_t * k3
             herm = f_plus * k1 + f_minus * k2
             resid = defect(eta, eta_dot, ham, herm)
             # 1e-12 covers the rounding of the bound and of the exact norm
             live = ~(_norm_bounds(resid) / scale[sl] * (1.0 + 1e-12) <= worst[sl])
-            if live.all():
-                worst[sl] = np.maximum(worst[sl], _spectral_norms(resid) / scale[sl])
-            elif live.any():
+            if live.any():
                 rows = sl.start + np.flatnonzero(live)
                 ratio = _spectral_norms(resid[live]) / scale[rows]
                 worst[rows] = np.maximum(worst[rows], ratio)
     return worst
 
 
-def dyson_residuals(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
+def dyson_residuals(scenario, basis, times, gens=None, buffer=2):
     """Worst per-block relative residual of the intertwining relation, per time.
 
     The map composed with the non-Hermitian generator plus i times the map's
     time derivative must equal the Hermitian image composed with the map;
     the residual of each block is normalized by that block's spectral norm
     of the map, taken from the spin ladder of blocks 0 and 1.  Blocks above
-    size - buffer are skipped (their norms are dominated by the
-    fastest-growing singular direction and the finite-difference step stops
-    being the leading error there).  Returns one value per time.
+    size - buffer are skipped: with the exact derivative they add only
+    rounding, which grows with the block's conditioning.  Returns one value
+    per time.
     """
 
     def defect(eta, eta_dot, ham, herm):
         return eta @ ham + 1j * eta_dot - herm @ eta
 
-    return _block_residuals(defect, 1, scenario, basis, times, gens, fd_step, buffer)
+    return _block_residuals(defect, 1, scenario, basis, times, gens, buffer)
 
 
-def verify_dyson(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
+def verify_dyson(scenario, basis, times, gens=None, buffer=2):
     """The worst of dyson_residuals over the times."""
-    return np.max(dyson_residuals(scenario, basis, times, gens, fd_step, buffer))
+    return np.max(dyson_residuals(scenario, basis, times, gens, buffer))
 
 
-def quasi_hermiticity_residuals(
-    scenario, basis, times, gens=None, fd_step=1e-5, buffer=2
-):
+def quasi_hermiticity_residuals(scenario, basis, times, gens=None, buffer=2):
     """Worst per-block relative residual of the metric compatibility law, per time.
 
     The adjoint generator composed with the metric, minus the metric
@@ -340,14 +330,12 @@ def quasi_hermiticity_residuals(
         rho_dot = eta_dot_h @ eta + eta_h @ eta_dot
         return ham_h @ rho - rho @ ham - 1j * rho_dot
 
-    return _block_residuals(defect, 2, scenario, basis, times, gens, fd_step, buffer)
+    return _block_residuals(defect, 2, scenario, basis, times, gens, buffer)
 
 
-def verify_quasi_hermiticity(scenario, basis, times, gens=None, fd_step=1e-5, buffer=2):
+def verify_quasi_hermiticity(scenario, basis, times, gens=None, buffer=2):
     """The worst of quasi_hermiticity_residuals over the times."""
-    return np.max(
-        quasi_hermiticity_residuals(scenario, basis, times, gens, fd_step, buffer)
-    )
+    return np.max(quasi_hermiticity_residuals(scenario, basis, times, gens, buffer))
 
 
 def sort_along_line(vals):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra_u2 import AlgebraElement, commutator, conjugate
-from .dyson import EPConstants
+from .dyson import EPConstants, first_derivative
 from .errors import ConstraintViolationError
 
 _CONSTRAINT_TOL = 1e-10
@@ -251,15 +251,15 @@ def b_diff_integral(coeffs, lam, t):
     return np.sign(c3r) * (primitive(t) - primitive(0.0))
 
 
-def conservation_residual(element_fn, hamiltonian_fn, t, fd_step=1e-5):
+def conservation_residual(element_fn, hamiltonian_fn, t):
     """Coefficient-norm residual of d/dt I = i [I, H] at time t.
 
     element_fn and hamiltonian_fn map t to AlgebraElement; the time
-    derivative is a central difference of the coefficients.  Array t gives
-    one residual per entry when both callables stack over t.
+    derivative is the five-point first derivative of the coefficients
+    (dyson.first_derivative) at step 1e-3.  Array t gives one residual per
+    entry when both callables stack over t.
     """
-    h = fd_step
-    di = (element_fn(t + h).vector - element_fn(t - h).vector) / (2.0 * h)
+    di = first_derivative(lambda s: element_fn(s).vector, t, 1e-3)
     bracket = commutator(element_fn(t), hamiltonian_fn(t)).vector
     return np.linalg.norm(di - 1.0j * bracket, axis=0)[()]
 

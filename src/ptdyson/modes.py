@@ -203,13 +203,8 @@ def pedrosa_mode_xx(spec, x, t):
     return _mode_xx(spec, x, _mode_factors(_time_factors(spec, t), x))
 
 
-def _mode_pair(spec, x, t):
-    """(pedrosa_mode, pedrosa_mode_xx) from one pass over the shared factors."""
-    return _mode_pair_at(spec, x, _time_factors(spec, t))
-
-
 def _mode_pair_at(spec, x, time_factors):
-    """_mode_pair from the output of _time_factors.
+    """(pedrosa_mode, pedrosa_mode_xx) from the output of _time_factors.
 
     A caller that evaluates the pair on many x at the same times computes
     the time factors once and forms only the Gaussian and the Hermite terms

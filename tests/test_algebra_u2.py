@@ -9,12 +9,17 @@ from ptdyson import (
     basis_element,
     commutator,
     conjugate,
-    group_inverse,
     group_matrix,
     time_term,
     to_matrix,
 )
-from ptdyson.algebra_u2 import _element, _image
+from ptdyson.algebra_u2 import _element, _image, _last, _product
+
+
+def group_inverse(params):
+    # eta^{-1} from the reversed negated factors, no matrix inverse
+    return _last(_product(-params.as_array(), (4, 3, 2, 1)))
+
 
 # full bracket table among the four generators; entries are the coefficient
 # vectors of the results, structure factors of i included

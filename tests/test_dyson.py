@@ -14,7 +14,6 @@ from ptdyson import (
     fit_ep_constants,
     gamma_closed_form,
     gamma_rates,
-    group_inverse,
     group_matrix,
     hermitian_counterpart,
     nonhermitian_hamiltonian,
@@ -23,7 +22,7 @@ from ptdyson import (
     solve_gamma_ode,
     to_matrix,
 )
-from ptdyson.dyson import _rk4_samples
+from ptdyson.dyson import _rk4_samples, first_derivative
 from ptdyson.errors import (
     ConstraintViolationError,
     IntegrationError,
@@ -279,6 +278,26 @@ def test_dissipative_equation_guards_vanishing_driver():
         ep_dissipative_residual(chi, TimeProfile.constant(0.0), c.kappa, 1.0)
 
 
+def test_first_derivative_is_exact_on_quartics_inside_the_domain():
+    # every five-point row differentiates a quartic exactly; near either end
+    # of [0, t_max] the one-sided rows keep all nodes inside it
+    t_max, h = 1.0, 0.1
+    t = np.array([0.0, 0.15, 0.5, 0.85, 1.0])
+    calls = []
+
+    def quartic(s):
+        calls.append(s)
+        assert np.all((s >= 0.0) & (s <= t_max))
+        return np.array([s**4 - 2.0 * s**3, 3.0 * s + 1.0])
+
+    got = first_derivative(quartic, t, h, t_max)
+    want = np.array([4.0 * t**3 - 6.0 * t**2, np.full_like(t, 3.0)])
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert len(calls) == 5
+    # a scalar t gives a scalar, one-sided at 0
+    assert abs(first_derivative(np.sin, 0.0, 1e-3) - 1.0) < 1e-11
+
+
 def test_hermitian_counterpart_degenerate_cases():
     for elem in (
         hermitian_counterpart(1.3, 0.0, 0.8, -0.4),
@@ -306,7 +325,7 @@ def test_energy_operator_is_conjugated_counterpart():
         g3, g4 = rng.normal(scale=0.8, size=2)
         params = DysonParams(0.0, 0.0, g3, g4)
         h = hermitian_counterpart(a_v, lam_v, g3, g4)
-        m = group_inverse(params) @ to_matrix(h) @ group_matrix(params)
+        m = np.linalg.inv(group_matrix(params)) @ to_matrix(h) @ group_matrix(params)
         # decode the 2x2 image: K1, K2 on the diagonal, K3 and K4 off it
         ref = np.array([
             m[0, 0], m[1, 1], m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0])

@@ -29,6 +29,7 @@ from ptdyson import (
     verify_quasi_hermiticity,
 )
 from ptdyson import cli, fock_oracle, validation
+from ptdyson.dyson import first_derivative
 from ptdyson.errors import ConstraintViolationError
 
 A = TimeProfile.sinusoid(1.0, 0.2, 2.0)
@@ -328,7 +329,7 @@ def test_metric_compatibility_static_and_generic():
 
 
 def test_residuals_at_the_domain_end():
-    # t + fd_step beyond t_max forces the backward one-sided difference;
+    # t + 2 h beyond t_max forces the backward one-sided rates;
     # evaluating the profiles past their domain would raise instead
     sc = default_scenario(
         a=TimeProfile.sinusoid(1.0, 0.2, 2.0, t_max=5.0),
@@ -369,35 +370,33 @@ def _metric_defect(eta, eta_dot, ham, herm):
     return ham_h @ rho - rho @ ham - 1j * rho_dot
 
 
-def separate_map_residuals(defect, power, sc, basis, times, fd_step=1e-5, buffer=2):
-    # one time at a time, the map at t and the stencil nodes built as two
-    # separate block maps, the central stencil on its two outer nodes alone;
-    # every block solved, each scaled by the spin ladder of its own blocks
-    # 0 and 1
-    gens = build_generators(basis)
+def map_params_and_rates(sc, times):
+    # the closed-form parameters at the times, and their five-point rates
     consts = sc.ep_constants()
+
+    def gammas(t):
+        return scenario_params(consts, sc.lam, t, q1=sc.q1).as_array()
+
+    rates = first_derivative(gammas, times, fock_oracle._FD_STEP, sc.t_max())
+    return DysonParams(*gammas(times)), DysonParams(*rates)
+
+
+def separate_map_residuals(defect, power, sc, basis, times, buffer=2):
+    # one time at a time, every block solved; the map and its derivative
+    # come from one block-map pass, and that pass's blocks 0 and 1 give the
+    # spin ladder each block is scaled by
+    gens = build_generators(basis)
     times = np.asarray(times, dtype=float)
-    h = fd_step
     a_t, lam_t = sc.a(times), sc.lam(times)
     f_plus, f_minus = f_pm(sc, times)
     worst = np.zeros(times.shape)
     k_top = basis.size - buffer
     for i, t in enumerate(times):
-        if t - h < 0.0:
-            offsets, weights = (0.0, 1.0, 2.0), (-3.0, 4.0, -1.0)
-        elif t + h <= sc.t_max():
-            offsets, weights = (1.0, -1.0), (1.0, -1.0)
-        else:
-            offsets, weights = (0.0, -1.0, -2.0), (3.0, -4.0, 1.0)
-        nodes = t + h * np.array(offsets)[:, None]
-        at_t = scenario_params(consts, sc.lam, np.array([t]), q1=sc.q1)
-        at_nodes = scenario_params(consts, sc.lam, nodes, q1=sc.q1)
+        at_t, rates = map_params_and_rates(sc, np.array([t]))
         safe = gens[: k_top + 1]
         maps, defects = [], []
         for g, f in zip(safe, fock_oracle._block_factors(safe)):
-            eta = fock_oracle._block_map(f, at_t)
-            stencil = fock_oracle._block_map(f, at_nodes)
-            eta_dot = sum(w * m for w, m in zip(weights, stencil)) / (2.0 * h)
+            eta, eta_dot = fock_oracle._block_map(f, at_t, rates=rates)
             ham = a_t[i] * (g[0] + g[1]) + 1j * lam_t[i] * g[2]
             herm = f_plus[i] * g[0] + f_minus[i] * g[1]
             maps.append(eta)
@@ -410,9 +409,9 @@ def separate_map_residuals(defect, power, sc, basis, times, fd_step=1e-5, buffer
 
 
 def test_the_map_at_t_from_the_stencil_equals_a_separate_map():
-    # the first stencil node is the time itself, so its map is the map at
-    # t; building that map on its own must give the same bits at interior
-    # times, at t = 0 (forward stencil) and at t_max (backward stencil)
+    # the residuals scale by maps built on their own and take the defect
+    # from the map built with its derivative; both must give the same bits
+    # at interior times, at t = 0 (forward rates) and at t_max (backward)
     bounded = default_scenario(
         a=TimeProfile.sinusoid(1.0, 0.2, 2.0, t_max=5.0),
         lam=TimeProfile.sinusoid(0.5, 0.3, 1.0, t_max=5.0),
@@ -446,25 +445,22 @@ def test_residuals_do_not_depend_on_the_time_chunks(monkeypatch):
         assert np.array_equal(r(sc, basis, times), want)
 
 
-def every_block_residuals(defect, power, sc, basis, times, fd_step=1e-5, buffer=2):
+def every_block_residuals(defect, power, sc, basis, times, buffer=2):
     # no bound: every block's defect gets its exact norm, all times at once
     gens = build_generators(basis)
     k_top = basis.size - buffer
     times = np.asarray(times, dtype=float)
-    nodes, weights = fock_oracle._fd_stencil(times, fd_step, sc.t_max())
-    params = scenario_params(sc.ep_constants(), sc.lam, nodes, q1=sc.q1)
-    per_time = (sc.a(times), sc.lam(times), *f_pm(sc, times), *weights)
-    a_t, lam_t, f_plus, f_minus, *w = (x[:, None, None] for x in per_time)
+    params, rates = map_params_and_rates(sc, times)
+    per_time = (sc.a(times), sc.lam(times), *f_pm(sc, times))
+    a_t, lam_t, f_plus, f_minus = (x[:, None, None] for x in per_time)
     safe = gens[: k_top + 1]
     maps, norms = [], []
     for g, f in zip(safe, fock_oracle._block_factors(safe)):
-        stencil = fock_oracle._block_map(f, params)
-        eta_dot = sum(wi * m for wi, m in zip(w, stencil)) / (2.0 * fd_step)
+        eta, eta_dot = fock_oracle._block_map(f, params, rates=rates)
         ham = a_t * (g[0] + g[1]) + 1j * lam_t * g[2]
         herm = f_plus * g[0] + f_minus * g[1]
-        maps.append(stencil[0])
-        resid = defect(stencil[0], eta_dot, ham, herm)
-        norms.append(fock_oracle._spectral_norms(resid))
+        maps.append(eta)
+        norms.append(fock_oracle._spectral_norms(defect(eta, eta_dot, ham, herm)))
     scales = fock_oracle._ladder_scales(maps[0], maps[1], k_top, power)
     return np.max(np.array(norms) / scales, axis=0)
 
@@ -592,13 +588,53 @@ def test_residuals_need_a_block_below_the_buffer():
         assert 0.0 < verify(sc, basis, [1.0], buffer=5) < 1e-8
 
 
-def test_residuals_detect_a_coarse_step():
-    # a step of 0.1 leaves a second-order error in the map's derivative
+def test_residuals_detect_a_coarse_step(monkeypatch):
+    # a step of 0.3 leaves a fourth-order error in the parameters' rates
     # that both residuals must report
     sc = default_scenario()
     basis = FockBasis(8)
-    assert verify_dyson(sc, basis, [0.7, 2.5], fd_step=0.1) > 1e-4
-    assert verify_quasi_hermiticity(sc, basis, [0.7, 2.5], fd_step=0.1) > 1e-4
+    monkeypatch.setattr(fock_oracle, "_FD_STEP", 0.3)
+    assert verify_dyson(sc, basis, [0.7, 2.5]) > 1e-4
+    assert verify_quasi_hermiticity(sc, basis, [0.7, 2.5]) > 1e-4
+
+
+def test_the_exact_derivative_matches_a_central_difference_of_the_map():
+    # a smooth path through all four parameters, with its exact rates: the
+    # product rule must match the central difference of whole block maps,
+    # to that difference's h^2 truncation and rounding
+    def path(t):
+        return DysonParams(
+            0.3 * np.sin(t), -0.2 * np.cos(1.5 * t),
+            1.1 * np.sin(0.7 * t), 0.8 * np.cos(0.9 * t),
+        )
+
+    def path_rates(t):
+        return DysonParams(
+            0.3 * np.cos(t), 0.3 * np.sin(1.5 * t),
+            0.77 * np.cos(0.7 * t), -0.72 * np.sin(0.9 * t),
+        )
+
+    times, h = np.array([1.3, 4.2, 7.7]), 1e-5
+    gens = build_generators(FockBasis(12))[:11]
+    for k, f in enumerate(fock_oracle._block_factors(gens)):
+        eta, eta_dot = fock_oracle._block_map(f, path(times), rates=path_rates(times))
+        assert np.array_equal(eta, fock_oracle._block_map(f, path(times)))
+        plus, minus = (fock_oracle._block_map(f, path(times + s)) for s in (h, -h))
+        gap = fock_oracle._spectral_norms(eta_dot - (plus - minus) / (2.0 * h))
+        assert np.all(gap <= 1e-8 * fock_oracle._spectral_norms(eta)), k
+
+
+def test_swapped_mixing_rates_fail_the_dyson_residual(monkeypatch):
+    # the derivative with the two mixing rates swapped is a plausible slip
+    sc = default_scenario()
+    basis = FockBasis(8)
+    times = [0.7, 2.5, 6.1]
+    assert verify_dyson(sc, basis, times) < 1e-10
+    rates = fock_oracle.first_derivative
+    monkeypatch.setattr(
+        fock_oracle, "first_derivative", lambda *args: rates(*args)[[0, 1, 3, 2]]
+    )
+    assert verify_dyson(sc, basis, times) > 1.0
 
 
 def test_metric_compatibility_needs_the_metric():

@@ -214,7 +214,7 @@ def test_mode_pair_equals_the_two_modes(monkeypatch):
     for t in (1.1, np.array([[0.4], [2.3], [7.9]])):
         for n in range(4):
             spec = ModeSpec(n, DRIVER, 0.5)
-            psi, psi_xx = modes._mode_pair(spec, x, t)
+            psi, psi_xx = modes._mode_pair_at(spec, x, modes._time_factors(spec, t))
             assert np.array_equal(psi, pedrosa_mode(spec, x, t))
             assert np.array_equal(psi_xx, pedrosa_mode_xx(spec, x, t))
     # one pass over the shared factors: one read of the running integral
@@ -226,7 +226,8 @@ def test_mode_pair_equals_the_two_modes(monkeypatch):
         return cumulative(self, s)
 
     monkeypatch.setattr(TimeProfile, "cumulative", counted)
-    modes._mode_pair(ModeSpec(2, DRIVER, 0.5), x, 1.1)
+    spec = ModeSpec(2, DRIVER, 0.5)
+    modes._mode_pair_at(spec, x, modes._time_factors(spec, 1.1))
     assert len(calls) == 1
 
 
