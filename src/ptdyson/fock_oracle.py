@@ -17,10 +17,10 @@ dense (dim x dim) view, kept for the per-layer benchmark.
 No SVD runs here: a spectral norm is the square root of the top eigenvalue
 of a Hermitian Gram product, and the metric's smallest eigenvalue on a
 block is read from the largest singular value of the exact inverse block,
-which keeps full relative accuracy.  The residuals solve no block for
-their scale: block k is the spin-k/2 image of block 1, so its norm follows
-from blocks 0 and 1 alone.  Their defects get an exact norm only where a
-cheap upper bound cannot settle which block is a time's worst.
+which keeps full relative accuracy.  Both ends of each block's singular
+values follow from blocks 0 and 1 (_spin_ladder): the residuals' scale is
+the top end and criterion 12's exact minimum the bottom; the defects get
+an exact norm only where a cheap bound cannot settle a time's worst block.
 
 Conditioning, not truncation, is the real constraint: the group factors
 grow like exp(|gamma| * k) on block k, so checks that invert or normalize
@@ -207,23 +207,25 @@ def _norm_bounds(a):
     return np.ldexp(np.minimum(frobenius, np.sqrt(one * inf)), exponent)
 
 
-def _ladder_scales(eta0, eta1, k_top, power):
-    """|eta_k|_2 ** power for blocks k = 0..k_top, from blocks 0 and 1.
+def _spin_ladder(eta0, eta1, k_top):
+    """Both ends of the singular values of blocks 0..k_top, from blocks 0 and 1.
 
-    Block k of the map is eta_0 Sym^k(eta_1 / eta_0) (the Schwinger
-    realization) and |Sym^k(M)|_2 = |M|_2^k, so |eta_k|_2 is
-    |eta_0| (|eta_1|_2 / |eta_0|)^k.  Mantissas and exponents are kept
-    apart, so a scale fits wherever its block does, and the powers are
-    running products, which round alike whatever the stack's length.
-    eta0 and eta1 are (..., 1, 1) and (..., 2, 2) stacks; returns a
-    (k_top + 1, ...) array.
+    Block k is eta_0 Sym^k(eta_1 / eta_0) (the Schwinger realization), so its
+    ends are |eta_0| (s / |eta_0|)^k for s = |eta_1|_2 and |eta_0|^4 / |eta_1|_2
+    (each factor exp(g_i K_i) has a 2x2 determinant equal to the square of
+    its block-0 value).  Mantissas and exponents stay apart, so an end fits
+    wherever its block does; the powers are running products, which round
+    alike whatever the stack's length.  Takes (..., 1, 1) and (..., 2, 2)
+    stacks; returns (mantissa, exponent), each (2, k_top + 1, ...), top first.
     """
     m0, e0 = np.frexp(np.abs(eta0[..., 0, 0]))
     m1, e1 = np.frexp(_spectral_norms(eta1))
-    steps = np.empty((k_top + 1,) + m0.shape)
-    steps[0], steps[1:] = m0, m1 / m0
+    m2, e2 = np.frexp(m0**4 / m1)
+    steps = np.empty((2, k_top + 1) + m0.shape)
+    steps[:, 0], steps[0, 1:], steps[1, 1:] = m0, m1 / m0, m2 / m0
+    e_ends = np.stack([e1, e2 + 4 * e0 - e1])[:, None]
     k = np.arange(k_top + 1).reshape((-1,) + (1,) * m0.ndim)
-    return np.ldexp(np.cumprod(steps, axis=0) ** power, power * (e0 + k * (e1 - e0)))
+    return np.cumprod(steps, axis=1), e0 + k * (e_ends - e0)
 
 
 def _block_residuals(defect, power, scenario, basis, times, gens, buffer):
@@ -233,8 +235,8 @@ def _block_residuals(defect, power, scenario, basis, times, gens, buffer):
     exact time derivative (from the parameters' five-point rates), the
     non-Hermitian generator and the Hermitian image, each stacked over
     times, and returns the defect; its spectral norm over the block's scale
-    |eta_k|_2 ** power is the block's residual, the scale read off the spin
-    ladder of the map's own blocks 0 and 1 at each time (_ladder_scales).
+    |eta_k|_2 ** power is the block's residual, the scale the top end of
+    _spin_ladder over the map's own blocks 0 and 1 at each time.
     Only blocks 0..size - buffer are built, each with its derivative once
     per chunk of times, walked from the top down.  Each defect first
     gets the cheap bound of _norm_bounds; the exact norm runs only at the
@@ -263,10 +265,10 @@ def _block_residuals(defect, power, scenario, basis, times, gens, buffer):
         [scenario.a(times), scenario.lam(times), *f_pm(scenario, times)]
     )[..., None, None]
     factors = list(_block_factors(gens[: k_top + 1]))
-    at_t = DysonParams(*gammas)
-    scales = _ladder_scales(
-        _block_map(factors[0], at_t), _block_map(factors[1], at_t), k_top, power
-    )
+    low = [_block_map(f, DysonParams(*gammas)) for f in factors[:2]]
+    mantissa, exponent = _spin_ladder(*low, k_top)
+    scales = np.ldexp(mantissa[0] ** power, power * exponent[0])
+    del low, mantissa, exponent  # only the scales live through the block loop
     # 16 bytes per complex entry, the map and its derivative per time
     step = max(1, _STACK_BYTES // (32 * (k_top + 1) ** 2))
     chunks = [slice(i, i + step) for i in range(0, times.size, step)]
@@ -490,7 +492,7 @@ def metric_spectrum_report(basis, gens, params):
     singular value of the map itself is lost to rounding on ill-conditioned
     blocks.  floors[k] <= observed[k] certifies positivity without
     trusting the numerics (criterion 12 checks the floor against the exact
-    spin-ladder minimum on blocks 1..size; on block 0 the two are equal);
+    minimum of _spin_ladder on blocks 1..size; on block 0 they are equal);
     the observed value shows the actual margin.
     Block eigensystems are computed once per call; stacked params give arrays.
     """

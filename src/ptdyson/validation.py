@@ -53,7 +53,7 @@ from .fock_oracle import (
     FockBasis,
     _block_factors,
     _block_map,
-    _spectral_norms,
+    _spin_ladder,
     broken_spectrum_numeric,
     build_generators,
     element_matrix,
@@ -650,12 +650,9 @@ def check_metric_positivity():
     params = scenario_params(scenario.ep_constants(), scenario.lam, sample_times())
     safe = build_generators(basis)[: size - buffer + 1]
     floors, observed = metric_spectrum_report(basis, safe, params)
-    # block k carries sqrt(det M) Sym^k(M), M the 2x2 image: the metric
-    # block's smallest eigenvalue is |det M| s2^(2k), s2 = |det M| / |M|_2
-    matrix = group_matrix(params)
-    det = np.abs(np.linalg.det(matrix))
-    s2 = det / _spectral_norms(matrix)
-    exact = [det * s2 ** (2 * k) for k in basis.blocks()]
+    eta0 = np.exp(0.5 * params.as_array()[:2].sum(0))[..., None, None]
+    mantissa, exponent = _spin_ladder(eta0, eta0 * group_matrix(params), size)
+    exact = np.ldexp(mantissa[1] ** 2, 2 * exponent[1])
     ladder_gap = max(_max_abs(obs / exact[k] - 1.0) for k, obs in enumerate(observed))
     # block 0's floor is its exact value by construction; the rest must lie below
     floor_ratio = max(_max_abs(floors[k] / exact[k]) for k in range(1, size + 1))

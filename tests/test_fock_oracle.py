@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
@@ -401,14 +403,15 @@ def separate_map_residuals(defect, power, sc, basis, times, buffer=2):
             herm = f_plus[i] * g[0] + f_minus[i] * g[1]
             maps.append(eta)
             defects.append(defect(eta, eta_dot, ham, herm))
-        scales = fock_oracle._ladder_scales(maps[0], maps[1], k_top, power)
+        mantissa, exponent = fock_oracle._spin_ladder(maps[0], maps[1], k_top)
+        scales = np.ldexp(mantissa[0] ** power, power * exponent[0])
         for resid, scale in zip(defects, scales):
             ratio = fock_oracle._spectral_norms(resid[0]) / scale[0]
             worst[i] = max(worst[i], ratio)
     return worst
 
 
-def test_the_map_at_t_from_the_stencil_equals_a_separate_map():
+def test_the_map_from_the_rates_pass_equals_a_separate_map():
     # the residuals scale by maps built on their own and take the defect
     # from the map built with its derivative; both must give the same bits
     # at interior times, at t = 0 (forward rates) and at t_max (backward)
@@ -461,7 +464,8 @@ def every_block_residuals(defect, power, sc, basis, times, buffer=2):
         herm = f_plus * g[0] + f_minus * g[1]
         maps.append(eta)
         norms.append(fock_oracle._spectral_norms(defect(eta, eta_dot, ham, herm)))
-    scales = fock_oracle._ladder_scales(maps[0], maps[1], k_top, power)
+    mantissa, exponent = fock_oracle._spin_ladder(maps[0], maps[1], k_top)
+    scales = np.ldexp(mantissa[0] ** power, power * exponent[0])
     return np.max(np.array(norms) / scales, axis=0)
 
 
@@ -534,31 +538,38 @@ def test_a_nan_in_one_blocks_defect_reaches_the_output(monkeypatch, tmp_path):
     assert not (tmp_path / "oracle.csv").exists()
 
 
-def test_ladder_scales_match_the_norms_of_the_built_blocks():
-    # at size 60 the metric's scale reaches 1e116 and must stay finite
+def test_spin_ladder_ends_match_the_built_blocks():
+    # the top end against the forward block's norm, the bottom end against
+    # 1 / the norm of the exact inverse block; at size 60 the metric's scale
+    # reaches 1e116 and must stay finite.  q1 != 0 makes |eta_0| != 1, so
+    # the bottom end's |eta_0|^4 is tested (criterion 12 runs at q1 = 0)
     sc = validation.default_scenario()
     consts = sc.ep_constants()
     cases = (
         (FockBasis(12), validation.sample_times()),
         (FockBasis(60), np.linspace(0.0, 10.0, 25)),
     )
-    for basis, times in cases:
-        params = scenario_params(consts, sc.lam, times, q1=sc.q1)
+    for (basis, times), q1 in itertools.product(cases, (0.0, 0.7)):
+        params = scenario_params(consts, sc.lam, times, q1=q1)
         k_top = basis.size - 2
         gens = build_generators(basis)[: k_top + 1]
-        low, norms = [], []
+        low, tops, bottoms = [], [], []
         for f in fock_oracle._block_factors(gens):
             block = fock_oracle._block_map(f, params)
             if len(low) < 2:
                 low.append(block)
-            norms.append(fock_oracle._spectral_norms(block))
+            tops.append(fock_oracle._spectral_norms(block))
+            inverse = fock_oracle._block_map(f, params, inverse=True)
+            bottoms.append(1.0 / fock_oracle._spectral_norms(inverse))
+        mantissa, exponent = fock_oracle._spin_ladder(*low, k_top)
+        assert mantissa.shape == exponent.shape == (2, k_top + 1, times.size)
         for power in (1, 2):
-            scales = fock_oracle._ladder_scales(*low, k_top, power)
-            assert scales.shape == (k_top + 1, times.size)
-            assert np.all(np.isfinite(scales))
-            for k, norm in enumerate(norms):
-                gap = np.abs(scales[k] / norm**power - 1.0)
-                assert np.all(gap <= 1e-12), (k, power)
+            ends = np.ldexp(mantissa**power, power * exponent)
+            assert np.all(np.isfinite(ends))
+            for end, norms in zip(ends, (tops, bottoms)):
+                for k, norm in enumerate(norms):
+                    gap = np.abs(end[k] / norm**power - 1.0)
+                    assert np.all(gap <= 1e-12), (basis.size, q1, k, power)
 
 
 def test_criterion_02_solves_few_norms_exactly(monkeypatch):
@@ -907,7 +918,7 @@ def test_spectral_norms_match_the_svd():
     assert norms(np.zeros((3, 3))) == 0.0
 
 
-def spin_ladder(params, k):
+def svd_spin_ladder(params, k):
     # block k carries sqrt(det M) Sym^k(M) for the 2x2 image M, so the
     # metric block's smallest eigenvalue is |det M| s2^(2k); s2 = |det M| / s1
     # avoids the cancellation of the smaller singular value
@@ -929,7 +940,7 @@ def test_metric_report_matches_the_spin_ladder():
         assert len(floors) == basis.size + 1
         assert len(observed) == basis.size - 1
         for k, obs in enumerate(observed):
-            exact = spin_ladder(params, k)
+            exact = svd_spin_ladder(params, k)
             assert np.all(np.abs(obs - exact) <= 1e-10 * exact), k
             assert np.all(floors[k] <= obs)
 
@@ -961,6 +972,25 @@ def test_metric_positivity_fails_on_a_floor_above_the_spin_ladder(monkeypatch):
     result = validation.check_metric_positivity()
     failed = [s.label for s in result.subchecks if not s.ok]
     assert failed == ["closed-form floor / spin-ladder minimum (blocks 1..size)"]
+
+
+def test_metric_positivity_fails_on_a_ladder_one_block_too_high(monkeypatch):
+    # block k read at block k + 1's bottom end: both the observed minimum and
+    # the floor then sit about 100 times above the reference
+    ladder = fock_oracle._spin_ladder
+
+    def shifted(eta0, eta1, k_top):
+        mantissa, exponent = ladder(eta0, eta1, k_top + 1)
+        mantissa[1, :-1], exponent[1, :-1] = mantissa[1, 1:], exponent[1, 1:]
+        return mantissa[:, :-1], exponent[:, :-1]
+
+    monkeypatch.setattr(validation, "_spin_ladder", shifted)
+    result = validation.check_metric_positivity()
+    failed = [s.label for s in result.subchecks if not s.ok]
+    assert failed == [
+        "observed vs spin-ladder minimum (safe blocks)",
+        "closed-form floor / spin-ladder minimum (blocks 1..size)",
+    ]
 
 
 def test_scalar_call_shapes_keep_their_returns():
