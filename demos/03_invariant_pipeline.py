@@ -1,7 +1,5 @@
 """From one coefficient family to conserved quantities in both frames."""
 
-import numpy as np
-
 from ptdyson import (
     AlgebraElement,
     TimeProfile,

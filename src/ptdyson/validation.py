@@ -11,13 +11,11 @@ against dense number-basis matrices.  Nothing here trusts a formula with
 the same formula.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
 from .algebra_u2 import (
     AlgebraElement,
@@ -48,7 +46,7 @@ from .energy import (
     scenario_h,
     scenario_hamiltonian,
 )
-from .errors import ExceptionalPointError, IntegrationError
+from .errors import ExceptionalPointError
 from .fock_oracle import (
     FockBasis,
     _block_factors,
@@ -200,74 +198,27 @@ def _max_abs(x):
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers
-
-
-@functools.cache
-def _gauss_legendre():
-    # once per process, and not at import: the eigensolver's first call
-    # grows the memory of every process, also of those that never integrate
-    return leggauss(32)
-
-
-def panel_quadrature(fn, lo, hi, panels):
-    """Composite Gauss-Legendre: `panels` equal panels of order 32.
-
-    fn is called once, on the (panels, 32) array of all nodes, and may
-    return leading axes of its own, (..., panels, 32): only the trailing
-    two are summed, so the result has shape (...).
-    """
-    nodes, weights = _gauss_legendre()
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    x = edges[:-1, None] + half * (nodes + 1.0)
-    return half * np.sum(weights * fn(x), axis=(-2, -1))
-
-
-def refining_quadrature(fn, lo, hi, tol=1e-10, panels=8):
-    """Panel count doubles until two consecutive answers agree to tol.
-
-    Three doublings at most, to 8 * panels.  The rule applies per element
-    of fn's leading axes (see panel_quadrature): each element keeps the
-    first value that settles, as a call for that element alone would, and
-    IntegrationError is raised if any element has not settled by then.
-    """
-    prev = panel_quadrature(fn, lo, hi, panels)
-    value = np.zeros_like(prev)
-    settled = np.zeros(np.shape(prev), dtype=bool)
-    for n in (2 * panels, 4 * panels, 8 * panels):
-        cur = panel_quadrature(fn, lo, hi, n)
-        now = ~settled & (np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur)))
-        value = np.where(now, cur, value)
-        settled |= now
-        if settled.all():
-            return value[()]
-        prev = cur
-    raise IntegrationError(
-        f"quadrature failed to settle to {tol:.1e} by {n} panels on "
-        f"[{lo}, {hi}] at {np.count_nonzero(~settled)} of {settled.size} points"
-    )
+# mode quadrature
 
 
 def mode_k1_quadrature(spec, t):
     """<mode| (p^2 + x^2)/2 |mode> by quadrature, norm divided out.
 
-    Scalar or array t; an array gives one value per entry.  Value and norm
-    of every time come from one refining quadrature, and each of them
-    settles on its own.
+    Scalar or array t; an array gives one value per entry.  With x = kt y,
+    conj(psi) psi and conj(psi) (-psi'' + x^2 psi)/2 are exp(-y^2) times
+    polynomials of degree at most 2n + 2 in y, so Gauss-Hermite with n + 2
+    nodes is exact for value and norm; the factor kt cancels in the ratio.
     """
-    reach = 8.0 * math.sqrt(math.sqrt(1.0 + spec.ktilde**2) + abs(spec.ktilde))
-    reach *= math.sqrt(spec.n + 1.0)
-    # time on the leading axes, quadrature nodes on the trailing two
-    t = np.asarray(t, dtype=float)[..., None, None]
-    # t is fixed while the panel count refines: its factors are formed once
-    time_factors = _time_factors(spec, t)
-
-    def integrand(x):
-        p, pxx = _mode_pair_at(spec, x, time_factors)
-        return np.array([np.conj(p) * 0.5 * (-pxx + x**2 * p), np.conj(p) * p])
-
-    value, norm = refining_quadrature(integrand, -reach, reach)
+    # once per call, and not at import: the eigensolver's first call grows
+    # the memory of every process, also of those that never integrate
+    y, weights = hermgauss(spec.n + 2)
+    weights = weights * np.exp(y**2)  # the mode carries its own Gaussian
+    # time on the leading axes, quadrature nodes on the last
+    time_factors = _time_factors(spec, np.asarray(t, dtype=float)[..., None])
+    x = time_factors[0] * y
+    p, pxx = _mode_pair_at(spec, x, time_factors)
+    value = np.sum(weights * np.conj(p) * 0.5 * (-pxx + x**2 * p), axis=-1)
+    norm = np.sum(weights * np.conj(p) * p, axis=-1)
     return value / norm
 
 

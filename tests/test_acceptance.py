@@ -9,7 +9,8 @@ assertion message, so a red criterion carries its numbers with it.
 import numpy as np
 import pytest
 
-from ptdyson import validation
+from ptdyson import ModeSpec, f_minus_profile, f_plus_profile, k1_expectation
+from ptdyson import modes, validation
 
 CRITERIA = [
     (i + 1, fn.__name__.removeprefix("check_"))
@@ -54,3 +55,55 @@ def test_pinned_draws_are_the_seeded_generator_draws():
     real, imag = rng.standard_normal(10), rng.standard_normal(10)
     assert np.all(np.array(validation._C11_RAW_REAL) == real)
     assert np.all(np.array(validation._C11_RAW_IMAG) == imag)
+
+
+# ---------------------------------------------------------------------------
+# the mode quadrature of criteria 09 and 11
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 10, 30, 60])
+def test_mode_quadrature_is_exact_over_the_degree_range(n):
+    # n + 2 Gauss-Hermite nodes integrate exp(-y^2) times degree 2n + 2
+    # exactly, up to the top degree that modes.hermite takes
+    scenario = validation.default_scenario()
+    times = np.array(validation._C09_TIMES)
+    for profile in (f_plus_profile, f_minus_profile):
+        for ktilde in (0.0, 0.5, 2.0):
+            spec = ModeSpec(n, profile(scenario), ktilde)
+            want = k1_expectation(spec)
+            got = validation.mode_k1_quadrature(spec, times)
+            assert np.max(np.abs(got - want)) <= 1e-12 * want
+
+
+def _failing(check):
+    return [s.label for s in check().subchecks if not s.ok]
+
+
+def test_mode_checks_fail_on_a_scale_a_millionth_too_large(monkeypatch):
+    # the rule stays exact on the wider mode, whose K1 value moves off the
+    # closed constant; criterion 11's closed form reads the move at 1.6e-6,
+    # below its 1e-5 bound
+    scale = modes._scale
+    monkeypatch.setattr(
+        modes, "_scale", lambda ktilde, a_int: (1.0 + 1e-6) * scale(ktilde, a_int)
+    )
+    assert _failing(validation.check_mode_expectation_constancy) == [
+        "quadrature vs closed constant"
+    ]
+    assert _failing(validation.check_energy_reality) == []
+
+
+def test_mode_checks_fail_on_a_width_a_millionth_too_large(monkeypatch):
+    # a Gaussian off the rule's scale is no longer integrated exactly, and
+    # the rounding-level imaginary part of <K1> grows to 6.7e-7
+    time_factors = validation._time_factors
+
+    def wider(spec, t):
+        kt, width, amp, norm = time_factors(spec, t)
+        return kt, (1.0 + 1e-6) * width.real + 1j * width.imag, amp, norm
+
+    monkeypatch.setattr(validation, "_time_factors", wider)
+    assert _failing(validation.check_mode_expectation_constancy) == [
+        "quadrature vs closed constant"
+    ]
+    assert _failing(validation.check_energy_reality) == ["quadrature imaginary part"]

@@ -1,4 +1,7 @@
-"""Every module-level import of the package is read by its module."""
+"""Every module-level import is read by its module.
+
+The check covers the package, the tests and the demos.
+"""
 
 import ast
 from pathlib import Path
@@ -10,6 +13,8 @@ import ptdyson
 MODULES = sorted(
     p for p in Path(ptdyson.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source):
@@ -41,4 +46,9 @@ def test_the_check_sees_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_script_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

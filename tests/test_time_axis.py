@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from ptdyson import (
     AlgebraElement,
@@ -24,7 +23,6 @@ from ptdyson import (
     beta_from_match,
     conjugate,
     FockBasis,
-    IntegrationError,
     SingularEvaluationError,
     chi_closed_form,
     conservation_residual,
@@ -57,8 +55,6 @@ from ptdyson.dyson import central_derivatives, driver_value
 from ptdyson.validation import (
     default_scenario,
     mode_k1_quadrature,
-    panel_quadrature,
-    refining_quadrature,
     tdse_residual_2d,
 )
 
@@ -171,25 +167,6 @@ def test_scalar_mode_is_a_complex_scalar():
     assert value == pedrosa_mode(spec, np.array([0.4]), 1.1)[0]
 
 
-def test_panel_quadrature_is_one_call_per_panel_set():
-    shapes = []
-
-    def fn(x):
-        shapes.append(np.shape(x))
-        return np.exp(1j * x) * np.cos(0.3 * x**2)
-
-    lo, hi, panels, order = -2.0, 3.5, 7, 32
-    got = panel_quadrature(fn, lo, hi, panels)
-    assert shapes == [(panels, order)]
-    nodes, weights = leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    want = sum(
-        half * np.sum(weights * fn(left + half * (nodes + 1.0))) for left in edges[:-1]
-    )
-    assert abs(got - want) <= 1e-14 * abs(want)
-
-
 # ---------------------------------------------------------------------------
 # mode layer and the checks built on it
 
@@ -256,42 +233,9 @@ def test_mode_quadrature_takes_array_t():
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-def _two_pass_k1_quadrature(spec, t):
-    # value and norm as two separate refining quadratures, each evaluating
-    # the mode on its own
-    reach = 8.0 * np.sqrt(np.sqrt(1.0 + spec.ktilde**2) + abs(spec.ktilde))
-    reach *= np.sqrt(spec.n + 1.0)
-    t = np.asarray(t, dtype=float)[..., None, None]
-
-    def density(x):
-        p = pedrosa_mode(spec, x, t)
-        return np.conj(p) * p
-
-    def integrand(x):
-        p = pedrosa_mode(spec, x, t)
-        pxx = pedrosa_mode_xx(spec, x, t)
-        return np.conj(p) * 0.5 * (-pxx + x**2 * p)
-
-    value = refining_quadrature(integrand, -reach, reach)
-    norm = refining_quadrature(density, -reach, reach)
-    return value / norm
-
-
-def test_mode_quadrature_equals_the_two_pass_form_bit_for_bit():
-    # value and norm share one quadrature pass, yet each settles on its own
-    driver = f_plus_profile(default_scenario())
-    specs = (*SPECS, *(ModeSpec(n, driver, k, "+") for k in (0.0, 2.0) for n in (1, 3)))
-    for spec in specs:
-        for times in (1.7, np.array([0.3, 2.9, 7.4]), np.linspace(0.4, 9.6, 6)):
-            got = mode_k1_quadrature(spec, times)
-            want = _two_pass_k1_quadrature(spec, times)
-            assert np.shape(got) == np.shape(want)
-            assert np.all(got == want)
-
-
 def test_mode_quadrature_forms_the_time_factors_once(monkeypatch):
-    # t is fixed while the panel count refines, so the running integral is
-    # read once per quadrature, however many panel counts are tried
+    # one quadrature reads the running integral once, on the times with a
+    # trailing axis for the nodes
     calls = []
     cumulative = TimeProfile.cumulative
 
@@ -307,7 +251,7 @@ def test_mode_quadrature_forms_the_time_factors_once(monkeypatch):
         # the split drivers read the scenario's profiles in turn: count
         # only the reads of the mode's own driver
         own = [shape for profile, shape in calls if profile is spec.driver]
-        assert own == [(3, 1, 1)]
+        assert own == [(3, 1)]
 
 
 def test_driver_value_names_the_first_singular_time():
@@ -381,42 +325,3 @@ def test_number_basis_residuals_per_time_match_single_time_calls():
             got, [verify(SCENARIO, basis, [t]) for t in times]
         )
         assert verify(SCENARIO, basis, times) == np.max(got)
-
-
-# ---------------------------------------------------------------------------
-# the per-element stopping rule of the refining quadrature
-
-# Gaussian bumps on [-1, 1] that settle at 16, 32 and 64 panels, and one
-# too narrow to settle at all.
-SETTLING_WIDTHS = {16: 0.1, 32: 0.01, 64: 0.004}
-UNSETTLED_WIDTH = 5e-4
-
-
-def _bumps(widths, panel_counts=None):
-    widths = np.asarray(widths, dtype=float)[..., None, None]
-
-    def fn(x):
-        if panel_counts is not None:
-            panel_counts.append(x.shape[0])
-        return np.exp(-(((x - 0.1234) / widths) ** 2))
-
-    return fn
-
-
-def test_refining_quadrature_settles_each_row_on_its_own():
-    for panels, width in SETTLING_WIDTHS.items():
-        counts = []
-        refining_quadrature(_bumps(width, counts), -1.0, 1.0)
-        assert counts[-1] == panels
-    widths = list(SETTLING_WIDTHS.values())
-    got = refining_quadrature(_bumps(widths), -1.0, 1.0)
-    want = [refining_quadrature(_bumps(w), -1.0, 1.0) for w in widths]
-    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
-
-
-def test_refining_quadrature_raises_if_any_row_is_unsettled():
-    with pytest.raises(IntegrationError):
-        refining_quadrature(_bumps(UNSETTLED_WIDTH), -1.0, 1.0)
-    widths = [*SETTLING_WIDTHS.values(), UNSETTLED_WIDTH]
-    with pytest.raises(IntegrationError, match="at 1 of 4 points"):
-        refining_quadrature(_bumps(widths), -1.0, 1.0)
