@@ -55,7 +55,7 @@ print(f"metric observed min:      {min(observed):.3e}")
 
 # negative control: pretending the metric is the identity leaves a
 # defect that grows linearly with the block index
-ham = element_matrix(nonhermitian_hamiltonian(1.0, 0.5), basis, gens)
+ham = element_matrix(nonhermitian_hamiltonian(1.0, 0.5), gens)
 for k in (1, 4, 7):
     defect = ham[k].conj().T - ham[k]
     print(f"identity-metric defect, block {k}: {np.linalg.norm(defect, 2):.6f}"
@@ -74,7 +74,5 @@ print(f"\nbroken spectrum, matrix vs closed form (blocks 0..5): {worst:.3e}")
 
 # invariant eigenvalues must not drift along the flow
 coeffs = invariant_coeffs_for(1.0, 0.4)
-_, drift = invariant_eigen_flow(
-    coeffs, scenario.lam, np.linspace(0.0, 10.0, 6), basis, gens=gens
-)
+_, drift = invariant_eigen_flow(coeffs, scenario.lam, np.linspace(0.0, 10.0, 6), basis)
 print(f"invariant eigenvalue drift over [0, 10]: {drift:.3e}")

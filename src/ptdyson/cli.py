@@ -1,15 +1,16 @@
 """Batch front door: config in, CSV and reports out.
 
 One JSON config drives every subcommand; missing keys fall back to the
-bundled defaults below.  `ptdyson validate` runs its own pinned inputs
-whatever the config, which it reads only to check; those inputs equal the
-defaults, and a test keeps the two in step.  One walk reads the config
-against the defaults: a key they lack is refused, a number takes its
-default's type (an int where the default is one), and a profile record of
-another kind than the default's replaces it and may hold only the fields
-its kind reads (the library's `TimeProfile.from_config` ignores the
-others).  `validate_config` then builds the run's objects once, each
-checking its own values, and the subcommands work on those.
+bundled defaults below; their scenario, grid, oracle and invariant
+sections are validation.REFERENCE_CONFIG's own dicts, the pinned inputs
+that `ptdyson validate` runs whatever the config (read only to check).
+One walk reads the config against the defaults: a key they lack is
+refused, a number takes its default's type (an int where the default is
+one), and a profile record of another kind than the default's replaces
+it and may hold only the fields its kind reads (the library's
+`TimeProfile.from_config` ignores the others).  `validate_config` then
+builds the run's objects once, each checking its own values, and the
+subcommands work on those.
 
 Commands compute and `main` writes: each `cmd_*` returns its outputs,
 {file name: (header, rows) or text}, and its exit status, and `main` checks
@@ -53,7 +54,7 @@ from .fock_oracle import (
 )
 from .invariants import beta_from_match, invariant_coeffs_for
 from .modes import product_state
-from .profiles import TimeProfile, _is_finite_number, _kind_fields
+from .profiles import _is_finite_number, _kind_fields
 from .static_models import (
     BrokenRegime,
     KModel,
@@ -65,20 +66,7 @@ from .static_models import (
 )
 
 DEFAULT_CONFIG = {
-    "scenario": {
-        "a": {"kind": "sinusoid", "offset": 1.0, "amp": 0.2, "omega": 2.0},
-        "lam": {"kind": "sinusoid", "offset": 0.5, "amp": 0.3, "omega": 1.0},
-        "q1": 0.0,
-        "q2": 1.0,
-        "q3": 0.4,
-        "ktilde_plus": 0.5,
-        "ktilde_minus": 0.5,
-        "n": 1,
-        "m": 0,
-    },
-    "grid": {"t_start": 0.0, "t_end": 10.0, "samples": 200},
-    "oracle": {"size": 12, "buffer": 2},
-    "invariant": {"c1": 1.0, "c2_real": 0.5, "c3_real": 0.8},
+    **validation.REFERENCE_CONFIG,
     "static": {
         "xy": {
             "m": 1.0,
@@ -239,10 +227,7 @@ def _build(path, make, *args, **kwargs):
 
 def build_scenario(cfg):
     """The Scenario of `cfg` with its two profiles; ConfigError names the key path."""
-    sc = dict(cfg["scenario"])
-    for key in ("a", "lam"):
-        sc[key] = _build(f"scenario.{key}", TimeProfile.from_config, sc[key])
-    return _build("scenario", Scenario, **sc)
+    return _build("scenario", Scenario.from_config, cfg["scenario"])
 
 
 def grid_times(cfg):

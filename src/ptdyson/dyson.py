@@ -256,16 +256,16 @@ def first_derivative(fn, t, h, t_max=np.inf):
     return sum(w * fn(t + k * h) for w, k in zip(weights, offsets)) / (12 * h)
 
 
-def ep_dissipative_residual(chi, lam, kappa, t, fd_step=1e-2):
+def ep_dissipative_residual(chi, lam, kappa, t):
     """Pointwise residual of the dissipative scale-function equation.
 
     |chidotdot - (lamdot/lam) chidot - lam^2 chi - kappa^2 lam^2 / chi^3|
-    with chi derivatives by 4th-order central differences of the callable,
-    at scalar or array t.  Raises SingularEvaluationError if
+    with chi derivatives by 4th-order central differences of the callable
+    at step 5e-3 (where rounding meets truncation), at scalar or array t.  Raises SingularEvaluationError if
     |lam(t)| <= EPS_DRIVER at any t, for the whole array.
     """
     lam_t = driver_value(lam, t)
-    chi_t, d1, d2 = central_derivatives(chi, t, fd_step)
+    chi_t, d1, d2 = central_derivatives(chi, t, 5e-3)
     lamdot = lam.derivative(t)
     res = d2 - (lamdot / lam_t) * d1 - lam_t**2 * chi_t \
         - (kappa**2) * lam_t**2 / chi_t**3

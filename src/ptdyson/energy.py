@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra_u2 import AlgebraElement
 from .dyson import EPConstants, nonhermitian_hamiltonian
-from .errors import ConstraintViolationError
+from .errors import ConstraintViolationError, DomainError
 from .profiles import TimeProfile
 
 
@@ -51,6 +51,20 @@ class Scenario:
         for name, value in (("n", self.n), ("m", self.m)):
             if value < 0:
                 raise ConstraintViolationError(f"{name} must be >= 0, got {value}")
+
+    @classmethod
+    def from_config(cls, record):
+        """The Scenario of a config record, "a" and "lam" as profile records.
+
+        A profile's refusal keeps its type; its message starts "a." or "lam.".
+        """
+        fields = dict(record)
+        for key in ("a", "lam"):
+            try:
+                fields[key] = TimeProfile.from_config(fields[key])
+            except (ConstraintViolationError, DomainError) as err:
+                raise type(err)(f"{key}.{err}") from err
+        return cls(**fields)
 
     def ep_constants(self):
         return EPConstants(q2=self.q2, q3=self.q3)

@@ -96,10 +96,8 @@ def build_generators(basis):
     return gens
 
 
-def element_matrix(elem, basis, gens=None):
-    """Per-block matrices of a Lie-algebra element; stacked elements stack."""
-    if gens is None:
-        gens = build_generators(basis)
+def element_matrix(elem, gens):
+    """Per-block matrices of an algebra element on gens' blocks; stacks stack."""
     return [np.tensordot(elem.vector, g, (0, 0)) for g in gens]
 
 
@@ -213,10 +211,10 @@ def _spin_ladder(eta0, eta1, k_top):
     Block k is eta_0 Sym^k(eta_1 / eta_0) (the Schwinger realization), so its
     ends are |eta_0| (s / |eta_0|)^k for s = |eta_1|_2 and |eta_0|^4 / |eta_1|_2
     (each factor exp(g_i K_i) has a 2x2 determinant equal to the square of
-    its block-0 value).  Mantissas and exponents stay apart, so an end fits
-    wherever its block does; the powers are running products, which round
-    alike whatever the stack's length.  Takes (..., 1, 1) and (..., 2, 2)
-    stacks; returns (mantissa, exponent), each (2, k_top + 1, ...), top first.
+    its block-0 value).  The powers are running products of the mantissas,
+    exponents apart, so they round alike whatever the stack's length.  Takes
+    (..., 1, 1) and (..., 2, 2) stacks; returns the ends, (2, k_top + 1, ...),
+    top first.  A power of an end keeps its mantissa's rounding: ldexp is exact.
     """
     m0, e0 = np.frexp(np.abs(eta0[..., 0, 0]))
     m1, e1 = np.frexp(_spectral_norms(eta1))
@@ -225,7 +223,7 @@ def _spin_ladder(eta0, eta1, k_top):
     steps[:, 0], steps[0, 1:], steps[1, 1:] = m0, m1 / m0, m2 / m0
     e_ends = np.stack([e1, e2 + 4 * e0 - e1])[:, None]
     k = np.arange(k_top + 1).reshape((-1,) + (1,) * m0.ndim)
-    return np.cumprod(steps, axis=1), e0 + k * (e_ends - e0)
+    return np.ldexp(np.cumprod(steps, axis=1), e0 + k * (e_ends - e0))
 
 
 def _block_residuals(defect, power, scenario, basis, times, gens, buffer):
@@ -266,9 +264,8 @@ def _block_residuals(defect, power, scenario, basis, times, gens, buffer):
     )[..., None, None]
     factors = list(_block_factors(gens[: k_top + 1]))
     low = [_block_map(f, DysonParams(*gammas)) for f in factors[:2]]
-    mantissa, exponent = _spin_ladder(*low, k_top)
-    scales = np.ldexp(mantissa[0] ** power, power * exponent[0])
-    del low, mantissa, exponent  # only the scales live through the block loop
+    scales = _spin_ladder(*low, k_top)[0] ** power
+    del low  # only the scales live through the block loop
     # 16 bytes per complex entry, the map and its derivative per time
     step = max(1, _STACK_BYTES // (32 * (k_top + 1) ** 2))
     chunks = [slice(i, i + step) for i in range(0, times.size, step)]
@@ -371,15 +368,14 @@ def sort_along_line(vals):
     return vals.reshape(-1)[rows + order]
 
 
-def broken_spectrum_numeric(a_value, lam_value, basis, gens=None):
+def broken_spectrum_numeric(a_value, lam_value, basis):
     """Eigenvalues of the equal-frequency non-Hermitian generator, per block.
 
     Block of total k carries a_value (k + 1) on the diagonal plus i lam
     times the symmetric mixing generator; returns a list over blocks of
     eigenvalue arrays ordered along the (vertical) line they lie on.
     """
-    if gens is None:
-        gens = build_generators(basis)
+    gens = build_generators(basis)
     hams = (a_value * (g[0] + g[1]) + 1j * lam_value * g[2] for g in gens)
     return [sort_along_line(np.linalg.eigvals(ham)) for ham in hams]
 
@@ -433,7 +429,7 @@ def _line_eigenvalues(v, j_ops, center, k):
     return out
 
 
-def invariant_eigen_flow(coeffs, lam, times, basis, gens=None):
+def invariant_eigen_flow(coeffs, lam, times, basis):
     """Sorted invariant eigenvalues per block at times[0], and their drift.
 
     A plain eigensolver cannot certify constancy here: the invariant's
@@ -446,15 +442,13 @@ def invariant_eigen_flow(coeffs, lam, times, basis, gens=None):
     sorted eigenvalue arrays at times[0] and the largest absolute deviation
     from them over the later times.
     """
-    if gens is None:
-        gens = build_generators(basis)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     a1, a2, a3, a4 = alpha_coeffs(coeffs, lam, times)
     v = np.stack([a3, a4, a1 - a2], axis=-1)
     center = 0.5 * (a1 + a2)
     reference = []
     drift = 0.0
-    for k, g in enumerate(gens):
+    for k, g in enumerate(build_generators(basis)):
         # traceless directions: mixing pair, half the number imbalance
         ops = (g[2], g[3], 0.5 * (g[0] - g[1]))
         eigs = sort_along_line(_line_eigenvalues(v, ops, center * (k + 1), k))

@@ -198,13 +198,13 @@ def _radical_pieces(coeffs, lam, t):
     return r2, u, d
 
 
-def beta_from_match(coeffs, lam, t, branch=None):
+def beta_from_match(coeffs, lam, t):
     """Hermitian-side coefficient 4-vector, radical closed form.
 
-    beta1 and beta2 are constant in t and anti-correlated in the branch
-    sign (their sum is Re c1); beta3, beta4 carry the time dependence.
+    beta1 and beta2 are constant in t and anti-correlated in coeffs.branch
+    (their sum is Re c1); beta3, beta4 carry the time dependence.
     """
-    s = float(branch if branch is not None else coeffs.branch)
+    s = float(coeffs.branch)
     c1r = coeffs.c1.real
     c2r, c2i = coeffs.c2.real, coeffs.c2.imag
     c3r = coeffs.c3.real

@@ -1,9 +1,10 @@
 """The property suite behind `ptdyson validate` and the acceptance tests.
 
 Thirteen numbered checks, each measuring something concrete against a
-pinned tolerance and reporting a single line.  The defaults pin the
-reference configuration: a(t) = 1 + 0.2 sin(2t), lam(t) = 0.5 + 0.3 sin t,
-q2 = 1, q3 = 0.4, both mode constants 0.5, two hundred samples on [0, 10].
+pinned tolerance and reporting a single line.  Their inputs are one record,
+REFERENCE_CONFIG, whose sections are the CLI's defaults for those keys:
+a(t) = 1 + 0.2 sin(2t), lam(t) = 0.5 + 0.3 sin t, q2 = 1, q3 = 0.4, both
+mode constants 0.5, 200 samples on [0, 10] and a number basis of size 12.
 
 The checks deliberately cross independent routes: closed forms against
 ODE integration, quadrature against algebra, 2x2 coefficient identities
@@ -76,12 +77,27 @@ from .modes import (
     pedrosa_mode,
     product_specs,
 )
-from .profiles import TimeProfile
 from .static_models import XYModel, broken_spectrum, decouple_xy
 from .static_models import static_eigenstate
 
-SAMPLE_COUNT = 200
-T_END = 10.0
+# The gate's inputs in the config schema; cli.DEFAULT_CONFIG holds these dicts
+REFERENCE_CONFIG = {
+    "scenario": {
+        "a": {"kind": "sinusoid", "offset": 1.0, "amp": 0.2, "omega": 2.0},
+        "lam": {"kind": "sinusoid", "offset": 0.5, "amp": 0.3, "omega": 1.0},
+        "q1": 0.0,
+        "q2": 1.0,
+        "q3": 0.4,
+        "ktilde_plus": 0.5,
+        "ktilde_minus": 0.5,
+        "n": 1,
+        "m": 0,
+    },
+    "grid": {"t_start": 0.0, "t_end": 10.0, "samples": 200},
+    "oracle": {"size": 12, "buffer": 2},
+    "invariant": {"c1": 1.0, "c2_real": 0.5, "c3_real": 0.8},
+}
+_GRID, _ORACLE = REFERENCE_CONFIG["grid"], REFERENCE_CONFIG["oracle"]
 
 # Criteria 09 and 11 read inputs that were drawn once from numpy's generator
 # and are stored here, so the gate loads no random-number module:
@@ -168,29 +184,22 @@ def format_report(results):
 
 
 def default_scenario():
-    return Scenario(
-        a=TimeProfile.sinusoid(1.0, 0.2, 2.0),
-        lam=TimeProfile.sinusoid(0.5, 0.3, 1.0),
-        q2=1.0,
-        q3=0.4,
-        ktilde_plus=0.5,
-        ktilde_minus=0.5,
-        n=1,
-        m=0,
-    )
+    return Scenario.from_config(REFERENCE_CONFIG["scenario"])
 
 
 def default_invariant_coeffs():
     # paired with the default scenario by construction
-    return invariant_coeffs_for(1.0, 0.4)
+    sc = REFERENCE_CONFIG["scenario"]
+    return invariant_coeffs_for(sc["q2"], sc["q3"], **REFERENCE_CONFIG["invariant"])
 
 
 def sample_times():
-    return np.linspace(0.0, T_END, SAMPLE_COUNT)
+    return np.linspace(_GRID["t_start"], _GRID["t_end"], _GRID["samples"])
 
 
 def interior_times(margin):
-    return np.linspace(margin, T_END - margin, SAMPLE_COUNT)
+    g = _GRID
+    return np.linspace(g["t_start"] + margin, g["t_end"] - margin, g["samples"])
 
 
 def _max_abs(x):
@@ -236,55 +245,50 @@ def _outer_sum_norm(left, right):
     return float(np.linalg.norm(r_left @ r_right.T))
 
 
-def _axis_terms(spec, driver, axis, t, grid_step, time_step):
-    """One mode on a grid axis, on the interior points.
+def _axis_terms(spec, driver, t, grid_step, half_width):
+    """One mode on the grid over [-half_width, half_width], on its interior.
 
-    Returns (psi, h psi, i dpsi/dt, mean of psi at t +- time_step) with
-    h = driver (p^2 + x^2)/2 by the second-order stencil and the time
-    derivative by the central difference.
+    Returns (psi, h psi, i dpsi/dt, mean of psi at t +- dt) with h =
+    driver (p^2 + x^2)/2 by the second-order stencil and the time derivative
+    by the central difference at step dt = 1e-3.
     """
-    psi, psi_p, psi_m = (
-        pedrosa_mode(spec, axis, s) for s in (t, t + time_step, t - time_step)
-    )
+    dt = 1e-3
+    axis = -half_width + grid_step * np.arange(round(2.0 * half_width / grid_step) + 1)
+    psi, psi_p, psi_m = (pedrosa_mode(spec, axis, s) for s in (t, t + dt, t - dt))
     inner, psi_p, psi_m = psi[1:-1], psi_p[1:-1], psi_m[1:-1]
     lap = (psi[2:] - 2.0 * inner + psi[:-2]) / grid_step**2
     h_psi = driver * 0.5 * (-lap + axis[1:-1] ** 2 * inner)
-    return inner, h_psi, (0.5j / time_step) * (psi_p - psi_m), 0.5 * (psi_p + psi_m)
+    return inner, h_psi, (0.5j / dt) * (psi_p - psi_m), 0.5 * (psi_p + psi_m)
 
 
-def tdse_residual_1d(spec, t, grid_step=0.05, time_step=1e-3, half_width=10.0):
-    """Relative residual of i d/dt psi = driver (p^2 + x^2)/2 psi on a grid.
+def tdse_residual_1d(spec, t, grid_step=0.05):
+    """Relative residual of i d/dt psi = driver (p^2 + x^2)/2 psi on [-10, 10].
 
     Second-order stencils in both directions; the spatial error dominates
     at the pinned steps, so halving grid_step should shrink the residual
     about fourfold.
     """
-    n_pts = int(round(2.0 * half_width / grid_step))
-    x = -half_width + grid_step * np.arange(n_pts + 1)
     driver = float(spec.driver(t))
-    _, h_psi, i_dpsi, _ = _axis_terms(spec, driver, x, t, grid_step, time_step)
+    _, h_psi, i_dpsi, _ = _axis_terms(spec, driver, t, grid_step, 10.0)
     return float(np.linalg.norm(i_dpsi - h_psi) / np.linalg.norm(h_psi))
 
 
-def tdse_residual_2d(scenario, t, grid_step=0.05, time_step=1e-3, half_width=7.0):
+def tdse_residual_2d(scenario, t, grid_step=0.05):
     """Relative residual of the 2D product solution under the split drivers.
 
-    The state is the outer product px (x) py of two mode factors, each
-    evaluated once on the axis at t and t +- the time step.  On the grid's
-    interior, h psi = u (x) py + px (x) v, with u and v the 1D stencils of
-    each factor under its driver.  With d the difference and the bar the
-    mean of a factor's values at t +- the time step, the time difference
-    is dx (x) ybar + xbar (x) dy exactly.  So the residual is a sum of four
-    outer products and h psi one of two; each norm comes from two thin QRs
-    (_outer_sum_norm), and no grid-sized array is ever formed.
+    The state is the outer product px (x) py of two mode factors on
+    [-7, 7]^2, each evaluated once on the axis at t and t +- the time step.
+    On the grid's interior, h psi = u (x) py + px (x) v, with u and v the
+    1D stencils of each factor under its driver.  With d the difference and
+    the bar the mean of a factor's values at t +- the time step, the time
+    difference is dx (x) ybar + xbar (x) dy exactly.  So the residual is a
+    sum of four outer products and h psi one of two; each norm comes from
+    two thin QRs (_outer_sum_norm), and no grid-sized array is ever formed.
     """
-    n_pts = int(round(2.0 * half_width / grid_step))
-    axis = -half_width + grid_step * np.arange(n_pts + 1)
     spec_x, spec_y = product_specs(scenario.n, scenario.m, scenario)
     f_plus, f_minus = f_pm(scenario, t)
-    steps = (axis, t, grid_step, time_step)
-    px, ux, dx, mx = _axis_terms(spec_x, f_plus, *steps)
-    py, vy, dy, my = _axis_terms(spec_y, f_minus, *steps)
+    px, ux, dx, mx = _axis_terms(spec_x, f_plus, t, grid_step, 7.0)
+    py, vy, dy, my = _axis_terms(spec_y, f_minus, t, grid_step, 7.0)
     resid = _outer_sum_norm((dx, mx, -ux, -px), (my, dy, py, vy))
     return resid / _outer_sum_norm((ux, px), (py, vy))
 
@@ -303,7 +307,7 @@ _BRACKET_TABLE = {
 
 
 def check_algebra_closure():
-    basis = FockBasis(12)
+    basis = FockBasis(_ORACLE["size"])
     gens = build_generators(basis)
     worst_structure = worst_matrix = worst_fock = 0.0
     for (i, j), expected in _BRACKET_TABLE.items():
@@ -317,7 +321,7 @@ def check_algebra_closure():
             worst_matrix, _max_abs(mi @ mj - mj @ mi - to_matrix(expected))
         )
         # the same bracket on every block of the number basis
-        for g, target in zip(gens, element_matrix(expected, basis, gens)):
+        for g, target in zip(gens, element_matrix(expected, gens)):
             gi, gj = g[i - 1], g[j - 1]
             worst_fock = max(worst_fock, _max_abs(gi @ gj - gj @ gi - target))
     return CheckResult(
@@ -340,8 +344,9 @@ def check_dyson_relation():
     worst_analytic = _max_abs(
         dyson_residual(scenario.a, scenario.lam, params, rates, times)
     )
-    basis = FockBasis(12)
-    worst_fock = verify_dyson(scenario, basis, times)
+    worst_fock = verify_dyson(
+        scenario, FockBasis(_ORACLE["size"]), times, buffer=_ORACLE["buffer"]
+    )
     return CheckResult(
         2,
         "dyson relation",
@@ -384,15 +389,13 @@ def check_dissipative_scale():
     consts = scenario.ep_constants()
     chi = chi_closed_form(scenario.lam, consts)
     pts = interior_times(0.05)
-    worst = _max_abs(
-        ep_dissipative_residual(chi, scenario.lam, consts.kappa, pts, fd_step=5e-3)
-    )
+    worst = _max_abs(ep_dissipative_residual(chi, scenario.lam, consts.kappa, pts))
 
     def chi_bad(t):
         return chi(t) * (1.0 + 0.01 * np.sin(3.0 * t))
 
     control = _max_abs(
-        ep_dissipative_residual(chi_bad, scenario.lam, consts.kappa, pts, fd_step=5e-3)
+        ep_dissipative_residual(chi_bad, scenario.lam, consts.kappa, pts)
     )
     return CheckResult(
         4,
@@ -423,10 +426,9 @@ def check_invariant_conservation():
     pts = interior_times(0.01)
     worst_broken = _max_abs(conservation_residual(elem_broken, ham_broken, pts))
     worst_herm = _max_abs(conservation_residual(elem_herm, ham_herm, pts))
-    basis = FockBasis(12)
-    _, drift = invariant_eigen_flow(
-        coeffs, scenario.lam, np.linspace(0.0, T_END, 10), basis
-    )
+    times = np.linspace(_GRID["t_start"], _GRID["t_end"], 10)
+    basis = FockBasis(_ORACLE["size"])
+    _, drift = invariant_eigen_flow(coeffs, scenario.lam, times, basis)
     return CheckResult(
         5,
         "invariant conservation",
@@ -460,8 +462,7 @@ def check_invariant_similarity():
 
 def check_broken_spectrum():
     a_value, lam_value = 1.0, 0.4
-    basis = FockBasis(12)
-    numeric = broken_spectrum_numeric(a_value, lam_value, basis)
+    numeric = broken_spectrum_numeric(a_value, lam_value, FockBasis(_ORACLE["size"]))
     worst = 0.0
     worst_conj = 0.0
     for k in range(11):
@@ -566,7 +567,7 @@ def _fock_frame_equivalence(scenario, times):
 
     psi_h lives on blocks 0..3, so only those are built, once for all times.
     """
-    basis = FockBasis(12)
+    basis = FockBasis(_ORACLE["size"])
     gens = build_generators(basis)[:4]
     raw = np.array(_C11_RAW_REAL) + 1j * np.array(_C11_RAW_IMAG)
     psi_h = raw / np.linalg.norm(raw)
@@ -575,7 +576,7 @@ def _fock_frame_equivalence(scenario, times):
     tilde = energy_operator(
         scenario.a(times), scenario.lam(times), params.gamma3, params.gamma4
     )
-    blocks = zip(gens, _block_factors(gens), element_matrix(tilde, basis, gens))
+    blocks = zip(gens, _block_factors(gens), element_matrix(tilde, gens))
     lhs = rhs = 0.0
     for k, (g, factors, tilde_mat) in enumerate(blocks):
         # one column per block; <u|v> sums over the last two axes per time
@@ -595,15 +596,13 @@ def _fock_frame_equivalence(scenario, times):
 
 def check_metric_positivity():
     scenario = default_scenario()
-    size = 12
-    buffer = 2
+    size, buffer = _ORACLE["size"], _ORACLE["buffer"]
     basis = FockBasis(size)
     params = scenario_params(scenario.ep_constants(), scenario.lam, sample_times())
     safe = build_generators(basis)[: size - buffer + 1]
     floors, observed = metric_spectrum_report(basis, safe, params)
     eta0 = np.exp(0.5 * params.as_array()[:2].sum(0))[..., None, None]
-    mantissa, exponent = _spin_ladder(eta0, eta0 * group_matrix(params), size)
-    exact = np.ldexp(mantissa[1] ** 2, 2 * exponent[1])
+    exact = _spin_ladder(eta0, eta0 * group_matrix(params), size)[1] ** 2
     ladder_gap = max(_max_abs(obs / exact[k] - 1.0) for k, obs in enumerate(observed))
     # block 0's floor is its exact value by construction; the rest must lie below
     floor_ratio = max(_max_abs(floors[k] / exact[k]) for k in range(1, size + 1))

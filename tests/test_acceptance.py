@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from ptdyson import ModeSpec, f_minus_profile, f_plus_profile, k1_expectation
-from ptdyson import modes, validation
+from ptdyson import dyson, invariants, modes, validation
+from ptdyson.algebra_u2 import AlgebraElement, commutator
+from ptdyson.dyson import gamma_closed_form
+from ptdyson.invariants import gamma_from_alpha
+from ptdyson.static_models import XYModel, broken_spectrum
 
 CRITERIA = [
     (i + 1, fn.__name__.removeprefix("check_"))
@@ -107,3 +111,89 @@ def test_mode_checks_fail_on_a_width_a_millionth_too_large(monkeypatch):
         "quadrature vs closed constant"
     ]
     assert _failing(validation.check_energy_reality) == ["quadrature imaginary part"]
+
+
+# ---------------------------------------------------------------------------
+# mutation controls: a plausible defect in one function, patched where the
+# gate looks it up, must fail exactly the listed subchecks of the whole gate
+
+
+def _flip_k1_k2_of_commutator(monkeypatch):
+    def flipped(a, b):
+        c1, c2, c3, c4 = commutator(a, b).vector
+        return AlgebraElement([-c1, -c2, c3, c4])
+
+    for module in (validation, invariants):
+        monkeypatch.setattr(module, "commutator", flipped)
+
+
+def _negate_g4_from_alpha(monkeypatch):
+    def negated(alpha):
+        g3, g4 = gamma_from_alpha(alpha)
+        return g3, -g4
+
+    monkeypatch.setattr(validation, "gamma_from_alpha", negated)
+
+
+def _shift_broken_spectrum(monkeypatch):
+    def shifted(a, lam, n, m):
+        return broken_spectrum(a, lam, n, m) + 0.5 * a
+
+    monkeypatch.setattr(validation, "broken_spectrum", shifted)
+
+
+def _raise_ep_bound(monkeypatch):
+    bound = XYModel.ep_bound
+    monkeypatch.setattr(XYModel, "ep_bound", lambda model: (1.0 + 1e-6) * bound(model))
+
+
+def _scale_closed_form_g4(monkeypatch):
+    def scaled(lam, constants, t):
+        g3, g4 = gamma_closed_form(lam, constants, t)
+        return g3, (1.0 + 1e-6) * g4
+
+    for module in (validation, dyson):
+        monkeypatch.setattr(module, "gamma_closed_form", scaled)
+
+
+MUTATIONS = {
+    "commutator-k1-k2-sign": (
+        _flip_k1_k2_of_commutator,
+        [(1, "structure constants"), (5, "non-Hermitian-frame residual")],
+    ),
+    "gamma-from-alpha-negated-g4": (
+        _negate_g4_from_alpha,
+        [
+            (6, "mapped invariant vs Hermitian coefficients"),
+            (6, "imaginary leakage of the image"),
+        ],
+    ),
+    "broken-spectrum-plus-half-a": (
+        _shift_broken_spectrum,
+        [(7, "number-basis vs closed form (totals <= 10)")],
+    ),
+    "ep-bound-a-millionth-high": (
+        _raise_ep_bound,
+        [(13, "raises at and beyond the bound")],
+        # at and past the true bound the decoupling's arctanh reaches +-inf or
+        # NaN, and numpy warns on it and on the divisions that follow
+        pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+    ),
+    "closed-form-g4-a-millionth-high": (
+        _scale_closed_form_g4,
+        [(3, "observed RK4 order"), (11, "number-basis frame equivalence")],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [pytest.param(*row[:2], marks=row[2:], id=name) for name, row in MUTATIONS.items()],
+)
+def test_gate_fails_exactly_where_a_mutation_lands(monkeypatch, mutate, failing):
+    mutate(monkeypatch)
+    results = validation.run_all()
+    for r in results:
+        print(r.line())
+    got = [(r.number, s.label) for r in results for s in r.subchecks if not s.ok]
+    assert got == failing

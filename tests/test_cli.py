@@ -6,7 +6,6 @@ text are asserted exactly; one subprocess smoke test covers the
 kept small so the whole file stays fast.
 """
 
-import inspect
 import json
 import math
 import re
@@ -537,11 +536,12 @@ def test_validate_passes_and_writes_report(tmp_path, capsys):
     assert "overall PASS" in out
 
 
-def test_validate_pins_the_default_config(monkeypatch):
-    # validate runs its own fixtures whatever the config; they must be the
-    # objects the default config builds
-    cfg = cli.load_config(None)
-    built = cli.validate_config(cfg)
+def test_validate_pins_the_default_config():
+    # the defaults of the sections validate reads are the gate's own record
+    for key in ("scenario", "grid", "oracle", "invariant"):
+        assert cli.DEFAULT_CONFIG[key] is validation.REFERENCE_CONFIG[key], key
+    # and the default config builds the gate's objects
+    built = cli.validate_config(cli.load_config(None))
     times = validation.sample_times()
     pinned, default = validation.default_scenario(), built["scenario"]
     for key in ("a", "lam"):
@@ -549,35 +549,6 @@ def test_validate_pins_the_default_config(monkeypatch):
     for key in ("q1", "q2", "q3", "ktilde_plus", "ktilde_minus", "n", "m"):
         assert getattr(pinned, key) == getattr(default, key), key
     assert validation.default_invariant_coeffs() == built["invariant"]
-    grid = cfg["grid"]
-    assert validation.SAMPLE_COUNT == grid["samples"]
-    assert validation.T_END == grid["t_end"]
-    assert np.array_equal(times, cli.grid_times(cfg))
-
-    # the number basis and buffer of criteria 02 and 12, as they use them
-    size, buffer = built["basis"].size, cfg["oracle"]["buffer"]
-    seen = {}
-    real_dyson, real_report = validation.verify_dyson, validation.metric_spectrum_report
-
-    def verify_dyson(scenario, basis, times, *args, **kwargs):
-        bound = inspect.signature(real_dyson).bind(
-            scenario, basis, times, *args, **kwargs
-        )
-        bound.apply_defaults()
-        seen["02"] = basis.size, bound.arguments["buffer"]
-        return real_dyson(scenario, basis, times, *args, **kwargs)
-
-    def metric_spectrum_report(basis, gens, params):
-        seen["12"] = basis.size, len(gens)
-        return real_report(basis, gens, params)
-
-    monkeypatch.setattr(validation, "verify_dyson", verify_dyson)
-    monkeypatch.setattr(validation, "metric_spectrum_report", metric_spectrum_report)
-    validation.check_dyson_relation()
-    validation.check_metric_positivity()
-    assert seen["02"] == (size, buffer)
-    # criterion 12 builds the observed blocks 0..size - buffer only
-    assert seen["12"] == (size, size - buffer + 1)
 
 
 # ---------------------------------------------------------------------------

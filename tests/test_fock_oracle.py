@@ -209,7 +209,7 @@ def test_element_matrix_linearity():
     basis = FockBasis(4)
     gens = build_generators(basis)
     coeffs = np.array([0.3, -0.7, 0.2 + 0.4j, -1.1j])
-    got = element_matrix(AlgebraElement(coeffs), basis, gens)
+    got = element_matrix(AlgebraElement(coeffs), gens)
     assert len(got) == len(gens)
     for blocks, g in zip(got, gens):
         want = sum(c * m for c, m in zip(coeffs, g))
@@ -271,10 +271,10 @@ def test_conjugation_agrees_across_representations():
         eta = build_eta(basis, gens, params)
         eta_inv = eta_inverse(gens, params)
         for i in (1, 3):
-            elem = block_diag(*element_matrix(basis_element(i), basis, gens))
+            elem = block_diag(*element_matrix(basis_element(i), gens))
             lhs = eta @ elem @ eta_inv
             rhs = block_diag(
-                *element_matrix(conjugate(params, basis_element(i)), basis, gens)
+                *element_matrix(conjugate(params, basis_element(i)), gens)
             )
             scale = max(1.0, np.max(np.abs(rhs)))
             # products run through blocks conditioned like e^{|gamma| k}
@@ -403,8 +403,7 @@ def separate_map_residuals(defect, power, sc, basis, times, buffer=2):
             herm = f_plus[i] * g[0] + f_minus[i] * g[1]
             maps.append(eta)
             defects.append(defect(eta, eta_dot, ham, herm))
-        mantissa, exponent = fock_oracle._spin_ladder(maps[0], maps[1], k_top)
-        scales = np.ldexp(mantissa[0] ** power, power * exponent[0])
+        scales = fock_oracle._spin_ladder(maps[0], maps[1], k_top)[0] ** power
         for resid, scale in zip(defects, scales):
             ratio = fock_oracle._spectral_norms(resid[0]) / scale[0]
             worst[i] = max(worst[i], ratio)
@@ -464,8 +463,7 @@ def every_block_residuals(defect, power, sc, basis, times, buffer=2):
         herm = f_plus * g[0] + f_minus * g[1]
         maps.append(eta)
         norms.append(fock_oracle._spectral_norms(defect(eta, eta_dot, ham, herm)))
-    mantissa, exponent = fock_oracle._spin_ladder(maps[0], maps[1], k_top)
-    scales = np.ldexp(mantissa[0] ** power, power * exponent[0])
+    scales = fock_oracle._spin_ladder(maps[0], maps[1], k_top)[0] ** power
     return np.max(np.array(norms) / scales, axis=0)
 
 
@@ -561,10 +559,10 @@ def test_spin_ladder_ends_match_the_built_blocks():
             tops.append(fock_oracle._spectral_norms(block))
             inverse = fock_oracle._block_map(f, params, inverse=True)
             bottoms.append(1.0 / fock_oracle._spectral_norms(inverse))
-        mantissa, exponent = fock_oracle._spin_ladder(*low, k_top)
-        assert mantissa.shape == exponent.shape == (2, k_top + 1, times.size)
+        ladder = fock_oracle._spin_ladder(*low, k_top)
+        assert ladder.shape == (2, k_top + 1, times.size)
         for power in (1, 2):
-            ends = np.ldexp(mantissa**power, power * exponent)
+            ends = ladder**power
             assert np.all(np.isfinite(ends))
             for end, norms in zip(ends, (tops, bottoms)):
                 for k, norm in enumerate(norms):
@@ -743,7 +741,8 @@ def assert_flow_equals_per_snapshot_calls(coeffs, lam, times, basis):
 def test_eigen_flow_at_criterion_05_inputs_equals_per_snapshot_calls():
     coeffs = validation.default_invariant_coeffs()
     lam = validation.default_scenario().lam
-    times = np.linspace(0.0, validation.T_END, 10)
+    grid = validation.REFERENCE_CONFIG["grid"]
+    times = np.linspace(grid["t_start"], grid["t_end"], 10)
     assert_flow_equals_per_snapshot_calls(coeffs, lam, times, FockBasis(12))
 
 
@@ -865,10 +864,10 @@ def test_invariant_spectrum_detects_tampering():
     tampered = alpha.copy()
     tampered[2] = 1.01 * tampered[2]
     clean = sort_along_line(
-        np.linalg.eigvals(element_matrix(AlgebraElement(alpha), basis, gens)[2])
+        np.linalg.eigvals(element_matrix(AlgebraElement(alpha), gens)[2])
     )
     dirty = sort_along_line(
-        np.linalg.eigvals(element_matrix(AlgebraElement(tampered), basis, gens)[2])
+        np.linalg.eigvals(element_matrix(AlgebraElement(tampered), gens)[2])
     )
     assert np.max(np.abs(dirty - clean)) > 1e-3
 
@@ -980,9 +979,9 @@ def test_metric_positivity_fails_on_a_ladder_one_block_too_high(monkeypatch):
     ladder = fock_oracle._spin_ladder
 
     def shifted(eta0, eta1, k_top):
-        mantissa, exponent = ladder(eta0, eta1, k_top + 1)
-        mantissa[1, :-1], exponent[1, :-1] = mantissa[1, 1:], exponent[1, 1:]
-        return mantissa[:, :-1], exponent[:, :-1]
+        ends = ladder(eta0, eta1, k_top + 1)
+        ends[1, :-1] = ends[1, 1:]
+        return ends[:, :-1]
 
     monkeypatch.setattr(validation, "_spin_ladder", shifted)
     result = validation.check_metric_positivity()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -149,7 +151,7 @@ def test_beta_without_imaginary_part_is_static():
     beta = beta_from_match(c, LAM, t)
     assert np.max(np.abs(beta[3])) == 0.0
     assert np.max(np.abs(beta[2] - 0.5)) < 1e-14
-    flipped = beta_from_match(c, LAM, t, branch=-1)
+    flipped = beta_from_match(dataclasses.replace(c, branch=-1), LAM, t)
     assert np.max(np.abs(flipped[2] + 0.5)) < 1e-14
 
 
@@ -276,7 +278,7 @@ def test_similarity_rejects_branch_mismatch():
     ep = c.ep_constants()
     t = 1.1
     alpha = alpha_coeffs(c, LAM, t)
-    wrong = beta_from_match(c, LAM, t, branch=-1)
+    wrong = beta_from_match(dataclasses.replace(c, branch=-1), LAM, t)
     assert similarity_residual(alpha, wrong, scenario_params(ep, LAM, t)) > 1e-3
 
 

@@ -292,8 +292,8 @@ def test_tdse_residual_2d_matches_meshgrid_evaluation():
     # the separable form rounds in another order than the grid sums; the
     # algebra is the same, and the measured gap is about 1e-13
     for t in (0.7, 4.3):
-        got = tdse_residual_2d(SCENARIO, t, grid_step=0.1, half_width=5.0)
-        want = _tdse_residual_2d_on_meshgrid(SCENARIO, t, 0.1, 1e-3, 5.0)
+        got = tdse_residual_2d(SCENARIO, t, grid_step=0.1)
+        want = _tdse_residual_2d_on_meshgrid(SCENARIO, t, 0.1, 1e-3, 7.0)
         assert abs(got - want) <= 1e-12 * want
 
 
