@@ -1,9 +1,9 @@
 """Batch front door: config in, CSV and reports out.
 
 One JSON config drives every subcommand; missing keys fall back to the
-bundled defaults below; their scenario, grid, oracle and invariant
-sections are validation.REFERENCE_CONFIG's own dicts, the pinned inputs
-that `ptdyson validate` runs whatever the config (read only to check).
+bundled defaults below; all but modes_grid (scenario, grid, oracle,
+invariant, static) are validation.REFERENCE_CONFIG's own dicts, the pinned
+inputs that `ptdyson validate` runs whatever the config (read only to check).
 One walk reads the config against the defaults: a key they lack is
 refused, a number takes its default's type (an int where the default is
 one), and a profile record of another kind than the default's replaces
@@ -67,17 +67,6 @@ from .static_models import (
 
 DEFAULT_CONFIG = {
     **validation.REFERENCE_CONFIG,
-    "static": {
-        "xy": {
-            "m": 1.0,
-            "omega_x": 1.0,
-            "omega_y": 1.7320508075688772,
-            "coupling": 0.5,
-            "n_max": 4,
-            "m_max": 4,
-        },
-        "k": {"a": 1.0, "b": 1.0, "lam": 0.4, "n_max": 4},
-    },
     "modes_grid": {
         "x_min": -4.0,
         "x_max": 4.0,

@@ -24,8 +24,11 @@ an exact norm only where a cheap bound cannot settle a time's worst block.
 
 Conditioning, not truncation, is the real constraint: the group factors
 grow like exp(|gamma| * k) on block k, so checks that invert or normalize
-by the map are run on the low blocks, and the residuals' `buffer` argument
-skips the top blocks, whose rounding grows with their conditioning.
+by the map are run on the low blocks.  The residuals need no such cut:
+their rounding grows like k, not like the block's conditioning.  At size
+12 and the gate's pinned inputs, the worst dyson residual reads 5.925e-12
+with the default `buffer` (top 2 blocks skipped) and 7.111e-12 with none,
+so that default is a convention for existing callers, not an accuracy need.
 """
 
 import numpy as np
@@ -296,9 +299,9 @@ def dyson_residuals(scenario, basis, times, gens=None, buffer=2):
     time derivative must equal the Hermitian image composed with the map;
     the residual of each block is normalized by that block's spectral norm
     of the map, taken from the spin ladder of blocks 0 and 1.  Blocks above
-    size - buffer are skipped: with the exact derivative they add only
-    rounding, which grows with the block's conditioning.  Returns one value
-    per time.
+    size - buffer are skipped, by a convention kept for existing callers:
+    their rounding grows like k, not with their conditioning.  Returns one
+    value per time.
     """
 
     def defect(eta, eta_dot, ham, herm):

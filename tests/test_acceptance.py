@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from ptdyson import ModeSpec, f_minus_profile, f_plus_profile, k1_expectation
-from ptdyson import dyson, invariants, modes, validation
+from ptdyson import dyson, fock_oracle, invariants, modes, validation
 from ptdyson.algebra_u2 import AlgebraElement, commutator
-from ptdyson.dyson import gamma_closed_form
+from ptdyson.dyson import first_derivative, gamma_closed_form
 from ptdyson.invariants import gamma_from_alpha
-from ptdyson.static_models import XYModel, broken_spectrum
+from ptdyson.static_models import XYModel, broken_spectrum, static_eigenstate
 
 CRITERIA = [
     (i + 1, fn.__name__.removeprefix("check_"))
@@ -156,6 +156,29 @@ def _scale_closed_form_g4(monkeypatch):
         monkeypatch.setattr(module, "gamma_closed_form", scaled)
 
 
+def _scale_oracle_rates(monkeypatch):
+    monkeypatch.setattr(
+        fock_oracle,
+        "first_derivative",
+        lambda *args: (1.0 + 1e-6) * first_derivative(*args),
+    )
+
+
+def _scale_static_eigenstate(monkeypatch):
+    monkeypatch.setattr(
+        validation,
+        "static_eigenstate",
+        lambda n, m, x, y: (1.0 + 1e-6) * static_eigenstate(n, m, x, y),
+    )
+
+
+def _scale_mode_phase(monkeypatch, factor=1.0 + 1e-2):
+    phase = modes._phase
+    monkeypatch.setattr(
+        modes, "_phase", lambda ktilde, a_int: factor * phase(ktilde, a_int)
+    )
+
+
 MUTATIONS = {
     "commutator-k1-k2-sign": (
         _flip_k1_k2_of_commutator,
@@ -170,7 +193,7 @@ MUTATIONS = {
     ),
     "broken-spectrum-plus-half-a": (
         _shift_broken_spectrum,
-        [(7, "number-basis vs closed form (totals <= 10)")],
+        [(7, "number-basis vs closed form (all blocks)")],
     ),
     "ep-bound-a-millionth-high": (
         _raise_ep_bound,
@@ -182,6 +205,23 @@ MUTATIONS = {
     "closed-form-g4-a-millionth-high": (
         _scale_closed_form_g4,
         [(3, "observed RK4 order"), (11, "number-basis frame equivalence")],
+    ),
+    "oracle-rates-a-millionth-high": (
+        _scale_oracle_rates,
+        [(2, "number-basis FD residual")],
+    ),
+    "static-eigenstate-a-millionth-high": (
+        _scale_static_eigenstate,
+        [(8, "Gauss-Hermite Gram defect (indices <= 4)")],
+    ),
+    "mode-phase-a-hundredth-high": (
+        _scale_mode_phase,
+        [
+            (10, "1D mode residual"),
+            (10, "1D halving ratio"),
+            (10, "2D product residual"),
+            (10, "2D halving ratio"),
+        ],
     ),
 }
 
@@ -197,3 +237,29 @@ def test_gate_fails_exactly_where_a_mutation_lands(monkeypatch, mutate, failing)
         print(r.line())
     got = [(r.number, s.label) for r in results for s in r.subchecks if not s.ok]
     assert got == failing
+
+
+# where a criterion cannot see a defect: the controls below stay green
+
+
+def test_criterion_08_passes_an_index_swap(monkeypatch):
+    # a permutation of an orthonormal set is orthonormal
+    monkeypatch.setattr(
+        validation,
+        "static_eigenstate",
+        lambda n, m, x, y: static_eigenstate(m, n, x, y),
+    )
+    assert _failing(validation.check_eigenstate_orthonormality) == []
+
+
+def test_criterion_10_passes_a_phase_ten_thousandth_high(monkeypatch):
+    # criterion 10 catches a phase defect only between 1e-4 and 1e-2
+    _scale_mode_phase(monkeypatch, factor=1.0 + 1e-4)
+    assert _failing(validation.check_schrodinger_residual) == []
+
+
+def test_criterion_07_reads_every_block_of_the_record(monkeypatch):
+    # the blocks come from the record's basis size, whatever it is
+    monkeypatch.setitem(validation.REFERENCE_CONFIG["oracle"], "size", 6)
+    result = validation.check_broken_spectrum()
+    assert result.passed, result.line()
