@@ -16,9 +16,13 @@ Commands compute and `main` writes: each `cmd_*` returns its outputs,
 {file name: (header, rows) or text}, and its exit status, and `main` checks
 every table for NaN and inf before it opens a file, so a run writes all of
 its files or none.  stdout echoes each text output and lists each file
-written.  All output is deterministic for a fixed config: floats are
-printed with 17 significant digits and nothing depends on wall time or dict
-iteration order.
+written.  All output is deterministic for a fixed config: nothing depends on
+wall time or dict iteration order, and each CSV field is the text of
+`'%.17g' % x` for its value x.  The writer (_csv_text) finds the 17 digits
+with numpy, a block of rows at a time; it hands to '%.17g' itself only the
+values it cannot settle: subnormals, |x| below about 1e-264 or above 1e296,
+and values within 1e-6 of a rounding tie in the 17th digit.  Its time is
+part of `cli.self_s` in the benchmark's per-layer trace.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 config violation
 (message names the invariant or key path), 3 numerical failure (message carries the
@@ -224,8 +228,192 @@ def grid_times(cfg):
     return np.linspace(grid["t_start"], grid["t_end"], grid["samples"])
 
 
+# The CSV writer prints each finite value x as `'%.17g' % x` would, byte for
+# byte, without asking CPython for it: 17 digits are past dtoa's 14-digit
+# floating-point fast path, so '%.17g' costs about 0.6 µs of big-integer
+# arithmetic per value.  The table is formatted in blocks of whole rows, about
+# _BLOCK_FIELDS fields each.  For each nonzero |x| numpy finds the 17 correctly
+# rounded digits N, 10**16 <= N < 10**17, and the decimal exponent X with
+# |x| ≈ N * 10**(X - 16) (_decimal_digits); each field is then laid out from a
+# source row of bytes by its class's column template (_csv_block).  A value the
+# digit step cannot settle is printed by '%.17g' itself.
+
+_BLOCK_FIELDS = 8192
+_POW_MAX = 280  # |16 - X| beyond this goes to '%.17g': 10**p stays normal
+_TINY = float.fromhex("0x1p-1022")  # the smallest normal double
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
+_TIE = 1e-6  # a fraction this close to 1/2 may be a tie: '%.17g' settles it
+
+# The four-digit groups 0000..9999 as 4-byte items, then the same groups with
+# their trailing zeros as NUL bytes (0000 is all NUL).
+_GROUPS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + ord("0")
+_SHOWN = np.logical_or.accumulate(_GROUPS[::-1] > ord("0"))[::-1]
+_GROUPS = np.concatenate([_GROUPS, _GROUPS * _SHOWN], axis=1).T.copy().view("V4").ravel()
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+# Source row of one field: the 16 digits after the leading one (four groups),
+# the leading digit, the exponent suffix of scientific notation, the
+# separator, then ".", "0", "-" and NUL.
+_LEAD, _EXP, _SEP, _DOT, _ZERO, _MINUS, _NUL = 16, 17, 22, 23, 24, 25, 26
+_SOURCE = 28
+_WIDTH = 25  # the longest field, "-4.9406564584124654e-324", and its separator
+
+# "e-05", "e+123": the exponent suffix of X = -324..308, NUL padded
+_EXPONENTS = np.frombuffer(
+    b"".join((b"e%+03d" % x).ljust(5, b"\0") for x in range(-324, 309)), np.uint8
+).reshape(-1, 5)
+
+
+def _templates():
+    """Source column of each output byte, one row per class of field.
+
+    A class is 40 * sign + kind.  Kinds 0..20 are fixed notation, X = -4..16,
+    with fraction digits shown; 21 is scientific notation with fraction
+    digits; 22..38 are fixed notation with no fraction digit shown, X = 0..16;
+    39 is scientific notation with one digit.  A row ends in the separator
+    and NULs; the digits it shows end in NULs where '%g' strips zeros, and
+    every NUL is dropped from the staged bytes.
+    """
+    digits = [_LEAD, *range(16)]
+    exponent = list(range(_EXP, _EXP + 5))
+    rows = []
+    for sign in ([], [_MINUS]):
+        for x in range(-4, 17):
+            if x < 0:
+                rows.append(sign + [_ZERO, _DOT] + [_ZERO] * (-x - 1) + digits)
+            else:
+                rows.append(sign + digits[: x + 1] + [_DOT] + digits[x + 1 :])
+        rows.append(sign + digits[:1] + [_DOT] + digits[1:] + exponent)
+        rows += [sign + digits[: x + 1] for x in range(17)]
+        rows.append(sign + digits[:1] + exponent)
+    rows = [row + [_SEP] + [_NUL] * (_WIDTH - 1 - len(row)) for row in rows]
+    return np.array(rows, dtype=np.intp)
+
+
+_TEMPLATES = _templates()
+
+
+def _power_of_ten(p):
+    """10**p as (hi, lo, head, tail), from exact Python int arithmetic.
+
+    hi is 10**p rounded to a double and lo is the rest rounded, so hi + lo
+    is 10**p to a relative 2**-106; head + tail == hi, each with at most 26
+    significant bits (Dekker's split).  int / int rounds correctly.
+    """
+    if p >= 0:
+        hi = float(10**p)
+        lo = float(10**p - int(hi))
+    else:
+        scale = 10**-p
+        hi = 1 / scale
+        num, den = hi.as_integer_ratio()
+        lo = (den - num * scale) / (den * scale)
+    head = _SPLIT * hi
+    head -= head - hi
+    return hi, lo, head, hi - head
+
+
+def _decimal_digits(a):
+    """(N, X, settled) for the magnitudes `a`: |x| = N * 10**(X - 16) rounded.
+
+    N is the 17 correctly rounded digits of |x| as an int64 and X its
+    decimal exponent as '%e' prints it (N = X = 0 for zero).  `settled` is
+    False where '%.17g' must decide: a subnormal |x|, |16 - X| > _POW_MAX, a
+    fraction within _TIE of 1/2 (a possible tie), or a scaled value whose
+    truncation is outside [10**16, 10**17) or that rounds up to 10**17 (the
+    log10 estimate of X was one off).
+
+    With X0 = floor(log10|x|) and p = 16 - X0, v = |x| * 10**p is formed as
+    prod + err: prod = fl(|x| * hi), err its exact error (Dekker's product,
+    |err| <= 8), plus |x| * lo.  Against v, hi + lo is off by at most
+    2**-106 v (1.2e-15 at v = 10**17).  Two roundings follow, of |x| * lo
+    (below 2**-53 v < 12) and of its sum with err (below 20), each at most
+    2**-49 (1.8e-15).  prod >= 2**53 is an integer, so floor(prod + err) and
+    the fraction come out within 5e-15 of the exact ones, far inside _TIE.
+    """
+    zero = a == 0
+    mag = np.where(a < _TINY, 1.0, a)
+    x = np.log10(mag)
+    np.floor(x, out=x)
+    x = x.astype(np.intp)
+    col = _POW_MAX + 16 - x
+    near = (col >= 0) & (col <= 2 * _POW_MAX)
+    if not near.all():
+        col[~near] = _POW_MAX + 16
+        mag[~near] = 1.0
+    table = np.zeros((4, 2 * _POW_MAX + 1))
+    for c in np.flatnonzero(np.bincount(col)):
+        table[:, c] = _power_of_ten(int(c) - _POW_MAX)
+    hi, lo, head, tail = (np.take(row, col) for row in table)
+    prod = mag * hi
+    mag_head = _SPLIT * mag
+    mag_head -= mag_head - mag
+    mag_tail = mag - mag_head
+    err = mag_head * head - prod
+    err += mag_head * tail
+    err += mag_tail * head
+    err += mag_tail * tail
+    err += mag * lo
+    whole = np.floor(err)
+    err -= whole
+    digits = prod.astype(np.int64)
+    digits += whole.astype(np.int64)
+    settled = (digits >= 10**16) & (np.abs(err - 0.5) >= _TIE)
+    settled &= near & (a >= _TINY)
+    digits += err > 0.5
+    settled &= digits < 10**17
+    settled |= zero
+    digits[zero] = 0
+    x[zero] = 0
+    return digits, x, settled
+
+
+def _csv_block(values, source):
+    """The CSV bytes of `values`, whole rows of a table read row by row.
+
+    `source` holds a source row per field, its separator and constants
+    already written.
+    """
+    count = values.size
+    digits, x, settled = _decimal_digits(np.abs(values))
+    fixed = (x >= -4) & (x <= 16)
+    # digits after the point: 16 - X in fixed notation, 16 in scientific;
+    # `bare` where all of them are zero
+    after = np.where(fixed, np.minimum(16 - x, 17), 16)
+    bare = digits % _POW10[after] == 0
+    kind = np.where(fixed, x + 4, 21)
+    kind += 18 * bare
+    kind += 40 * np.signbit(values)
+    rows = source[:count]
+    groups = rows.view("V4")
+    # a group's trailing zeros are NUL where no nonzero digit follows it in
+    # the fraction; // and - are several times faster than divmod on int64
+    strip = ~bare
+    rest = digits
+    for col in (3, 2, 1, 0):
+        high = rest // 10000
+        group = rest - 10000 * high
+        groups[:, col] = np.take(_GROUPS, group + 10000 * strip)
+        strip &= group == 0
+        rest = high
+    rows[:, _LEAD] = rest + ord("0")
+    sci = np.flatnonzero(~fixed)
+    rows[sci, _EXP:_SEP] = _EXPONENTS[x[sci] + 324]
+    index = np.take(_TEMPLATES, kind, axis=0)
+    index += np.arange(0, count * _SOURCE, _SOURCE)[:, None]
+    staged = np.take(source.ravel(), index)
+    for i in np.flatnonzero(~settled):
+        text = ("%.17g" % values[i]).encode("ascii") + rows[i, _SEP].tobytes()
+        staged[i] = 0
+        staged[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return staged[staged != 0]
+
+
 def _csv_text(name, header, rows):
-    """The table as CSV text; NonFiniteOutputError if a value is NaN or inf."""
+    """The table as CSV text; NonFiniteOutputError if a value is NaN or inf.
+
+    Each value is printed as '%.17g' prints it, a block of rows at a time.
+    """
     table = np.asarray(rows, dtype=float).reshape(-1, len(header))
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
@@ -236,8 +424,22 @@ def _csv_text(name, header, rows):
         raise NonFiniteOutputError(
             f"{header[j]} = {table[i, j]} at {where} in {name}; no file written"
         )
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    n_rows, n_cols = table.shape
+    head = (",".join(header) + "\n").encode("ascii")
+    text = np.empty(len(head) + table.size * _WIDTH, np.uint8)
+    text[: len(head)] = np.frombuffer(head, np.uint8)
+    end = len(head)
+    block = max(1, _BLOCK_FIELDS // n_cols)
+    source = np.empty((min(block, n_rows), n_cols, _SOURCE), np.uint8)
+    source[:, :, _SEP] = ord(",")
+    source[:, -1, _SEP] = ord("\n")
+    source[:, :, _DOT:] = np.frombuffer(b".0-\0\0", np.uint8)
+    source = source.reshape(-1, _SOURCE)
+    for i in range(0, n_rows, block):
+        fields = _csv_block(table[i : i + block].ravel(), source)
+        text[end : end + fields.size] = fields
+        end += fields.size
+    return str(text[:end], "ascii")
 
 
 def _table(columns):

@@ -736,6 +736,50 @@ def test_commands_return_their_outputs_and_write_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+def per_value_csv(header, rows):
+    """The CSV text of `rows` with each value formatted by '%.17g' on its own."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % x for x in row) + "\n" for row in np.asarray(rows).tolist()
+    )
+
+
+def assert_same_text(actual, expected):
+    for i, (a, b) in enumerate(zip(actual.split("\n"), expected.split("\n"))):
+        assert a == b, f"line {i + 1}"
+    assert actual == expected
+
+
+def formatting_corpus():
+    """Finite doubles where a 17-digit printer can go wrong, from a fixed seed."""
+    rng = np.random.default_rng(20261020)
+    bits = rng.integers(0, 2**64, 120_000, dtype=np.uint64, endpoint=False)
+    subnormal = rng.integers(1, 2**52, 2_000, dtype=np.uint64)
+    subnormal |= rng.integers(0, 2, subnormal.size, dtype=np.uint64) << np.uint64(63)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    dyadic = rng.integers(1, 2**40, 20_000) / 2.0 ** rng.integers(0, 80, 20_000)
+    near = np.concatenate(
+        [c + np.arange(-300.0, 300.0) * d for c, d in ((2.0**53, 1), (1e16, 1), (1e17, 16))]
+    )
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17, 9.999999999999999e-5])
+    groups = [
+        bits.view(float)[np.isfinite(bits.view(float))],
+        subnormal.view(float),
+        powers,
+        np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf),
+        dyadic,
+        near,
+        switches,
+        np.nextafter(switches, 0.0),
+        np.nextafter(switches, np.inf),
+        np.linspace(9e-6, 2e-4, 5_001),
+        np.linspace(9e15, 2e17, 5_001),
+        [1.5e-300, 1.2345e150, 2.2250738585072014e-308, 1.7976931348623157e308],
+    ]
+    values = np.concatenate([np.ravel(g) for g in groups])
+    return np.concatenate([values, -values])
+
+
 def test_csv_text_matches_per_value_formatting():
     values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]
     values += [0.1, -0.1, 1.0, -3.0, 2.0**53, 1 / 3]
@@ -745,6 +789,65 @@ def test_csv_text_matches_per_value_formatting():
         ",".join(f"{float(x):.17g}" for x in row) + "\n" for row in rows
     )
     assert cli._csv_text("table.csv", header, rows) == expected
+
+    corpus = formatting_corpus()
+    assert corpus.size > 10**5 and np.all(np.isfinite(corpus))
+    for n_cols in (1, 3, 11):
+        header = tuple(f"c{j}" for j in range(n_cols))
+        rows = corpus[: corpus.size // n_cols * n_cols].reshape(-1, n_cols)
+        assert_same_text(cli._csv_text("table.csv", header, rows), per_value_csv(header, rows))
+    # a block is about cli._BLOCK_FIELDS fields of whole rows: a last block
+    # shorter than the others, and one row alone
+    header = ("a", "b", "c")
+    rows = corpus[: 3 * (2 * (cli._BLOCK_FIELDS // 3) + 7)].reshape(-1, 3)
+    assert_same_text(cli._csv_text("t.csv", header, rows), per_value_csv(header, rows))
+    assert cli._csv_text("t.csv", header, rows[:1]) == per_value_csv(header, rows[:1])
+    assert cli._csv_text("t.csv", header, np.empty((0, 3))) == "a,b,c\n"
+
+
+EVOLVE_LONG_SHAPED = {
+    # the shape of the benchmark's evolve-long config at 400 samples: `a`
+    # tabulated on 64 nodes, `lam` a sinusoid
+    "scenario": {
+        "a": {
+            "kind": "tabulated",
+            "times": np.linspace(0.0, 10.0, 64).tolist(),
+            "values": (
+                1.0 + 0.07 * np.sin(1.3 * np.linspace(0.0, 10.0, 64) + 0.4)
+            ).tolist(),
+        },
+        "lam": {"kind": "sinusoid", "offset": 0.55, "amp": 0.2, "omega": 1.1, "phase": 0.3},
+        "q2": -1.3,
+        "q3": 0.45,
+        "n": 2,
+        "m": 1,
+    },
+    "grid": {"samples": 400},
+}
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("evolve", {}),
+        ("evolve", EVOLVE_LONG_SHAPED),
+        ("modes", {}),
+        ("oracle", {}),
+        ("spectrum", {}),
+    ],
+    ids=["evolve", "evolve-long-shaped", "modes", "oracle", "spectrum"],
+)
+def test_every_csv_is_its_own_per_value_rendering(tmp_path, command, overrides):
+    cfg = write_config(tmp_path, overrides)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert tables
+    for path in tables:
+        text = path.read_text(encoding="utf-8")
+        header, *lines = text.split("\n")
+        assert lines[-1] == "" and all(lines[:-1]), path.name
+        rows = [[float(v) for v in line.split(",")] for line in lines[:-1]]
+        assert_same_text(text, per_value_csv(header.split(","), rows))
 
 
 def test_main_rejects_unknown_subcommand():
@@ -773,6 +876,24 @@ def test_import_loads_no_scipy():
             "-c",
             "import sys, ptdyson, ptdyson.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_fractions_or_decimal():
+    # the CSV writer's powers of ten come from int arithmetic; fractions alone
+    # would add about 2.5 ms to every start-up
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, ptdyson, ptdyson.cli; "
+            "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))",
         ],
         capture_output=True,
         text=True,
