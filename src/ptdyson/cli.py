@@ -26,7 +26,8 @@ part of `cli.self_s` in the benchmark's per-layer trace.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 config violation
 (message names the invariant or key path), 3 numerical failure (message carries the
-context; a NaN or inf in an output table is one, and so is an overflow).
+context; a NaN or inf in an output table is one, and so are an overflow, a
+non-finite driver value and an array too large to allocate).
 """
 
 import argparse
@@ -598,6 +599,7 @@ def main(argv=None):
         ExceptionalPointError,
         np.linalg.LinAlgError,
         OverflowError,
+        MemoryError,
     ) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3

@@ -58,6 +58,18 @@ class EPConstants:
             self, "kappa", self.q3 / np.sqrt(1.0 - self.q3**2)
         )
 
+    def _splitting_integral(self, lam, t):
+        """Integral from 0 to t of the splitting lam sinh(g4) / cosh(g3) of h.
+
+        Primitive -arctan[kappa tanh(q2 - L)], L the running integral of lam;
+        the split drivers and the Hermitian-side invariant both use it.
+        """
+
+        def primitive(tau):
+            return -np.arctan(self.kappa * np.tanh(self.q2 - lam.cumulative(tau)))
+
+        return primitive(t) - primitive(0.0)
+
 
 def fit_ep_constants(gamma3_0, gamma4_0):
     """Constants (q2, q3) whose closed-form trajectory starts at the given point.
@@ -202,16 +214,18 @@ def driver_value(profile, t):
     """profile(t) for scalar or array t.
 
     Raises SingularEvaluationError, naming the first such t, if
-    |profile(t)| <= EPS_DRIVER anywhere: the checks that call this divide
-    by the driver, and an array call fails as a whole.
+    |profile(t)| <= EPS_DRIVER or profile(t) is not finite anywhere: the
+    checks that call this divide by the driver, and an array call fails as
+    a whole.
     """
     value = profile(t)
-    singular = np.flatnonzero(np.abs(value) <= EPS_DRIVER)
-    if singular.size:
-        first = singular[0]
+    bad = np.flatnonzero(~(np.isfinite(value) & (np.abs(value) > EPS_DRIVER)))
+    if bad.size:
+        first, t_first = np.ravel(value)[bad[0]], np.ravel(t)[bad[0]]
+        if not np.isfinite(first):
+            raise SingularEvaluationError(f"driver value {first} at t = {t_first}")
         raise SingularEvaluationError(
-            f"driver magnitude {abs(np.ravel(value)[first]):.2e} <= {EPS_DRIVER} "
-            f"at t = {np.ravel(t)[first]}"
+            f"driver magnitude {abs(first):.2e} <= {EPS_DRIVER} at t = {t_first}"
         )
     return value
 

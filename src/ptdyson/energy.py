@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra_u2 import AlgebraElement
 from .dyson import EPConstants, nonhermitian_hamiltonian
-from .errors import ConstraintViolationError, DomainError
+from .errors import ConstraintViolationError, DomainError, _square
 from .profiles import TimeProfile
 
 
@@ -93,13 +93,7 @@ def driver_diff_integral(scenario, t):
     Antiderivative of the splitting: with kappa = q3/sqrt(1 - q3^2) and
     u(tau) = q2 - L(tau), the primitive is -arctan[kappa tanh(u)].
     """
-    kappa = scenario.q3 / np.sqrt(1.0 - scenario.q3**2)
-
-    def primitive(tau):
-        u = scenario.q2 - scenario.lam.cumulative(tau)
-        return -np.arctan(kappa * np.tanh(u))
-
-    return primitive(t) - primitive(0.0)
+    return scenario.ep_constants()._splitting_integral(scenario.lam, t)
 
 
 def _driver_half(scenario, sign):
@@ -153,6 +147,10 @@ def scenario_hamiltonian(scenario, t):
 def energy_expectation(scenario, t):
     """Real instantaneous energy of the (n, m) product state at time t."""
     fp, fm = f_pm(scenario, t)
-    e_plus = (scenario.n + 0.5) * np.sqrt(1.0 + scenario.ktilde_plus**2)
-    e_minus = (scenario.m + 0.5) * np.sqrt(1.0 + scenario.ktilde_minus**2)
+    e_plus = (scenario.n + 0.5) * np.sqrt(
+        1.0 + _square("ktilde_plus", scenario.ktilde_plus)
+    )
+    e_minus = (scenario.m + 0.5) * np.sqrt(
+        1.0 + _square("ktilde_minus", scenario.ktilde_minus)
+    )
     return fp * e_plus + fm * e_minus

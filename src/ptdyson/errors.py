@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a square that names its overflow."""
 
 
 class PtdysonError(Exception):
@@ -46,3 +46,11 @@ class NonFiniteOutputError(PtdysonError):
 
 class ConfigError(PtdysonError):
     """Invalid run configuration. The message names the violated invariant."""
+
+
+def _square(name, value):
+    """value**2 of a plain float; an overflow names the quantity and its value."""
+    try:
+        return value**2
+    except OverflowError:
+        raise OverflowError(f"{name} = {value:g}: its square overflows a float") from None

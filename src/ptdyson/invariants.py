@@ -17,7 +17,10 @@ plus Im c4 = 0, which every closed-form identity downstream relies on.
 The Hermitian-side invariant I_h = sum_i beta_i K_i comes out two ways, a
 radical closed form (beta_from_match) and the solution of its own evolution
 system (beta_from_evolution); with the matched constants c5..c8 the two
-agree pointwise, which the tests pin down.
+agree pointwise, which the tests pin down.  The evolution route's splitting
+integral (b_diff_integral) is that of the family's map trajectory: one
+primitive, EPConstants._splitting_integral, serves it and the split drivers
+of the energy module.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +29,7 @@ import numpy as np
 
 from .algebra_u2 import AlgebraElement, commutator, conjugate
 from .dyson import EPConstants, first_derivative
-from .errors import ConstraintViolationError
+from .errors import ConstraintViolationError, _square
 
 _CONSTRAINT_TOL = 1e-10
 
@@ -60,11 +63,13 @@ class InvariantCoeffs:
             raise ConstraintViolationError(
                 f"Im c1 = 0 required, got {self.c1.imag}"
             )
-        mismatch = 4.0 * self.c3.real * self.c3.imag + self.c2.real * self.c2.imag
-        if abs(mismatch) > _CONSTRAINT_TOL * scale**2:
+        # relative to scale**2: the scaled products cannot overflow
+        c2, c3 = self.c2 / scale, self.c3 / scale
+        mismatch = 4.0 * c3.real * c3.imag + c2.real * c2.imag
+        if abs(mismatch) > _CONSTRAINT_TOL:
             raise ConstraintViolationError(
                 "4 Re(c3) Im(c3) = -Re(c2) Im(c2) required, "
-                f"mismatch = {mismatch}"
+                f"mismatch = {mismatch} relative to max(1, |c1|..|c4|)^2"
             )
         if not 2.0 * abs(self.c3.real) > abs(self.c2.imag):
             raise ConstraintViolationError(
@@ -77,7 +82,9 @@ class InvariantCoeffs:
             )
         if self.c3.real > 0.0:
             s = float(self.branch)
-            root = np.sqrt(4.0 * self.c3.real**2 - self.c2.imag**2)
+            root = np.sqrt(
+                4.0 * _square("Re c3", self.c3.real) - _square("Im c2", self.c2.imag)
+            )
             amp = self.c2.imag / root
             c5 = 0.5 * self.c1.real + 0.5 * s * root
             c6 = 0.5 * self.c1.real - 0.5 * s * root
@@ -188,16 +195,6 @@ def gamma_from_alpha(alpha):
     return g3, g4
 
 
-def _radical_pieces(coeffs, lam, t):
-    c2i = coeffs.c2.imag
-    c3r = coeffs.c3.real
-    r2 = 4.0 * c3r**2 - c2i**2
-    # The eager bound 2|Re c3| > |Im c2| keeps r2 > 0.
-    u = coeffs.c4.real - np.asarray(lam.cumulative(t), dtype=float)
-    d = np.sqrt(4.0 * c3r**2 - (c2i / np.cosh(u)) ** 2)
-    return r2, u, d
-
-
 def beta_from_match(coeffs, lam, t):
     """Hermitian-side coefficient 4-vector, radical closed form.
 
@@ -208,7 +205,11 @@ def beta_from_match(coeffs, lam, t):
     c1r = coeffs.c1.real
     c2r, c2i = coeffs.c2.real, coeffs.c2.imag
     c3r = coeffs.c3.real
-    r2, u, d = _radical_pieces(coeffs, lam, t)
+    c3r_sq = _square("Re c3", c3r)
+    # The eager bound 2|Re c3| > |Im c2| keeps r2 > 0.
+    r2 = 4.0 * c3r_sq - _square("Im c2", c2i)
+    u = coeffs.c4.real - np.asarray(lam.cumulative(t), dtype=float)
+    d = np.sqrt(4.0 * c3r_sq - (c2i / np.cosh(u)) ** 2)
     root = np.sqrt(r2)
     beta1 = 0.5 * c1r + 0.5 * s * root
     beta2 = 0.5 * c1r - 0.5 * s * root
@@ -234,21 +235,12 @@ def b_diff_integral(coeffs, lam, t):
 
     Closed form: sgn(Re c3) * [P(t) - P(0)] with
     P(tau) = arctan[ Im(c2)/sqrt(4 Re(c3)^2 - Im(c2)^2)
-                     * tanh(Re c4 - L(tau)) ].
-    Vanishes identically for Im c2 = 0 and agrees with direct quadrature
-    of the splitting of h(t).
+                     * tanh(Re c4 - L(tau)) ],
+    which is the map trajectory's own splitting integral: the amplitude is
+    -sgn(Re c3) kappa for the q3 of ep_constants.  Vanishes identically for
+    Im c2 = 0 and agrees with direct quadrature of the splitting of h(t).
     """
-    c2i = coeffs.c2.imag
-    c3r = coeffs.c3.real
-    r2 = 4.0 * c3r**2 - c2i**2
-    amp = c2i / np.sqrt(r2)
-
-    def primitive(tau):
-        return np.arctan(
-            amp * np.tanh(coeffs.c4.real - np.asarray(lam.cumulative(tau)))
-        )
-
-    return np.sign(c3r) * (primitive(t) - primitive(0.0))
+    return coeffs.ep_constants()._splitting_integral(lam, t)
 
 
 def conservation_residual(element_fn, hamiltonian_fn, t):

@@ -26,24 +26,36 @@ g = sqrt((r - ktilde)/(r + ktilde)), r = sqrt(1 + ktilde^2), unwrapped
 branch-safely; note g's defining products satisfy r^2 - ktilde^2 = 1, which
 is why no prefactor appears.
 
+Every Hermite polynomial, here and in the static eigenstates, comes from
+one run of the three-term recurrence _hermite_upto, which yields H_0..H_n.
+
 The 2D solutions of h(t) = f_plus K1 + f_minus K2 are plain products of one
 mode per axis with the split drivers of the energy module.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dyson import central_derivatives, driver_value
 from .energy import f_minus_profile, f_plus_profile
-from .errors import ConstraintViolationError, UnsupportedDegreeError
+from .errors import ConstraintViolationError, UnsupportedDegreeError, _square
 
 MAX_HERMITE_DEGREE = 60
 
 
 def hermite(n, x):
     """Physicists' Hermite polynomial H_n(x) by three-term recurrence."""
+    return deque(_hermite_upto(n, x), maxlen=1)[0]
+
+
+def _hermite_upto(n, x):
+    """H_0(x), ..., H_n(x) in turn, from one run of the three-term recurrence.
+
+    A generator, so a caller holds only the degrees it keeps.
+    """
     if n < 0 or int(n) != n:
         raise UnsupportedDegreeError(f"degree must be a nonnegative integer, got {n}")
     if n > MAX_HERMITE_DEGREE:
@@ -51,13 +63,15 @@ def hermite(n, x):
             f"degree {n} above cap {MAX_HERMITE_DEGREE}"
         )
     x = np.asarray(x)
-    h_prev = np.ones_like(x, dtype=float)
+    h_prev = np.ones_like(x, dtype=float)[()]
+    yield h_prev
     if n == 0:
-        return h_prev[()]
+        return
     h = 2.0 * x
+    yield h
     for k in range(1, n):
         h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h
+        yield h
 
 
 @dataclass(frozen=True)
@@ -82,7 +96,8 @@ class ModeSpec:
 
 def _scale(ktilde, a_int):
     # kt as a function of the driver's running integral A(t)
-    return np.sqrt(ktilde * np.cos(2.0 * a_int) + np.sqrt(1.0 + ktilde**2))
+    r = np.sqrt(1.0 + _square("ktilde", ktilde))
+    return np.sqrt(ktilde * np.cos(2.0 * a_int) + r)
 
 
 def ep_classical(ktilde, driver, t):
@@ -139,7 +154,7 @@ def phase_integral(ktilde, driver, t):
 
 def _phase(ktilde, a_int):
     # phase_integral as a function of the driver's running integral A(t)
-    r = np.sqrt(1.0 + ktilde**2)
+    r = np.sqrt(1.0 + _square("ktilde", ktilde))
     g = np.sqrt((r - ktilde) / (r + ktilde))
     theta = np.asarray(a_int, dtype=float)
     winding = np.round(theta / np.pi)
@@ -168,16 +183,6 @@ def _time_factors(spec, t):
     return kt, width, amp, norm
 
 
-def _mode_factors(time_factors, x):
-    """Pieces shared by the mode and its second derivative.
-
-    Returns (kt, W, amp, gauss, norm): the output of _time_factors with the
-    Gaussian exp(W x^2 / 2) added; t's shape broadcasts against x.
-    """
-    kt, width, amp, norm = time_factors
-    return kt, width, amp, np.exp(0.5 * width * x**2), norm
-
-
 def pedrosa_mode(spec, x, t):
     """The normalized n-th mode at position(s) x and time(s) t.
 
@@ -187,7 +192,8 @@ def pedrosa_mode(spec, x, t):
     driver vanishes at any t.
     """
     x = np.asarray(x, dtype=float)
-    return _mode(spec, x, _mode_factors(_time_factors(spec, t), x))
+    kt, width, amp, norm = _time_factors(spec, t)
+    return amp * np.exp(0.5 * width * x**2) * hermite(spec.n, x / kt) / norm
 
 
 def pedrosa_mode_xx(spec, x, t):
@@ -199,40 +205,27 @@ def pedrosa_mode_xx(spec, x, t):
                              + (4 n (n-1) / kt^2) H_{n-2} ].
     Used by the quadrature oracles; a grid check would lose too many digits.
     """
-    x = np.asarray(x, dtype=float)
-    return _mode_xx(spec, x, _mode_factors(_time_factors(spec, t), x))
+    return _mode_pair_at(spec, x, _time_factors(spec, t))[1]
 
 
 def _mode_pair_at(spec, x, time_factors):
     """(pedrosa_mode, pedrosa_mode_xx) from the output of _time_factors.
 
     A caller that evaluates the pair on many x at the same times computes
-    the time factors once and forms only the Gaussian and the Hermite terms
-    per call.
+    the time factors once; each call forms one Gaussian and runs one
+    Hermite recurrence, whose H_n, H_{n-1} and H_{n-2} serve both.
     """
     x = np.asarray(x, dtype=float)
-    factors = _mode_factors(time_factors, x)
-    return _mode(spec, x, factors), _mode_xx(spec, x, factors)
-
-
-def _mode(spec, x, factors):
-    # pedrosa_mode from the output of _mode_factors
-    kt, _, amp, gauss, norm = factors
-    return amp * gauss * hermite(spec.n, x / kt) / norm
-
-
-def _mode_xx(spec, x, factors):
-    # pedrosa_mode_xx from the output of _mode_factors
     n = spec.n
-    kt, width, amp, gauss, norm = factors
-    pref = amp / norm * gauss
-    xi = x / kt
-    total = (width + width**2 * x**2) * hermite(n, xi)
+    kt, width, amp, norm = time_factors
+    gauss = np.exp(0.5 * width * x**2)
+    h = deque(_hermite_upto(n, x / kt), maxlen=3)  # ..., H_{n-1}, H_n
+    total = (width + width**2 * x**2) * h[-1]
     if n >= 1:
-        total = total + (4.0 * n * width * x / kt) * hermite(n - 1, xi)
+        total = total + (4.0 * n * width * x / kt) * h[-2]
     if n >= 2:
-        total = total + (4.0 * n * (n - 1) / kt**2) * hermite(n - 2, xi)
-    return pref * total
+        total = total + (4.0 * n * (n - 1) / kt**2) * h[-3]
+    return amp * gauss * h[-1] / norm, amp / norm * gauss * total
 
 
 def k1_expectation(spec):
@@ -240,7 +233,7 @@ def k1_expectation(spec):
 
     (n + 1/2) sqrt(1 + ktilde^2), constant in time.
     """
-    return (spec.n + 0.5) * np.sqrt(1.0 + spec.ktilde**2)
+    return (spec.n + 0.5) * np.sqrt(1.0 + _square("ktilde", spec.ktilde))
 
 
 def product_specs(n, m, scenario):

@@ -21,18 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra_u2 import AlgebraElement
-from .errors import ConstraintViolationError, ExceptionalPointError, UnsupportedDegreeError
-from .modes import hermite
+from .errors import (
+    ConstraintViolationError,
+    ExceptionalPointError,
+    UnsupportedDegreeError,
+    _square,
+)
+from .modes import _hermite_upto
 
 MAX_EIGENSTATE_DEGREE = 20
-
-
-def _square(name, value):
-    """value**2 of a plain float; an overflow names the quantity and its value."""
-    try:
-        return value**2
-    except OverflowError:
-        raise OverflowError(f"{name} = {value:g}: its square overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,8 @@ def static_eigenstate(n, m, x, y):
         * [ sum_k  binom(n,k) H_k(x) H_{n-k}(y) ]
         * [ sum_l  (-1)^l binom(m,l) H_l(y) H_{m-l}(x) ].
 
-    Orthonormal under the plain L2 inner product.  Degree cap 20 per index
+    Both sums index one table of H_0..H_max(n,m) per axis.  Orthonormal
+    under the plain L2 inner product.  Degree cap 20 per index
     (binomial times Hermite growth; beyond that the sums lose digits).
     """
     if n > MAX_EIGENSTATE_DEGREE or m > MAX_EIGENSTATE_DEGREE:
@@ -165,12 +163,10 @@ def static_eigenstate(n, m, x, y):
         raise UnsupportedDegreeError("quantum numbers must be >= 0")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    first = sum(
-        math.comb(n, k) * hermite(k, x) * hermite(n - k, y) for k in range(n + 1)
-    )
+    hx, hy = (list(_hermite_upto(max(n, m), v)) for v in (x, y))
+    first = sum(math.comb(n, k) * hx[k] * hy[n - k] for k in range(n + 1))
     second = sum(
-        (-1) ** l * math.comb(m, l) * hermite(l, y) * hermite(m - l, x)
-        for l in range(m + 1)
+        (-1) ** l * math.comb(m, l) * hy[l] * hx[m - l] for l in range(m + 1)
     )
     norm = 2.0 ** (n + m) * math.sqrt(
         math.factorial(n) * math.factorial(m) * math.pi

@@ -463,6 +463,22 @@ def test_modes_silent_drive_is_a_numerical_failure(tmp_path, capsys):
     assert err.startswith("numerical failure:")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_modes_refuses_a_driver_that_is_not_finite(tmp_path, capsys):
+    # lam = e^(800 t) overflows at t = 1.5, and f_plus is NaN there; the mode
+    # reads only the driver's running integral, so psi alone stays finite
+    cfg = write_config(
+        tmp_path,
+        {"scenario": {"lam": {"kind": "exponential", "offset": 0, "amp": 1, "rate": 800}}},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["modes", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: driver value nan at t = 1.5\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -676,17 +692,112 @@ def test_a_failing_run_writes_no_file(tmp_path, capsys, patch, fragment):
 
 
 @pytest.mark.parametrize(
-    "patch, fragment",
+    "command, patch, fragment",
     [
-        ({"static": {"k": {"a": 1e308}}}, "a - b = 1e+308: its square overflows"),
-        ({"static": {"xy": {"omega_y": 1e200}}}, "omega_y = 1e+200: its square overflows"),
+        ("spectrum", {"static": {"k": {"a": 1e308}}}, "a - b = 1e+308: its square overflows"),
+        (
+            "spectrum",
+            {"static": {"xy": {"omega_y": 1e200}}},
+            "omega_y = 1e+200: its square overflows",
+        ),
+        *(
+            (command, {"invariant": {"c3_real": 1e200}}, "Re c3 = 1e+200: its square overflows")
+            for command in ("evolve", "spectrum", "modes", "validate")
+        ),
+        (
+            "evolve",
+            {"invariant": {"c3_real": -1e200}},
+            "Re c3 = -1e+200: its square overflows",
+        ),
+        (
+            "evolve",
+            {"scenario": {"ktilde_plus": 1e200}},
+            "ktilde_plus = 1e+200: its square overflows",
+        ),
+        (
+            "evolve",
+            {"scenario": {"ktilde_minus": -1e200}},
+            "ktilde_minus = -1e+200: its square overflows",
+        ),
+        ("modes", {"scenario": {"ktilde_plus": 1e200}}, "ktilde = 1e+200: its square overflows"),
+        ("modes", {"scenario": {"ktilde_minus": -1e200}}, "ktilde = -1e+200: its square overflows"),
     ],
-    ids=["k", "xy"],
+    ids=[
+        "k", "xy", "c3-evolve", "c3-spectrum", "c3-modes", "c3-validate",
+        "negative-c3-evolve", "ktilde-plus-evolve", "ktilde-minus-evolve",
+        "ktilde-plus-modes", "ktilde-minus-modes",
+    ],
 )
-def test_an_overflow_names_the_quantity_and_its_value(tmp_path, capsys, patch, fragment):
+def test_an_overflow_names_the_quantity_and_its_value(
+    tmp_path, capsys, command, patch, fragment
+):
     cfg = write_config(tmp_path, patch)
-    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"numerical failure: {fragment} a float\n"
+
+
+def test_an_array_too_large_to_allocate_is_a_numerical_failure(tmp_path, capsys):
+    # 10^15 samples are 8 PB of float64, past any process's address space,
+    # so the allocation fails at once and touches no memory
+    cfg = write_config(tmp_path, {"grid": {"samples": 1e15}})
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: Unable to allocate ")
+    assert "shape (1000000000000000,)" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _float_keys(node, path=()):
+    """Key paths of the float leaves of a config, list entries as indices."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _float_keys(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _float_keys(value, path + (i,))
+    elif isinstance(node, float):
+        yield path
+
+
+def _patched(path, value):
+    """The config fragment that sets the float leaf at `path` to `value`."""
+    if isinstance(path[-1], int):
+        entries = list(cli.DEFAULT_CONFIG[path[0]][path[1]])
+        entries[path[-1]] = value
+        return {path[0]: {path[1]: entries}}
+    fragment = value
+    for key in reversed(path):
+        fragment = {key: fragment}
+    return fragment
+
+
+# A refusal names the swept value (the key path or the quantity that holds
+# it), or the table column that went non-finite and its time.
+_NAMED = re.compile(r"1e\+200|\w+ = -?(inf|nan) at t = ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_float_key_at_an_extreme_fails_cleanly(tmp_path, capsys):
+    keys = list(_float_keys(cli.DEFAULT_CONFIG))
+    assert len(keys) == 28
+    for path in keys:
+        for value in (1e200, -1e200):
+            cfg = write_config(tmp_path, _patched(path, value))
+            where = f"{path} = {value}"
+            for command in ("evolve", "spectrum", "modes"):
+                rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                assert rc in (0, 2, 3), where
+                assert "Traceback" not in err and "out of range" not in err, where
+                assert rc == 0 or _NAMED.search(err), (where, command, err)
+            # the gate itself runs pinned inputs: check the config only
+            try:
+                cli.validate_config(cli.load_config(cfg))
+            except (ConfigError, OverflowError) as err:
+                assert _NAMED.search(str(err)), (where, str(err))
 
 
 def test_an_out_path_that_is_a_file_exits_cleanly(tmp_path, capsys):

@@ -216,6 +216,23 @@ def test_splitting_integral_against_quadrature():
     assert b_diff_integral(static, LAM, 5.0) == 0.0
 
 
+def test_splitting_integral_against_quadrature_for_negative_re_c3():
+    # Re c3 < 0 flips the sign of the primitive's amplitude and of the
+    # closed form's prefactor; the product stays the map's splitting integral
+    c = invariant_coeffs_for(0.3, -0.55, c3_real=-0.9)
+    ep = c.ep_constants()
+
+    def splitting(tau):
+        g3, g4 = gamma_closed_form(LAM, ep, tau)
+        img = hermitian_counterpart(0.0, LAM(tau), g3, g4).vector
+        return float((img[0] - img[1]).real)
+
+    for t in (0.8, 3.1, 9.0):
+        ref, _ = quad(splitting, 0.0, t, limit=200)
+        assert abs(b_diff_integral(c, LAM, t) - ref) < 1e-8
+    assert b_diff_integral(c, LAM, 0.0) == 0.0
+
+
 def test_conservation_for_commuting_pair():
     central = basis_element(1) + basis_element(2)
     res = conservation_residual(

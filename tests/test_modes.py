@@ -226,9 +226,19 @@ def test_mode_pair_equals_the_two_modes(monkeypatch):
         return cumulative(self, s)
 
     monkeypatch.setattr(TimeProfile, "cumulative", counted)
+    # and one Hermite recurrence serves the mode and its second derivative
+    recurrences = []
+    hermite_upto = modes._hermite_upto
+
+    def counted_upto(n, xi):
+        recurrences.append(n)
+        return hermite_upto(n, xi)
+
+    monkeypatch.setattr(modes, "_hermite_upto", counted_upto)
     spec = ModeSpec(2, DRIVER, 0.5)
     modes._mode_pair_at(spec, x, modes._time_factors(spec, 1.1))
     assert len(calls) == 1
+    assert recurrences == [2]
 
 
 def test_mode_guards_vanishing_driver():

@@ -135,6 +135,28 @@ def test_eigenstate_ground_level():
     assert np.max(np.abs(got - want)) < 1e-15
 
 
+def test_eigenstate_equals_the_per_degree_hermite_sums_bit_for_bit():
+    # one Hermite table per axis gives the numbers of one recurrence per
+    # degree, on the 24-node grid of the orthonormality criterion
+    nodes = np.polynomial.hermite.hermgauss(24)[0]
+    x, y = np.meshgrid(nodes, nodes, indexing="ij")
+    for n in range(5):
+        for m in range(5):
+            first = sum(
+                math.comb(n, k) * hermite(k, x) * hermite(n - k, y)
+                for k in range(n + 1)
+            )
+            second = sum(
+                (-1) ** l * math.comb(m, l) * hermite(l, y) * hermite(m - l, x)
+                for l in range(m + 1)
+            )
+            norm = 2.0 ** (n + m) * math.sqrt(
+                math.factorial(n) * math.factorial(m) * math.pi
+            )
+            want = np.exp(-0.5 * (x**2 + y**2)) * first * second / norm
+            assert np.array_equal(static_eigenstate(n, m, x, y), want)
+
+
 def test_eigenstate_rotated_argument_identities():
     # both factor sums collapse to single Hermite polynomials in the
     # rotated coordinates

@@ -263,6 +263,11 @@ def test_driver_value_names_the_first_singular_time():
     with pytest.raises(SingularEvaluationError, match=r"at t = 1\.0$"):
         ep_oscillator_residual(lambda t: 1.0 + 0.0 * t, driver, times)
     np.testing.assert_array_equal(driver_value(driver, times[::2]), [0.75, -0.25])
+    # a driver that overflows, e^(800 t) = inf from t = 1 on, is refused as well
+    steep = TimeProfile.exponential(0.0, 1.0, 800.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(SingularEvaluationError, match=r"^driver value inf at t = 1\.0$"):
+            driver_value(steep, times)
 
 
 def _tdse_residual_2d_on_meshgrid(scenario, t, grid_step, time_step, half_width):
