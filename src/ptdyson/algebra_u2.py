@@ -48,7 +48,7 @@ class AlgebraElement:
     Represents c[0]*K1 + c[1]*K2 + c[2]*K3 + c[3]*K4.  Immutable: `vector`
     is a read-only complex array.  Each coefficient may be a scalar or an
     array (one entry per sample); they are broadcast together, so `vector`
-    has shape (4, ...) and every operation below acts sample by sample.
+    has shape (4, ...) and its operations, `norm`, `+` and `-`, act sample by sample.
     """
 
     vector: np.ndarray
@@ -69,14 +69,6 @@ class AlgebraElement:
 
     def __sub__(self, other):
         return AlgebraElement(self.vector - other.vector)
-
-    def __mul__(self, scalar):
-        return AlgebraElement(self.vector * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return AlgebraElement(-self.vector)
 
 
 def basis_element(i):
@@ -162,9 +154,7 @@ def _factor(i, g):
     ch, sh = np.cosh(0.5 * g), np.sinh(0.5 * g)
     if i == 3:
         return np.array([[ch, sh], [sh, ch]], dtype=complex)
-    if i == 4:
-        return np.array([[ch, -1.0j * sh], [1.0j * sh, ch]], dtype=complex)
-    raise ValueError("generator index out of range")
+    return np.array([[ch, -1.0j * sh], [1.0j * sh, ch]], dtype=complex)
 
 
 def _product(g, order):

@@ -70,6 +70,9 @@ from .static_models import (
     spectrum_xy,
 )
 
+# The most levels a static spectrum table (a Python list) may hold
+_MAX_LEVELS = 10**5
+
 DEFAULT_CONFIG = {
     **validation.REFERENCE_CONFIG,
     "modes_grid": {
@@ -169,14 +172,22 @@ def validate_config(cfg):
             f"oracle.buffer must be < oracle.size, got buffer={oracle['buffer']}, "
             f"size={oracle['size']}"
         )
-    static = cfg["static"]
+    xy, k = cfg["static"]["xy"], cfg["static"]["k"]
     for path, value in (
-        ("static.xy.n_max", static["xy"]["n_max"]),
-        ("static.xy.m_max", static["xy"]["m_max"]),
-        ("static.k.n_max", static["k"]["n_max"]),
+        ("static.xy.n_max", xy["n_max"]),
+        ("static.xy.m_max", xy["m_max"]),
+        ("static.k.n_max", k["n_max"]),
     ):
         if value < 0:
             raise ConfigError(f"{path} must be >= 0, got {value}")
+    for paths, levels in (
+        ("static.xy.n_max and static.xy.m_max", (xy["n_max"] + 1) * (xy["m_max"] + 1)),
+        ("static.k.n_max", (k["n_max"] + 1) ** 2),
+    ):
+        if levels > _MAX_LEVELS:
+            raise ConfigError(
+                f"{paths} must give at most {_MAX_LEVELS} spectrum levels, got {levels}"
+            )
     mg = cfg["modes_grid"]
     if not mg["times"]:
         raise ConfigError("modes_grid.times must be a non-empty list")
@@ -191,7 +202,6 @@ def validate_config(cfg):
     coeffs = _build(
         "invariant", invariant_coeffs_for, scenario.q2, scenario.q3, **cfg["invariant"]
     )
-    xy = static["xy"]
     xy_model = _build(
         "static.xy", XYModel, xy["m"], xy["omega_x"], xy["omega_y"], xy["coupling"]
     )
@@ -523,7 +533,9 @@ def cmd_modes(cfg, built):
     x, y = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
     rows = []
     for t in mg["times"]:
-        psi = product_state(scenario.n, scenario.m, scenario, x, y, t)
+        psi = product_state(
+            scenario.n, scenario.m, scenario, axis[:, None], axis[None, :], t
+        ).ravel()
         rows.append(np.column_stack((x, y, np.full_like(x, t), psi.real, psi.imag)))
     return {"modes.csv": (("x", "y", "t", "re_psi", "im_psi"), rows)}, 0
 

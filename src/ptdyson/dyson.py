@@ -58,17 +58,18 @@ class EPConstants:
             self, "kappa", self.q3 / np.sqrt(1.0 - self.q3**2)
         )
 
+    def _splitting_primitive(self, u):
+        """P(u) = -arctan[kappa tanh(u)], the splitting's primitive in u = q2 - L."""
+        return -np.arctan(self.kappa * np.tanh(u))
+
     def _splitting_integral(self, lam, t):
         """Integral from 0 to t of the splitting lam sinh(g4) / cosh(g3) of h.
 
-        Primitive -arctan[kappa tanh(q2 - L)], L the running integral of lam;
-        the split drivers and the Hermitian-side invariant both use it.
+        P(q2 - L(t)) - P(q2), L the running integral of lam (L(0) = 0); the
+        split drivers and the Hermitian-side invariant both use it.
         """
-
-        def primitive(tau):
-            return -np.arctan(self.kappa * np.tanh(self.q2 - lam.cumulative(tau)))
-
-        return primitive(t) - primitive(0.0)
+        primitive = self._splitting_primitive
+        return primitive(self.q2 - lam.cumulative(t)) - primitive(self.q2)
 
 
 def fit_ep_constants(gamma3_0, gamma4_0):

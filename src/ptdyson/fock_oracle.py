@@ -388,15 +388,17 @@ def _line_eigenvalues(v, j_ops, center, k):
 
     v is a (T, 3) stack of complex 3-vectors and center a (T,) stack; the
     result is (T, k + 1).  Each v has p = Re v, q = Im v, p . q = 0 and
-    mu^2 = |p|^2 - |q|^2 > 0 (the reality conditions).  In the ladder basis
-    of the real direction p x q the matrix is exactly tridiagonal;
-    unscaling the hyperbolic factor exp(zeta J) with sinh(zeta) = |q| / mu
-    leaves an exactly normal matrix, so the eigenvalues come out accurate
-    to machine precision instead of degrading like exp(zeta k).  The scale
-    orientation is picked as the candidate with the smaller Frobenius norm
-    (the wrong sign inflates one off-diagonal by exp(2 zeta)).  Snapshots
-    violating the reality conditions fall back to the plain solver.  One
-    stacked eigh and two stacked eigvals serve every snapshot.
+    mu^2 = |p|^2 - |q|^2 > 0 (the reality conditions).  J = (K3, K4,
+    (K1 - K2)/2) closes as su(2) and p^, q^, n = p x q / |p x q| are
+    right-handed, so with J+- = (p^ +- i q^) . J, v . J = (|p| + |q|)/2 J+
+    + (|p| - |q|)/2 J- is exactly tridiagonal in the ladder basis of n (m
+    ascending, as eigh orders it).  Scaling entry (i, j) by exp(zeta (m_j -
+    m_i)), e^{2 zeta} = (|p| + |q|)/(|p| - |q|), makes both off-diagonals
+    mu/2 times the ladder's: center I plus a Hermitian matrix, exactly
+    normal, so the eigenvalues come out accurate to machine precision
+    instead of degrading like exp(zeta k).  Snapshots violating the reality
+    conditions fall back to the plain solver.  One stacked eigh and two
+    stacked eigvals serve every snapshot.
     """
     j1, j2, j3 = j_ops
     block = center[:, None, None] * np.eye(k + 1, dtype=complex)
@@ -417,7 +419,7 @@ def _line_eigenvalues(v, j_ops, center, k):
     out = np.empty((len(v), k + 1), dtype=complex)
     out[~normal] = np.linalg.eigvals(block[~normal])
     axis = axis[normal] / axis_norm[normal, None]
-    zeta = np.arcsinh(qn[normal] / np.sqrt(mu2[normal]))
+    zeta = np.arcsinh(qn[normal] / np.sqrt(mu2[normal]))[:, None, None]
     ladder = axis[:, 0, None, None] * j1 + axis[:, 1, None, None] * j2
     ladder += axis[:, 2, None, None] * j3
     _, w = np.linalg.eigh(ladder)
@@ -425,10 +427,7 @@ def _line_eigenvalues(v, j_ops, center, k):
     # everything outside the three diagonals is structurally zero
     tri = np.triu(np.tril(tri, 1), -1)
     m = np.arange(k + 1) - 0.5 * k
-    skew = zeta[:, None, None] * (m[None, :] - m[:, None])
-    up, down = tri * np.exp(skew), tri * np.exp(-skew)
-    smaller = np.linalg.norm(up, axis=(-2, -1)) <= np.linalg.norm(down, axis=(-2, -1))
-    out[normal] = np.linalg.eigvals(np.where(smaller[:, None, None], up, down))
+    out[normal] = np.linalg.eigvals(tri * np.exp(zeta * (m - m[:, None])))
     return out
 
 

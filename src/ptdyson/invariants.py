@@ -19,8 +19,8 @@ radical closed form (beta_from_match) and the solution of its own evolution
 system (beta_from_evolution); with the matched constants c5..c8 the two
 agree pointwise, which the tests pin down.  The evolution route's splitting
 integral (b_diff_integral) is that of the family's map trajectory: one
-primitive, EPConstants._splitting_integral, serves it and the split drivers
-of the energy module.
+primitive, EPConstants._splitting_primitive, serves it, c8 (minus its value
+at t = 0) and the split drivers of the energy module.
 """
 
 from dataclasses import dataclass, field
@@ -85,15 +85,12 @@ class InvariantCoeffs:
             root = np.sqrt(
                 4.0 * _square("Re c3", self.c3.real) - _square("Im c2", self.c2.imag)
             )
-            amp = self.c2.imag / root
             c5 = 0.5 * self.c1.real + 0.5 * s * root
             c6 = 0.5 * self.c1.real - 0.5 * s * root
             c7 = s * self.c2.real * root / (2.0 * self.c3.real)
-            c8 = -np.arctan(amp * np.tanh(self.c4.real))
-            object.__setattr__(self, "c5", float(c5))
-            object.__setattr__(self, "c6", float(c6))
-            object.__setattr__(self, "c7", float(c7))
-            object.__setattr__(self, "c8", float(c8))
+            c8 = -self.ep_constants()._splitting_primitive(self.c4.real)
+            for name, value in zip(("c5", "c6", "c7", "c8"), (c5, c6, c7, c8)):
+                object.__setattr__(self, name, float(value))
         else:
             for name in ("c5", "c6", "c7", "c8"):
                 object.__setattr__(self, name, None)
@@ -233,12 +230,10 @@ def beta_from_evolution(c5, c6, c7, c8, b_diff_int):
 def b_diff_integral(coeffs, lam, t):
     """Integral from 0 to t of the splitting b1 - b2 of the Hermitian image.
 
-    Closed form: sgn(Re c3) * [P(t) - P(0)] with
-    P(tau) = arctan[ Im(c2)/sqrt(4 Re(c3)^2 - Im(c2)^2)
-                     * tanh(Re c4 - L(tau)) ],
-    which is the map trajectory's own splitting integral: the amplitude is
-    -sgn(Re c3) kappa for the q3 of ep_constants.  Vanishes identically for
-    Im c2 = 0 and agrees with direct quadrature of the splitting of h(t).
+    The map trajectory's own splitting integral, P(q2 - L(t)) - P(q2) with
+    P(u) = -arctan[kappa tanh(u)] for the (q2, q3) of ep_constants.
+    Vanishes identically for Im c2 = 0 and agrees with direct quadrature of
+    the splitting of h(t).
     """
     return coeffs.ep_constants()._splitting_integral(lam, t)
 

@@ -27,10 +27,12 @@ branch-safely; note g's defining products satisfy r^2 - ktilde^2 = 1, which
 is why no prefactor appears.
 
 Every Hermite polynomial, here and in the static eigenstates, comes from
-one run of the three-term recurrence _hermite_upto, which yields H_0..H_n.
+one run of the three-term recurrence _hermite_upto, which yields H_0..H_n;
+the mode has one expression, _mode_pair_at, which forms psi and psi''.
 
 The 2D solutions of h(t) = f_plus K1 + f_minus K2 are plain products of one
-mode per axis with the split drivers of the energy module.
+mode per axis with the split drivers of the energy module; the `modes`
+command evaluates each mode once per axis point.
 """
 
 import math
@@ -126,19 +128,19 @@ def ep_oscillator_residual(scale_fn, driver, t, fd_step=1e-2):
     return abs(res)
 
 
-def ermakov_quantity(scale_fn, driver, t, rate_fn=None, fd_step=1e-3):
+def ermakov_quantity(scale_fn, driver, t, rate_fn=None):
     """The conserved combination [d^2 (1 + kt^4) + kt^2 ktdot^2] / (d^2 kt^2).
 
     Constant along any solution of the auxiliary equation; equals
     2 sqrt(1 + ktilde^2) on the closed-form scale.  The rate is analytic
-    when rate_fn is given, otherwise a central difference.  Scalar or
-    array t; the callables must accept what t is.
+    when rate_fn is given, otherwise a central difference at step 1e-3.
+    Scalar or array t; the callables must accept what t is.
     """
     d_t = driver_value(driver, t)
     if rate_fn is not None:
         kt, rate = scale_fn(t), rate_fn(t)
     else:
-        kt, rate, _ = central_derivatives(scale_fn, t, fd_step)
+        kt, rate, _ = central_derivatives(scale_fn, t, 1e-3)
     return (d_t**2 * (1.0 + kt**4) + kt**2 * rate**2) / (d_t**2 * kt**2)
 
 
@@ -191,9 +193,7 @@ def pedrosa_mode(spec, x, t):
     i d/dt psi = driver(t) K psi.  Raises SingularEvaluationError when the
     driver vanishes at any t.
     """
-    x = np.asarray(x, dtype=float)
-    kt, width, amp, norm = _time_factors(spec, t)
-    return amp * np.exp(0.5 * width * x**2) * hermite(spec.n, x / kt) / norm
+    return _mode_pair_at(spec, x, _time_factors(spec, t))[0]
 
 
 def pedrosa_mode_xx(spec, x, t):

@@ -352,7 +352,7 @@ def check_dyson_relation():
     scenario = default_scenario()
     consts = scenario.ep_constants()
     times = sample_times()
-    params = scenario_params(consts, scenario.lam, times)
+    params = scenario_params(consts, scenario.lam, times, q1=scenario.q1)
     rates = scenario_rates(consts, scenario.lam, times)
     worst_analytic = _max_abs(
         dyson_residual(scenario.a, scenario.lam, params, rates, times)
@@ -578,7 +578,8 @@ def _fock_frame_equivalence(scenario, times):
     gens = build_generators(basis)[:4]
     raw = np.array(_C11_RAW_REAL) + 1j * np.array(_C11_RAW_IMAG)
     psi_h = raw / np.linalg.norm(raw)
-    params = scenario_params(scenario.ep_constants(), scenario.lam, times)
+    consts = scenario.ep_constants()
+    params = scenario_params(consts, scenario.lam, times, q1=scenario.q1)
     f_plus, f_minus = (f[:, None, None] for f in f_pm(scenario, times))
     tilde = energy_operator(
         scenario.a(times), scenario.lam(times), params.gamma3, params.gamma4
@@ -605,7 +606,8 @@ def check_metric_positivity():
     scenario = default_scenario()
     size, buffer = _ORACLE["size"], _ORACLE["buffer"]
     basis = FockBasis(size)
-    params = scenario_params(scenario.ep_constants(), scenario.lam, sample_times())
+    consts = scenario.ep_constants()
+    params = scenario_params(consts, scenario.lam, sample_times(), q1=scenario.q1)
     safe = build_generators(basis)[: size - buffer + 1]
     floors, observed = metric_spectrum_report(basis, safe, params)
     eta0 = np.exp(0.5 * params.as_array()[:2].sum(0))[..., None, None]

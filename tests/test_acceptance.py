@@ -263,3 +263,13 @@ def test_criterion_07_reads_every_block_of_the_record(monkeypatch):
     monkeypatch.setitem(validation.REFERENCE_CONFIG["oracle"], "size", 6)
     result = validation.check_broken_spectrum()
     assert result.passed, result.line()
+
+
+def test_the_gate_reads_its_scenarios_q1(monkeypatch):
+    # q1 shifts every block of the map by exp(q1 k): criterion 12's block
+    # minimum moves with it, and every criterion still passes
+    monkeypatch.setitem(validation.REFERENCE_CONFIG["scenario"], "q1", 0.7)
+    results = validation.run_all()
+    assert [r.number for r in results if not r.passed] == []
+    line = results[11].line()
+    assert "observed block minimum (safe blocks): 3.480e-14" in line, line

@@ -11,12 +11,13 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptdyson import cli, profiles, validation
+from ptdyson import cli, modes, profiles, validation
 from ptdyson.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -426,6 +427,37 @@ def test_spectrum_unbroken_k_model(tmp_path):
     assert "decoupled with theta" in report
 
 
+# Spectrum sizes whose level table exceeds the cap, with the key paths named.
+OVERSIZED_SPECTRUM_CASES = [
+    ({"static": {"k": {"n_max": 100000}}}, "static.k.n_max"),
+    (
+        {"static": {"xy": {"n_max": 1000, "m_max": 1000}}},
+        "static.xy.n_max and static.xy.m_max",
+    ),
+]
+
+
+@pytest.mark.parametrize("patch, paths", OVERSIZED_SPECTRUM_CASES)
+def test_spectrum_refuses_a_table_above_the_cap_at_once(tmp_path, capsys, patch, paths):
+    cfg = write_config(tmp_path, patch)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {paths} must give at most 100000 spectrum levels")
+    assert not out.exists()
+
+
+def test_spectrum_cap_admits_the_largest_square_table():
+    # (315 + 1)^2 = 99856 levels is under the cap, (316 + 1)^2 above it
+    cli.validate_config(cli._read({"static": {"k": {"n_max": 315}}}, cli.DEFAULT_CONFIG))
+    with pytest.raises(ConfigError, match="static.k.n_max .* got 100489"):
+        cli.validate_config(
+            cli._read({"static": {"k": {"n_max": 316}}}, cli.DEFAULT_CONFIG)
+        )
+
+
 # ---------------------------------------------------------------------------
 # modes
 
@@ -477,6 +509,44 @@ def test_modes_refuses_a_driver_that_is_not_finite(tmp_path, capsys):
     assert captured.err == "numerical failure: driver value nan at t = 1.5\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_modes_evaluates_each_mode_once_per_axis_point(tmp_path, monkeypatch):
+    sizes = []
+    mode_pair_at = modes._mode_pair_at
+
+    def counting(spec, x, time_factors):
+        sizes.append(np.size(x))
+        return mode_pair_at(spec, x, time_factors)
+
+    monkeypatch.setattr(modes, "_mode_pair_at", counting)
+    cfg = write_config(tmp_path, {"modes_grid": {"points": 7, "times": [0.5, 1.5]}})
+    assert cli.main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 0
+    # one call per axis and time, on the 7 axis points, not the 49 grid points
+    assert sizes == [7] * 4
+
+
+def test_modes_csv_is_the_product_at_every_grid_point(tmp_path):
+    overrides = {
+        "modes_grid": {"points": 57, "times": [0.1, 0.9, 2.0, 3.3]},
+        "scenario": {"n": 2, "m": 1, "ktilde_plus": 0.3},
+    }
+    path = write_config(tmp_path, overrides)
+    assert cli.main(["modes", "--config", path, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "modes.csv")
+    written = np.array([[float(v) for v in row] for row in rows])
+    cfg = cli.load_config(path)
+    scenario, mg = cli.build_scenario(cfg), cfg["modes_grid"]
+    axis = np.linspace(mg["x_min"], mg["x_max"], mg["points"])
+    x, y = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    expected = []
+    for t in mg["times"]:
+        # the product evaluated at each of the points^2 grid points
+        psi = modes.product_state(scenario.n, scenario.m, scenario, x, y, t)
+        expected.append(np.column_stack((x, y, np.full_like(x, t), psi.real, psi.imag)))
+    expected = np.concatenate(expected)
+    assert written.shape == expected.shape
+    assert (written.view(np.int64) == expected.view(np.int64)).all()
 
 
 # ---------------------------------------------------------------------------

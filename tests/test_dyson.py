@@ -382,3 +382,29 @@ def test_first_angle_drops_out():
     img0 = conjugate(scenario_params(c, LAM, t, q1=0.0), big_h)
     img1 = conjugate(scenario_params(c, LAM, t, q1=0.7), big_h)
     assert np.max(np.abs(img0.vector - img1.vector)) < 1e-12
+
+
+SPLITTING_DRIVERS = [
+    TimeProfile.constant(0.6),
+    TimeProfile.polynomial([0.5, 0.1, -0.01]),
+    TimeProfile.sinusoid(0.5, 0.3, 1.0, phase=0.4),
+    TimeProfile.exponential(0.4, 0.2, -0.3),
+    TimeProfile.tabulated([0.0, 1.0, 2.0, 3.0, 4.0], [0.5, 0.7, 0.6, 0.4, 0.55]),
+]
+
+
+@pytest.mark.parametrize("lam", SPLITTING_DRIVERS, ids=lambda p: p.kind)
+def test_splitting_integral_is_the_primitive_difference_bit_for_bit(lam):
+    # P(q2 - L(t)) - P(q2 - L(0)) with L(0) = +-0 on every kind, so
+    # subtracting P(q2) itself leaves every bit in place
+    t = np.linspace(0.0, 4.0, 41)
+    for q2, q3 in ((1.0, 0.4), (-0.7, -0.55), (0.0, 0.2)):
+        consts = EPConstants(q2=q2, q3=q3)
+
+        def primitive(tau):
+            return -np.arctan(consts.kappa * np.tanh(q2 - lam.cumulative(tau)))
+
+        want = primitive(t) - primitive(0.0)
+        assert consts._splitting_integral(lam, t).tobytes() == want.tobytes()
+        scalar = consts._splitting_integral(lam, 2.5)
+        assert np.float64(scalar).tobytes() == (primitive(2.5) - primitive(0.0)).tobytes()

@@ -1011,3 +1011,24 @@ def test_scalar_call_shapes_keep_their_returns():
         value = verify(sc, basis, [1.4], gens=gens, buffer=2)
         assert isinstance(value, float) and np.ndim(value) == 0
         assert value < 1e-8
+
+
+def test_line_eigenvalues_come_out_on_the_ladder():
+    # p perpendicular to q with |p| = mu cosh(zeta), |q| = mu sinh(zeta), so
+    # mu^2 = |p|^2 - |q|^2; block k's eigenvalues are center + mu m for
+    # m = -k/2..k/2, which the plain solver loses like exp(zeta k)
+    rng = np.random.default_rng(1801)
+    count = 16
+    for k, g in enumerate(build_generators(FockBasis(12))):
+        ops = (g[2], g[3], 0.5 * (g[0] - g[1]))
+        p, q = rng.standard_normal((2, count, 3))
+        q -= (np.sum(p * q, -1) / np.sum(p * p, -1))[:, None] * p
+        zeta, mu = rng.uniform(0.0, 5.0, count), rng.uniform(0.5, 2.0, count)
+        p *= (mu * np.cosh(zeta) / np.linalg.norm(p, axis=-1))[:, None]
+        q *= (mu * np.sinh(zeta) / np.linalg.norm(q, axis=-1))[:, None]
+        center = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        got = fock_oracle._line_eigenvalues(p + 1j * q, ops, center, k)
+        got = np.take_along_axis(got, np.argsort(got.real, axis=-1), axis=-1)
+        want = center[:, None] + mu[:, None] * (np.arange(k + 1) - 0.5 * k)
+        scale = mu * max(k, 1) / 2
+        assert np.max(np.abs(got - want) / scale[:, None]) < 1e-11

@@ -52,3 +52,68 @@ def test_module_reads_every_import(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_script_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(sources):
+    """Private top-level names of the package that no module reads.
+
+    `sources` maps each module's name to its text.  A name counts as read
+    when its own module loads it outside its own definitions, or another
+    module imports it by name or reads it as an attribute.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined, foreign = {}, set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = (n for t in nodes for n in ast.walk(t))
+                targets = [n.id for n in names if isinstance(n, ast.Name)]
+            for name in filter(_private, targets):
+                defined.setdefault((module, name), []).append(node)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                foreign.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                foreign.add(node.attr)
+    unread = []
+    for (module, name), definitions in defined.items():
+        inside = {id(n) for d in definitions for n in ast.walk(d)}
+        own = any(
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and node.id == name
+            and id(node) not in inside
+            for node in ast.walk(trees[module])
+        )
+        if not own and name not in foreign:
+            unread.append(f"{module}.{name}")
+    return sorted(unread)
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n_SCALE = _LIMIT * 2\n"
+            "def _used(x):\n    return x < _LIMIT\n"
+            "def _dead():\n    return 0\n"
+            "def _looping(n):\n    return _looping(n - 1)\n"
+            "class _Spare:\n    pass\n"
+            "def public():\n    return _SCALE\n"
+        ),
+        "b": "from .a import _used\nimport a\nx = _used(1) + a._LIMIT\n",
+    }
+    assert unread_private_names(sources) == ["a._Spare", "a._dead", "a._looping"]
+
+
+def test_every_private_name_has_a_reader():
+    package = Path(ptdyson.__file__).parent.glob("*.py")
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in package}
+    assert unread_private_names(sources) == []

@@ -330,3 +330,14 @@ def test_random_families_full_pipeline():
                 beta_from_match(c, lam, float(t)),
                 scenario_params(ep, lam, float(t)),
             ) < 1e-9
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("q2, q3", [(1.0, 0.4), (-0.8, -0.3), (0.3, 0.0), (2.0, 0.6)])
+def test_c8_is_the_splitting_primitive_at_t0(q2, q3, branch):
+    c = invariant_coeffs_for(q2, q3, branch=branch)
+    consts = c.ep_constants()
+    assert c.c8 == -consts._splitting_primitive(c.c4.real)
+    # arctan[kappa tanh(Re c4)], kappa the map's conserved combination
+    want = np.arctan(consts.kappa * np.tanh(q2))
+    assert abs(c.c8 - want) <= 2.0 * np.spacing(abs(want))
