@@ -30,7 +30,7 @@ theta, wx, wy = decouple_xy(model)
 print(f"  coupling 0.5 decouples with theta = {theta:.6f}")
 print(f"  effective frequencies: {wx:.6f}, {wy:.6f}")
 for energy, n, m in spectrum_xy(wx, wy, 2, 2)[:5]:
-    print(f"  level ({n},{m}): {energy:.6f}")
+    print(f"  level ({int(n)},{int(m)}): {energy:.6f}")
 
 # --- and beyond it -------------------------------------------------------
 

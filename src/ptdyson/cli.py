@@ -58,19 +58,20 @@ from .fock_oracle import (
     quasi_hermiticity_residuals,
 )
 from .invariants import beta_from_match, invariant_coeffs_for
-from .modes import product_state
+from .modes import MAX_HERMITE_DEGREE, product_state
 from .profiles import _is_finite_number, _kind_fields
 from .static_models import (
     BrokenRegime,
     KModel,
     XYModel,
+    _levels,
     broken_spectrum,
     decouple_K,
     decouple_xy,
     spectrum_xy,
 )
 
-# The most levels a static spectrum table (a Python list) may hold
+# The most levels a static spectrum table may hold
 _MAX_LEVELS = 10**5
 
 DEFAULT_CONFIG = {
@@ -151,7 +152,8 @@ def validate_config(cfg):
     Returns {"scenario", "invariant", "xy", "basis"}: the Scenario with its
     two profiles, the invariant family, the XYModel and the FockBasis.  Each
     object checks its own values, named here by their key path; the rules no
-    object owns (grids, oracle buffer, spectrum sizes, time domains) are below.
+    object owns (grids, oracle buffer, spectrum sizes, Hermite degrees, time
+    domains) are below.
     """
     grid = cfg["grid"]
     if not grid["t_end"] > grid["t_start"]:
@@ -199,6 +201,10 @@ def validate_config(cfg):
             f"x_min={mg['x_min']}, x_max={mg['x_max']}"
         )
     scenario = build_scenario(cfg)
+    for key in ("n", "m"):
+        degree = cfg["scenario"][key]
+        if degree > MAX_HERMITE_DEGREE:
+            raise ConfigError(f"scenario.{key} must be <= {MAX_HERMITE_DEGREE}, got {degree}")
     coeffs = _build(
         "invariant", invariant_coeffs_for, scenario.q2, scenario.q3, **cfg["invariant"]
     )
@@ -501,15 +507,15 @@ def cmd_spectrum(cfg, built):
     kmod = KModel(a=k_cfg["a"], b=k_cfg["b"], lam=k_cfg["lam"])
     result = decouple_K(kmod)
     n_max = k_cfg["n_max"]
-    pairs = [(n, m) for n in range(n_max + 1) for m in range(n_max + 1)]
     if isinstance(result, BrokenRegime):
         tag = "completely" if result.complete else "partially"
         report.append(
             f"algebraic model: {tag} broken regime (no real rotation); "
             "spectrum is complex-conjugate paired"
         )
-        energies = [broken_spectrum(kmod.a, kmod.lam, n, m) for n, m in pairs]
-        rows = [(e.real, e.imag, n, m) for e, (n, m) in zip(energies, pairs)]
+        n, m = np.indices((n_max + 1, n_max + 1)).reshape(2, -1)
+        energy = broken_spectrum(kmod.a, kmod.lam, n, m)
+        rows = np.column_stack((energy.real, energy.imag, n, m))
     else:
         theta, herm = result
         c = herm.vector.real
@@ -517,9 +523,8 @@ def cmd_spectrum(cfg, built):
             f"algebraic model: decoupled with theta = {theta:.17g}; "
             f"frequencies {c[0]:.17g}, {c[1]:.17g}"
         )
-        rows = sorted(
-            ((n + 0.5) * c[0] + (m + 0.5) * c[1], 0.0, n, m) for n, m in pairs
-        )
+        # the frequencies may be negative: not spectrum_xy, which refuses them
+        rows = np.insert(_levels(c[0], c[1], n_max, n_max), 1, 0.0, axis=1)
     outputs["spectrum_k.csv"] = (("energy_re", "energy_im", "n", "m"), rows)
     report.append("wrote spectrum_k.csv")
     outputs["ep_report.txt"] = "\n".join(report) + "\n"

@@ -102,16 +102,23 @@ def decouple_xy(model):
     return float(theta), float(np.sqrt(ox2)), float(np.sqrt(oy2))
 
 
+def _levels(c1, c2, n_max, m_max):
+    """(levels, 3) rows (energy, n, m), energy = (n + 1/2) c1 + (m + 1/2) c2.
+
+    Sorted by energy, then n, then m, as tuples sort.  Overflow gives inf
+    (and inf - inf nan) without a warning, as with plain floats.
+    """
+    n, m = np.indices((n_max + 1, m_max + 1)).reshape(2, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = (n + 0.5) * c1 + (m + 0.5) * c2
+    return np.column_stack((energy, n, m))[np.lexsort((m, n, energy))]
+
+
 def spectrum_xy(omega_x, omega_y, n_max, m_max):
-    """Oscillator-pair spectrum, sorted: list of (energy, n, m)."""
+    """Oscillator-pair spectrum: (levels, 3) rows (energy, n, m), sorted as _levels."""
     if not (omega_x > 0 and omega_y > 0):
         raise ConstraintViolationError("frequencies must be positive")
-    levels = [
-        ((n + 0.5) * omega_x + (m + 0.5) * omega_y, n, m)
-        for n in range(n_max + 1)
-        for m in range(m_max + 1)
-    ]
-    return sorted(levels)
+    return _levels(omega_x, omega_y, n_max, m_max)
 
 
 def decouple_K(model):
@@ -134,14 +141,19 @@ def decouple_K(model):
 
 
 def broken_spectrum(a, lam, n, m):
-    """Exact eigenvalue in the completely broken regime (b = a).
+    """Exact eigenvalues in the completely broken regime (b = a).
 
     E(n, m) = a (1 + n + m) + i (lam/2)(n - m) = conj(E(m, n)); real
-    exactly on the diagonal n = m.
+    exactly on the diagonal n = m, where lam < 0 gives a -0.0 imaginary
+    part.  n and m broadcast: a complex array, or a scalar for scalars.
+    Overflow gives inf without a warning, as with plain floats.
     """
-    if n < 0 or m < 0:
+    if np.min(n) < 0 or np.min(m) < 0:
         raise ConstraintViolationError("quantum numbers must be >= 0")
-    return complex(a * (1 + n + m), 0.5 * lam * (n - m))
+    with np.errstate(over="ignore"):
+        energy = np.array(a * (1 + n + m), dtype=complex)
+        energy.imag = 0.5 * lam * (n - m)
+    return energy[()]
 
 
 def static_eigenstate(n, m, x, y):

@@ -12,7 +12,7 @@ import pytest
 from ptdyson import ModeSpec, f_minus_profile, f_plus_profile, k1_expectation
 from ptdyson import dyson, fock_oracle, invariants, modes, validation
 from ptdyson.algebra_u2 import AlgebraElement, commutator
-from ptdyson.dyson import first_derivative, gamma_closed_form
+from ptdyson.dyson import chi_closed_form, first_derivative, gamma_closed_form
 from ptdyson.invariants import gamma_from_alpha
 from ptdyson.static_models import XYModel, broken_spectrum, static_eigenstate
 
@@ -164,6 +164,14 @@ def _scale_oracle_rates(monkeypatch):
     )
 
 
+def _scale_closed_form_chi(monkeypatch):
+    def scaled(lam, constants):
+        chi = chi_closed_form(lam, constants)
+        return lambda t: (1.0 + 1e-6) * chi(t)
+
+    monkeypatch.setattr(validation, "chi_closed_form", scaled)
+
+
 def _scale_static_eigenstate(monkeypatch):
     monkeypatch.setattr(
         validation,
@@ -209,6 +217,10 @@ MUTATIONS = {
     "oracle-rates-a-millionth-high": (
         _scale_oracle_rates,
         [(2, "number-basis FD residual")],
+    ),
+    "closed-form-chi-a-millionth-high": (
+        _scale_closed_form_chi,
+        [(4, "closed-form scale residual")],
     ),
     "static-eigenstate-a-millionth-high": (
         _scale_static_eigenstate,

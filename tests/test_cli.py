@@ -19,6 +19,7 @@ import pytest
 
 from ptdyson import cli, modes, profiles, validation
 from ptdyson.errors import ConfigError
+from ptdyson.static_models import BrokenRegime, KModel, XYModel, decouple_K, decouple_xy
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -396,9 +397,13 @@ def test_spectrum_computes_each_broken_level_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "broken_spectrum", counting)
     assert cli.main(["spectrum", "--out", str(tmp_path)]) == 0
-    # n_max = 4: one call for each of the 25 levels (n, m)
-    assert len(calls) == 25
-    assert len(set(calls)) == 25
+    # n_max = 4: one call covers each of the 25 levels (n, m) once
+    assert len(calls) == 1
+    _, _, n, m = calls[0]
+    assert np.size(n) == np.size(m) == 25
+    assert {(int(i), int(j)) for i, j in zip(n, m)} == {
+        (i, j) for i in range(5) for j in range(5)
+    }
 
 
 def test_spectrum_beyond_bound_still_succeeds(tmp_path):
@@ -458,6 +463,98 @@ def test_spectrum_cap_admits_the_largest_square_table():
         )
 
 
+# The spectrum configs whose tables must not move: the default, decoupled
+# and broken K models up to the cap, lam < 0 (a -0 imaginary part on the
+# diagonal), negative K frequencies and a 300 x 300 xy table.
+SPECTRUM_CASES = {
+    "default": {},
+    "k-decoupled": {"k": {"a": 1.0, "b": 3.0, "lam": 1.0, "n_max": 7}},
+    "k-decoupled-cap": {"k": {"a": 1.0, "b": 3.0, "lam": 1.0, "n_max": 315}},
+    "k-broken-cap": {"k": {"n_max": 315}},
+    "k-broken-negative-lam": {"k": {"lam": -0.7}},
+    "k-negative-frequency": {"k": {"a": -2.0, "b": 3.0, "lam": 1.0}},
+    "k-zero": {"k": {"a": 0.0, "b": 0.0, "lam": 0.3}},
+    "xy-300": {"xy": {"n_max": 300, "m_max": 300}},
+}
+
+
+def per_level_spectra(cfg):
+    """spectrum_xy.csv and spectrum_k.csv of `cfg`, one level at a time.
+
+    Each level is a tuple of plain floats and ints, the decoupled tables
+    sorted by Python, and each value printed by '%.17g'.
+    """
+    xy, k = cfg["static"]["xy"], cfg["static"]["k"]
+    model = XYModel(xy["m"], xy["omega_x"], xy["omega_y"], xy["coupling"])
+    _, wx, wy = decouple_xy(model)
+    xy_rows = sorted(
+        ((n + 0.5) * wx + (m + 0.5) * wy, n, m)
+        for n in range(xy["n_max"] + 1)
+        for m in range(xy["m_max"] + 1)
+    )
+    pairs = [(n, m) for n in range(k["n_max"] + 1) for m in range(k["n_max"] + 1)]
+    result = decouple_K(KModel(k["a"], k["b"], k["lam"]))
+    if isinstance(result, BrokenRegime):
+        a, lam = k["a"], k["lam"]
+        energies = (complex(a * (1 + n + m), 0.5 * lam * (n - m)) for n, m in pairs)
+        k_rows = [(e.real, e.imag, n, m) for e, (n, m) in zip(energies, pairs)]
+    else:
+        c1, c2 = (float(c) for c in result[1].vector.real[:2])
+        k_rows = sorted(
+            ((n + 0.5) * c1 + (m + 0.5) * c2, 0.0, n, m) for n, m in pairs
+        )
+    return {
+        "spectrum_xy.csv": per_value_csv(["energy", "n", "m"], xy_rows),
+        "spectrum_k.csv": per_value_csv(["energy_re", "energy_im", "n", "m"], k_rows),
+    }
+
+
+@pytest.mark.parametrize("static", SPECTRUM_CASES.values(), ids=SPECTRUM_CASES)
+def test_spectrum_tables_match_a_per_level_reference(tmp_path, static):
+    cfg = write_config(tmp_path, {"static": static})
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    for name, text in per_level_spectra(cli.load_config(cfg)).items():
+        assert_same_text((out / name).read_text(encoding="utf-8"), text)
+
+
+@pytest.mark.parametrize(
+    "static, message",
+    [
+        (
+            {"k": {"a": 1e308, "b": 1e308}},
+            "energy_re = inf at row 2 in spectrum_k.csv; no file written",
+        ),
+        # (n + 1/2) 1e308 overflows from n = 2 on, and inf - inf is nan
+        (
+            {"k": {"a": 1e308, "b": -1e308, "lam": 0.0}},
+            "energy_re = -inf at row 1 in spectrum_k.csv; no file written",
+        ),
+    ],
+    ids=["broken", "decoupled"],
+)
+def test_an_overflowing_level_table_fails_without_a_warning(tmp_path, static, message):
+    cfg = write_config(tmp_path, {"static": static})
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "ptdyson.cli",
+            "spectrum",
+            "--config",
+            cfg,
+            "--out",
+            str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"numerical failure: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # modes
 
@@ -476,6 +573,28 @@ def test_modes_writes_grid_rows(tmp_path):
     mags = [math.hypot(float(r[3]), float(r[4])) for r in rows]
     assert max(mags) > 1e-3
     assert all(np.isfinite(mags))
+
+
+@pytest.mark.parametrize("command", ["modes", "evolve"])
+@pytest.mark.parametrize("key", ["n", "m"])
+def test_a_mode_index_above_the_hermite_cap_is_refused_by_key(
+    tmp_path, capsys, command, key
+):
+    # a config rule, so evolve, which evaluates no mode, refuses it too
+    cfg = write_config(tmp_path, {"scenario": {key: modes.MAX_HERMITE_DEGREE + 1}})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: scenario.{key} must be <= 60, got 61\n"
+    assert not out.exists()
+
+
+def test_modes_runs_at_the_hermite_cap(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {"scenario": {"n": 60, "m": 60}, "modes_grid": {"points": 3, "times": [0.5]}},
+    )
+    assert cli.main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "modes.csv").exists()
 
 
 def test_modes_silent_drive_is_a_numerical_failure(tmp_path, capsys):

@@ -1,6 +1,9 @@
-"""Every module-level import is read by its module.
+"""Every module-level import is read by its module, and every name a reader.
 
-The check covers the package, the tests and the demos.
+The import check covers the package, the tests and the demos.  Each
+private name of the package is read by the package, and each name
+`ptdyson` exports by the package, a demo or the benchmark, or by the test
+that a short allow-list names.
 """
 
 import ast
@@ -59,7 +62,12 @@ def _private(name):
 
 
 def unread_private_names(sources):
-    """Private top-level names of the package that no module reads.
+    """Private top-level names of the package that no module reads."""
+    return unread_names(sources, _private)
+
+
+def unread_names(sources, wanted):
+    """Top-level names, those `wanted` holds true for, that no module reads.
 
     `sources` maps each module's name to its text.  A name counts as read
     when its own module loads it outside its own definitions, or another
@@ -76,7 +84,7 @@ def unread_private_names(sources):
                 nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = (n for t in nodes for n in ast.walk(t))
                 targets = [n.id for n in names if isinstance(n, ast.Name)]
-            for name in filter(_private, targets):
+            for name in filter(wanted, targets):
                 defined.setdefault((module, name), []).append(node)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
@@ -117,3 +125,60 @@ def test_every_private_name_has_a_reader():
     package = Path(ptdyson.__file__).parent.glob("*.py")
     sources = {p.stem: p.read_text(encoding="utf-8") for p in package}
     assert unread_private_names(sources) == []
+
+
+def exported_names(source):
+    """The names an `__init__` module imports from its package's modules."""
+    return {
+        alias.asname or alias.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_the_check_sees_an_unread_export():
+    sources = {
+        "a": "def used():\n    return 0\ndef spare():\n    return spare()\nLIMIT = 3\n",
+        "b": "from .a import LIMIT\n",
+        "demo": "from pkg import a\na.used()\n",
+    }
+    exports = exported_names("from .a import LIMIT, spare, used\n")
+    assert unread_names(sources, exports.__contains__) == ["a.spare"]
+
+
+# Exports that only tests read, each with the test that reads it.
+TEST_ONLY_EXPORTS = {
+    "invariants.b_diff_integral": "test_invariants.py::test_two_beta_routes_agree",
+    "invariants.beta_from_evolution": "test_invariants.py::test_two_beta_routes_agree",
+    "modes.ep_classical_rate": (
+        "test_modes.py::test_scale_rate_matches_difference_quotient"
+    ),
+    "modes.ep_oscillator_residual": (
+        "test_modes.py::test_scale_function_solves_auxiliary_equation"
+    ),
+    "modes.hermite": "test_modes.py::test_hermite_low_orders",
+    "modes.pedrosa_mode_xx": "test_modes.py::test_second_derivative_closed_form",
+}
+
+
+def test_every_export_has_a_reader():
+    package = Path(ptdyson.__file__).parent
+    exports = exported_names((package / "__init__.py").read_text(encoding="utf-8"))
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    for folder in ("demos", "bench"):
+        for p in sorted((ROOT / folder).glob("*.py")):
+            sources[f"{folder}/{p.stem}"] = p.read_text(encoding="utf-8")
+    assert unread_names(sources, exports.__contains__) == sorted(TEST_ONLY_EXPORTS)
+    for export, test in TEST_ONLY_EXPORTS.items():
+        path, name = test.split("::")
+        tree = ast.parse((ROOT / "tests" / path).read_text(encoding="utf-8"))
+        (function,) = (
+            node for node in tree.body if getattr(node, "name", None) == name
+        )
+        loads = {
+            node.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        assert export.split(".")[1] in loads, test

@@ -70,12 +70,24 @@ def test_decoupling_fails_at_the_bound():
 
 def test_spectrum_listing():
     levels = spectrum_xy(1.0, 1.0, 0, 0)
-    assert levels == [(1.0, 0, 0)]
+    assert levels.dtype == float
+    assert np.array_equal(levels, [[1.0, 0, 0]])
+    # energy n + 2m + 3/2, sorted by energy, then n, then m
     levels = spectrum_xy(1.0, 2.0, 2, 2)
-    assert levels[0] == (1.5, 0, 0)
-    assert (2.5, 1, 0) in levels
-    energies = [e for e, _, _ in levels]
-    assert energies == sorted(energies)
+    assert np.array_equal(
+        levels,
+        [
+            [1.5, 0, 0],
+            [2.5, 1, 0],
+            [3.5, 0, 1],
+            [3.5, 2, 0],
+            [4.5, 1, 1],
+            [5.5, 0, 2],
+            [5.5, 2, 1],
+            [6.5, 1, 2],
+            [7.5, 2, 2],
+        ],
+    )
     with pytest.raises(ConstraintViolationError):
         spectrum_xy(-1.0, 2.0, 1, 1)
 
