@@ -15,6 +15,7 @@ from ptdyson import (
     TimeProfile,
     energy_expectation,
     ep_classical,
+    ep_classical_rate,
     ermakov_quantity,
     f_plus_profile,
     f_pm,
@@ -49,9 +50,10 @@ for t in (0.0, 1.3):
 # Ermakov quantity: conserved along the scale function, value 2 sqrt(1 + kt^2)
 driver = f_plus_profile(scenario)
 fn = lambda t: ep_classical(0.5, driver, t)
+rate = lambda t: ep_classical_rate(0.5, driver, t)
 print("\nErmakov quantity (expected {:.12f}):".format(2.0 * np.sqrt(1.25)))
 for t in (0.2, 1.1, 3.7, 7.9):
-    print(f"  t = {t}: {ermakov_quantity(fn, driver, t):.12f}")
+    print(f"  t = {t}: {ermakov_quantity(fn, rate, driver, t):.12f}")
 
 # phase winds monotonically; closed form handles many periods
 print("\naccumulated phase:", [round(phase_integral(0.5, driver, t), 4) for t in (1.0, 4.0, 8.0)])

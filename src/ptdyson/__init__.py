@@ -23,7 +23,7 @@ from .dyson import (
     chi_closed_form,
     dyson_residual,
     energy_operator,
-    ep_dissipative_residual,
+    ep_residual,
     fit_ep_constants,
     gamma_closed_form,
     gamma_rates,
@@ -71,7 +71,6 @@ from .fock_oracle import (
 from .invariants import (
     InvariantCoeffs,
     alpha_coeffs,
-    b_diff_integral,
     beta_from_evolution,
     beta_from_match,
     conservation_residual,
@@ -84,12 +83,9 @@ from .modes import (
     ModeSpec,
     ep_classical,
     ep_classical_rate,
-    ep_oscillator_residual,
     ermakov_quantity,
-    hermite,
     k1_expectation,
     pedrosa_mode,
-    pedrosa_mode_xx,
     phase_integral,
     product_state,
 )

@@ -504,8 +504,7 @@ def cmd_spectrum(cfg, built):
         report.append("  wrote spectrum_xy.csv")
     except ExceptionalPointError as err:
         report.append(f"  no real decoupling: {err}")
-    kmod = KModel(a=k_cfg["a"], b=k_cfg["b"], lam=k_cfg["lam"])
-    result = decouple_K(kmod)
+    result = decouple_K(KModel(a=k_cfg["a"], b=k_cfg["b"], lam=k_cfg["lam"]))
     n_max = k_cfg["n_max"]
     if isinstance(result, BrokenRegime):
         tag = "completely" if result.complete else "partially"
@@ -514,7 +513,7 @@ def cmd_spectrum(cfg, built):
             "spectrum is complex-conjugate paired"
         )
         n, m = np.indices((n_max + 1, n_max + 1)).reshape(2, -1)
-        energy = broken_spectrum(kmod.a, kmod.lam, n, m)
+        energy = broken_spectrum(result.mean, result.split, n, m)
         rows = np.column_stack((energy.real, energy.imag, n, m))
     else:
         theta, herm = result

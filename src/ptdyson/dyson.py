@@ -16,7 +16,9 @@ the auxiliary scale-function equation
 
     chidot2 - (lamdot/lam) chidot - lam^2 chi = kappa^2 lam^2 / chi^3
 
-satisfied by chi = cosh(g3).
+satisfied by chi = cosh(g3).  One residual, ep_residual, serves this
+equation and the modes' auxiliary equation, which differ in a sign and a
+constant.
 """
 
 import math
@@ -271,19 +273,20 @@ def first_derivative(fn, t, h, t_max=np.inf):
     return sum(w * fn(t + k * h) for w, k in zip(weights, offsets)) / (12 * h)
 
 
-def ep_dissipative_residual(chi, lam, kappa, t):
-    """Pointwise residual of the dissipative scale-function equation.
+def ep_residual(scale, driver, t, step, sign, const):
+    """Pointwise residual of an Ermakov-Pinney equation for the scale.
 
-    |chidotdot - (lamdot/lam) chidot - lam^2 chi - kappa^2 lam^2 / chi^3|
-    with chi derivatives by 4th-order central differences of the callable
-    at step 5e-3 (where rounding meets truncation), at scalar or array t.  Raises SingularEvaluationError if
-    |lam(t)| <= EPS_DRIVER at any t, for the whole array.
+    |xdotdot - (ddot/d) xdot + sign d^2 x - const d^2 / x^3| for x = scale(t)
+    and d = driver(t), with the derivatives of x by 4th-order central
+    differences at `step`, at scalar or array t.  The map's scale chi =
+    cosh(g3) takes (sign, const) = (-1, kappa^2) under lam; a mode's scale
+    takes (+1, 1) under its driver.  Raises SingularEvaluationError if
+    |driver(t)| <= EPS_DRIVER at any t, for the whole array.
     """
-    lam_t = driver_value(lam, t)
-    chi_t, d1, d2 = central_derivatives(chi, t, 5e-3)
-    lamdot = lam.derivative(t)
-    res = d2 - (lamdot / lam_t) * d1 - lam_t**2 * chi_t \
-        - (kappa**2) * lam_t**2 / chi_t**3
+    d_t = driver_value(driver, t)
+    x, d1, d2 = central_derivatives(scale, t, step)
+    ddot = driver.derivative(t)
+    res = d2 - (ddot / d_t) * d1 + sign * d_t**2 * x - const * d_t**2 / x**3
     return abs(res)
 
 

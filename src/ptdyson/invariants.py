@@ -16,11 +16,12 @@ matching constraints on the constants (checked eagerly at construction):
 plus Im c4 = 0, which every closed-form identity downstream relies on.
 The Hermitian-side invariant I_h = sum_i beta_i K_i comes out two ways, a
 radical closed form (beta_from_match) and the solution of its own evolution
-system (beta_from_evolution); with the matched constants c5..c8 the two
-agree pointwise, which the tests pin down.  The evolution route's splitting
-integral (b_diff_integral) is that of the family's map trajectory: one
-primitive, EPConstants._splitting_primitive, serves it, c8 (minus its value
-at t = 0) and the split drivers of the energy module.
+system (beta_from_evolution); both take (coeffs, lam, t), and with the
+matched constants c5..c8 the two agree pointwise, which criterion 06 of the
+gate checks.  The evolution route's splitting integral is that of the
+family's map trajectory, EPConstants._splitting_integral: one primitive,
+EPConstants._splitting_primitive, serves it, c8 (minus its value at t = 0)
+and the split drivers of the energy module.
 """
 
 from dataclasses import dataclass, field
@@ -215,27 +216,20 @@ def beta_from_match(coeffs, lam, t):
     return np.array(np.broadcast_arrays(beta1, beta2, beta3, beta4), dtype=float)
 
 
-def beta_from_evolution(c5, c6, c7, c8, b_diff_int):
-    """Hermitian-side coefficients from the evolution-route constants.
+def beta_from_evolution(coeffs, lam, t):
+    """Hermitian-side coefficient 4-vector, evolution-route closed form.
 
-    beta3^2 + beta4^2 = c7^2 identically; b_diff_int is the integral of the
-    splitting of the Hermitian counterpart (see b_diff_integral).
+    (c5, c6, c7 cos(phase), -c7 sin(phase)) with phase = c8 minus the
+    splitting integral of the Hermitian counterpart from 0 to t, so that
+    beta3^2 + beta4^2 = c7^2 identically.  Needs Re c3 > 0, where c5..c8
+    are defined.
     """
-    phase = c8 - np.asarray(b_diff_int, dtype=float)
-    beta3 = c7 * np.cos(phase)
-    beta4 = -c7 * np.sin(phase)
-    return np.array(np.broadcast_arrays(c5, c6, beta3, beta4), dtype=float)
-
-
-def b_diff_integral(coeffs, lam, t):
-    """Integral from 0 to t of the splitting b1 - b2 of the Hermitian image.
-
-    The map trajectory's own splitting integral, P(q2 - L(t)) - P(q2) with
-    P(u) = -arctan[kappa tanh(u)] for the (q2, q3) of ep_constants.
-    Vanishes identically for Im c2 = 0 and agrees with direct quadrature of
-    the splitting of h(t).
-    """
-    return coeffs.ep_constants()._splitting_integral(lam, t)
+    phase = coeffs.c8 - coeffs.ep_constants()._splitting_integral(lam, t)
+    beta3 = coeffs.c7 * np.cos(phase)
+    beta4 = -coeffs.c7 * np.sin(phase)
+    return np.array(
+        np.broadcast_arrays(coeffs.c5, coeffs.c6, beta3, beta4), dtype=float
+    )
 
 
 def conservation_residual(element_fn, hamiltonian_fn, t):

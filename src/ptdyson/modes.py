@@ -17,9 +17,12 @@ driver integral, the closed-form scale
     kt = sqrt( ktilde cos(2 A) + sqrt(1 + ktilde^2) )
 
 solves the auxiliary equation for any constant ktilde and stays strictly
-positive.  The ratio ktdot/(d kt) reduces to -ktilde sin(2A)/kt^2, so the
-mode itself never divides by the driver; the evaluation contract still
-rejects driver zeros since the generic ansatz is singular there.
+positive; ep_classical gives it and ep_classical_rate its analytic rate,
+which ermakov_quantity takes, and dyson.ep_residual with (sign, const) =
+(+1, 1) is the equation's finite-difference residual.  The ratio
+ktdot/(d kt) reduces to -ktilde sin(2A)/kt^2, so the mode itself never
+divides by the driver; the evaluation contract still rejects driver zeros
+since the generic ansatz is singular there.
 
 The phase integral has the closed form arctan[g tan(A)] with
 g = sqrt((r - ktilde)/(r + ktilde)), r = sqrt(1 + ktilde^2), unwrapped
@@ -41,16 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyson import central_derivatives, driver_value
+from .dyson import driver_value
 from .energy import f_minus_profile, f_plus_profile
 from .errors import ConstraintViolationError, UnsupportedDegreeError, _square
 
 MAX_HERMITE_DEGREE = 60
-
-
-def hermite(n, x):
-    """Physicists' Hermite polynomial H_n(x) by three-term recurrence."""
-    return deque(_hermite_upto(n, x), maxlen=1)[0]
 
 
 def _hermite_upto(n, x):
@@ -113,34 +111,16 @@ def ep_classical_rate(ktilde, driver, t):
     return -ktilde * driver(t) * np.sin(2.0 * a_int) / _scale(ktilde, a_int)
 
 
-def ep_oscillator_residual(scale_fn, driver, t, fd_step=1e-2):
-    """Residual of the auxiliary scale equation at scalar or array t.
-
-    |ktdotdot - (ddot/d) ktdot + d^2 kt - d^2 / kt^3| with derivatives of
-    the callable by 4th-order central differences.  Raises
-    SingularEvaluationError if the driver magnitude is at most EPS_DRIVER
-    at any t.
-    """
-    d_t = driver_value(driver, t)
-    kt, d1, d2 = central_derivatives(scale_fn, t, fd_step)
-    ddot = driver.derivative(t)
-    res = d2 - (ddot / d_t) * d1 + d_t**2 * kt - d_t**2 / kt**3
-    return abs(res)
-
-
-def ermakov_quantity(scale_fn, driver, t, rate_fn=None):
+def ermakov_quantity(scale_fn, rate_fn, driver, t):
     """The conserved combination [d^2 (1 + kt^4) + kt^2 ktdot^2] / (d^2 kt^2).
 
     Constant along any solution of the auxiliary equation; equals
-    2 sqrt(1 + ktilde^2) on the closed-form scale.  The rate is analytic
-    when rate_fn is given, otherwise a central difference at step 1e-3.
-    Scalar or array t; the callables must accept what t is.
+    2 sqrt(1 + ktilde^2) on the closed-form scale.  kt = scale_fn(t) and
+    ktdot = rate_fn(t) (ep_classical_rate for the closed form).  Scalar or
+    array t; the callables must accept what t is.
     """
     d_t = driver_value(driver, t)
-    if rate_fn is not None:
-        kt, rate = scale_fn(t), rate_fn(t)
-    else:
-        kt, rate, _ = central_derivatives(scale_fn, t, 1e-3)
+    kt, rate = scale_fn(t), rate_fn(t)
     return (d_t**2 * (1.0 + kt**4) + kt**2 * rate**2) / (d_t**2 * kt**2)
 
 
@@ -196,24 +176,17 @@ def pedrosa_mode(spec, x, t):
     return _mode_pair_at(spec, x, _time_factors(spec, t))[0]
 
 
-def pedrosa_mode_xx(spec, x, t):
-    """Second x-derivative of pedrosa_mode, analytic.
+def _mode_pair_at(spec, x, time_factors):
+    """The mode psi and its second x-derivative psi'' from _time_factors' output.
 
-    For psi = C exp(W x^2 / 2) H_n(x/kt):
+    For psi = C exp(W x^2 / 2) H_n(x/kt), analytically,
     psi'' = C exp(W x^2/2) [ (W + W^2 x^2) H_n
                              + (4 n W x / kt) H_{n-1}
-                             + (4 n (n-1) / kt^2) H_{n-2} ].
-    Used by the quadrature oracles; a grid check would lose too many digits.
-    """
-    return _mode_pair_at(spec, x, _time_factors(spec, t))[1]
-
-
-def _mode_pair_at(spec, x, time_factors):
-    """(pedrosa_mode, pedrosa_mode_xx) from the output of _time_factors.
-
-    A caller that evaluates the pair on many x at the same times computes
-    the time factors once; each call forms one Gaussian and runs one
-    Hermite recurrence, whose H_n, H_{n-1} and H_{n-2} serve both.
+                             + (4 n (n-1) / kt^2) H_{n-2} ];
+    the quadrature oracles use it, where a grid check would lose too many
+    digits.  A caller that evaluates the pair on many x at the same times
+    computes the time factors once; each call forms one Gaussian and runs
+    one Hermite recurrence, whose H_n, H_{n-1} and H_{n-2} serve both.
     """
     x = np.asarray(x, dtype=float)
     n = spec.n

@@ -9,10 +9,13 @@ parameter diverges and the real frequencies merge.
 Model two couples through both space and momentum and is the static limit
 of the time-dependent model treated elsewhere in the package:
 a K1 + b K2 + i lam K3.  For |lam| < |a - b| the same rotation decouples
-it; for a = b and lam != 0 no such rotation exists for any coupling
-strength (completely broken regime), yet the spectrum is still exactly
-computable: E = a (1 + n + m) + i (lam/2)(n - m), with explicit real-valued
-eigenfunctions built from Hermite polynomials in rotated arguments.
+it; for 0 < |a - b| <= |lam| no real rotation exists (partially broken
+regime), and for a = b and lam != 0 none exists for any coupling strength
+(completely broken regime).  The spectrum is still exactly computable:
+E = (a + b)/2 (1 + n + m) + i (s/2)(n - m) with s = sgn(lam)
+sqrt(lam^2 - (a - b)^2), which is a (1 + n + m) + i (lam/2)(n - m) for
+a = b, with explicit real-valued eigenfunctions there built from Hermite
+polynomials in rotated arguments.
 """
 
 import math
@@ -66,11 +69,15 @@ class KModel:
 class BrokenRegime:
     """Marker value: no real decoupling rotation exists.
 
-    complete is True in the a = b case, where the symmetry is broken for
-    every nonzero coupling.
+    The levels are broken_spectrum(mean, split, n, m), with mean = (a + b)/2
+    and split = sgn(lam) sqrt(lam^2 - (a - b)^2).  complete is True in the
+    a = b case, where the symmetry is broken for every nonzero coupling and
+    (mean, split) = (a, lam) exactly.
     """
 
     complete: bool
+    mean: float
+    split: float
 
 
 def decouple_xy(model):
@@ -137,22 +144,26 @@ def decouple_K(model):
         mean = 0.5 * (a + b)
         split = 0.5 * np.sqrt(_square("a - b", a - b) - lam**2)
         return theta, AlgebraElement([mean + split, mean - split, 0.0, 0.0])
-    return BrokenRegime(complete=(a == b))
+    # a = b gives a and lam bit for bit, and a + b, which can overflow, is
+    # never formed; |a - b| <= |lam| here, so the ratio is at most one
+    split = math.copysign(abs(lam) * math.sqrt(1.0 - ((a - b) / lam) ** 2), lam)
+    return BrokenRegime(complete=(a == b), mean=a + 0.5 * (b - a), split=split)
 
 
-def broken_spectrum(a, lam, n, m):
-    """Exact eigenvalues in the completely broken regime (b = a).
+def broken_spectrum(mean, split, n, m):
+    """Exact eigenvalues in the broken regime, from BrokenRegime's two numbers.
 
-    E(n, m) = a (1 + n + m) + i (lam/2)(n - m) = conj(E(m, n)); real
-    exactly on the diagonal n = m, where lam < 0 gives a -0.0 imaginary
-    part.  n and m broadcast: a complex array, or a scalar for scalars.
-    Overflow gives inf without a warning, as with plain floats.
+    E(n, m) = mean (1 + n + m) + i (split/2)(n - m) = conj(E(m, n)); in the
+    completely broken regime (b = a) mean = a and split = lam.  Real exactly
+    on the diagonal n = m, where split < 0 gives a -0.0 imaginary part.
+    n and m broadcast: a complex array, or a scalar for scalars.  Overflow
+    gives inf without a warning, as with plain floats.
     """
     if np.min(n) < 0 or np.min(m) < 0:
         raise ConstraintViolationError("quantum numbers must be >= 0")
     with np.errstate(over="ignore"):
-        energy = np.array(a * (1 + n + m), dtype=complex)
-        energy.imag = 0.5 * lam * (n - m)
+        energy = np.array(mean * (1 + n + m), dtype=complex)
+        energy.imag = 0.5 * split * (n - m)
     return energy[()]
 
 

@@ -34,7 +34,7 @@ from .dyson import (
     chi_closed_form,
     dyson_residual,
     energy_operator,
-    ep_dissipative_residual,
+    ep_residual,
     gamma_closed_form,
     scenario_params,
     scenario_rates,
@@ -64,6 +64,7 @@ from .fock_oracle import (
 )
 from .invariants import (
     alpha_coeffs,
+    beta_from_evolution,
     beta_from_match,
     conservation_residual,
     gamma_from_alpha,
@@ -402,14 +403,17 @@ def check_dissipative_scale():
     consts = scenario.ep_constants()
     chi = chi_closed_form(scenario.lam, consts)
     pts = interior_times(0.05)
-    worst = _max_abs(ep_dissipative_residual(chi, scenario.lam, consts.kappa, pts))
+
+    def residual(scale):
+        # the dissipative form, at the step 5e-3 where rounding meets truncation
+        return _max_abs(
+            ep_residual(scale, scenario.lam, pts, 5e-3, -1.0, consts.kappa**2)
+        )
 
     def chi_bad(t):
         return chi(t) * (1.0 + 0.01 * np.sin(3.0 * t))
 
-    control = _max_abs(
-        ep_dissipative_residual(chi_bad, scenario.lam, consts.kappa, pts)
-    )
+    worst, control = residual(chi), residual(chi_bad)
     return CheckResult(
         4,
         "dissipative scale equation",
@@ -463,12 +467,17 @@ def check_invariant_similarity():
     beta = beta_from_match(coeffs, scenario.lam, times)
     worst_norm = _max_abs(np.linalg.norm(image - beta, axis=0))
     worst_imag = _max_abs(image.imag)
+    evolved = beta_from_evolution(coeffs, scenario.lam, times)
+    worst_routes = _max_abs(np.linalg.norm(evolved - beta, axis=0))
     return CheckResult(
         6,
         "invariant similarity",
         (
             bounded("mapped invariant vs Hermitian coefficients", worst_norm, 1e-9),
             bounded("imaginary leakage of the image", worst_imag, 1e-12),
+            bounded(
+                "Hermitian coefficients, evolution vs matching", worst_routes, 1e-12
+            ),
         ),
     )
 

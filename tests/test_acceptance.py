@@ -6,6 +6,9 @@ shows a pass/fail verdict per criterion.  The detailed measurement line
 assertion message, so a red criterion carries its numbers with it.
 """
 
+import copy
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from ptdyson import ModeSpec, f_minus_profile, f_plus_profile, k1_expectation
 from ptdyson import dyson, fock_oracle, invariants, modes, validation
 from ptdyson.algebra_u2 import AlgebraElement, commutator
 from ptdyson.dyson import chi_closed_form, first_derivative, gamma_closed_form
-from ptdyson.invariants import gamma_from_alpha
+from ptdyson.invariants import beta_from_evolution, gamma_from_alpha
 from ptdyson.static_models import XYModel, broken_spectrum, static_eigenstate
 
 CRITERIA = [
@@ -50,6 +53,83 @@ def test_full_report(results):
     assert "overall PASS: 13/13 criteria passed" in report
 
 
+# Every subcheck the gate reports: (criterion, name, label, comparator,
+# bound as printed).  A moved, added or dropped bound changes this table.
+GATE_SCHEMA = [
+    (1, "algebra closure", "structure constants", "<", "1.0e-14"),
+    (1, "algebra closure", "2x2 image", "<", "1.0e-14"),
+    (1, "algebra closure", "number-basis blocks", "<", "1.0e-14"),
+    (2, "dyson relation", "2x2 analytic-rate residual", "<", "1.0e-08"),
+    (2, "dyson relation", "number-basis FD residual", "<", "1.0e-06"),
+    (3, "route equivalence", "first parameter, ODE vs closed form", "<", "1.0e-06"),
+    (3, "route equivalence", "second parameter, ODE vs closed form", "<", "1.0e-06"),
+    (3, "route equivalence", "observed RK4 order", ">", "3.5e+00"),
+    (4, "dissipative scale equation", "closed-form scale residual", "<", "1.0e-07"),
+    (4, "dissipative scale equation", "perturbed-scale negative control", ">", "1.0e-04"),
+    (5, "invariant conservation", "non-Hermitian-frame residual", "<", "1.0e-07"),
+    (5, "invariant conservation", "Hermitian-frame residual", "<", "1.0e-07"),
+    (5, "invariant conservation", "number-basis eigenvalue drift", "<", "1.0e-08"),
+    (6, "invariant similarity", "mapped invariant vs Hermitian coefficients", "<",
+     "1.0e-09"),
+    (6, "invariant similarity", "imaginary leakage of the image", "<", "1.0e-12"),
+    (6, "invariant similarity", "Hermitian coefficients, evolution vs matching", "<",
+     "1.0e-12"),
+    (7, "broken spectrum", "number-basis vs closed form (all blocks)", "<", "1.0e-10"),
+    (7, "broken spectrum", "closure under conjugation", "<", "1.0e-10"),
+    (8, "eigenstate orthonormality", "Gauss-Hermite Gram defect (indices <= 4)", "<",
+     "1.0e-08"),
+    (9, "mode expectation constancy", "quadrature vs closed constant", "<", "1.0e-07"),
+    (10, "schrodinger residual", "1D mode residual", "<", "1.0e-03"),
+    (10, "schrodinger residual", "1D halving ratio", "in", "[3.00, 5.00]"),
+    (10, "schrodinger residual", "2D product residual", "<", "1.0e-03"),
+    (10, "schrodinger residual", "2D halving ratio", "in", "[3.00, 5.00]"),
+    (11, "energy reality", "quadrature imaginary part", "<", "1.0e-10"),
+    (11, "energy reality", "quadrature vs closed form", "<", "1.0e-05"),
+    (11, "energy reality", "number-basis frame equivalence", "<", "1.0e-08"),
+    (12, "metric positivity", "closed-form eigenvalue floor, all blocks", ">",
+     "0.0e+00"),
+    (12, "metric positivity", "observed block minimum (safe blocks)", ">", "0.0e+00"),
+    (12, "metric positivity", "observed vs spin-ladder minimum (safe blocks)", "<",
+     "1.0e-09"),
+    (12, "metric positivity",
+     "closed-form floor / spin-ladder minimum (blocks 1..size)", "<", "1.0e+00"),
+    (13, "exceptional point", "raises at and beyond the bound", "holds", None),
+    (13, "exceptional point", "real frequencies strictly inside", "holds", None),
+    (13, "exceptional point", "classical-matrix oracle agreement", "<", "1.0e-12"),
+]
+
+
+def gate_schema(results):
+    """GATE_SCHEMA's rows as the results report them, each value left out."""
+    rows = []
+    for r in results:
+        for s in r.subchecks:
+            # "value < bound", "value > floor", "value in [lo, hi]", or a
+            # bare "yes"/"NO" for a property that holds or not
+            match = re.fullmatch(r"\S+ (<|>|in) (.+)", s.detail)
+            comparator, bound = match.groups() if match else ("holds", None)
+            rows.append((r.number, r.name, s.label, comparator, bound))
+    return rows
+
+
+def test_the_gate_reports_its_pinned_schema(results):
+    assert gate_schema(results) == GATE_SCHEMA
+
+
+def test_the_schema_check_sees_a_moved_bound(monkeypatch):
+    bounded = validation.bounded
+
+    def loosened(label, value, bound):
+        if label == "Hermitian coefficients, evolution vs matching":
+            bound = 10.0 * bound
+        return bounded(label, value, bound)
+
+    monkeypatch.setattr(validation, "bounded", loosened)
+    want = list(GATE_SCHEMA)
+    want[15] = GATE_SCHEMA[15][:4] + ("1.0e-11",)
+    assert gate_schema(validation.run_all()) == want
+
+
 def test_pinned_draws_are_the_seeded_generator_draws():
     # the gate stores these draws so that it loads no generator; they must
     # be the doubles the seeded generator returns, bit for bit
@@ -68,7 +148,7 @@ def test_pinned_draws_are_the_seeded_generator_draws():
 @pytest.mark.parametrize("n", [0, 1, 3, 10, 30, 60])
 def test_mode_quadrature_is_exact_over_the_degree_range(n):
     # n + 2 Gauss-Hermite nodes integrate exp(-y^2) times degree 2n + 2
-    # exactly, up to the top degree that modes.hermite takes
+    # exactly, up to the top degree that modes._hermite_upto takes
     scenario = validation.default_scenario()
     times = np.array(validation._C09_TIMES)
     for profile in (f_plus_profile, f_minus_profile):
@@ -172,6 +252,26 @@ def _scale_closed_form_chi(monkeypatch):
     monkeypatch.setattr(validation, "chi_closed_form", scaled)
 
 
+def _scale_splitting_primitive(monkeypatch):
+    # reaches c8 and the splitting integral, which the matching route
+    # never reads
+    primitive = dyson.EPConstants._splitting_primitive
+    monkeypatch.setattr(
+        dyson.EPConstants,
+        "_splitting_primitive",
+        lambda constants, u: (1.0 + 1e-6) * primitive(constants, u),
+    )
+
+
+def _scale_c8(monkeypatch):
+    def scaled(coeffs, lam, t):
+        shifted = copy.copy(coeffs)
+        object.__setattr__(shifted, "c8", (1.0 + 1e-6) * coeffs.c8)
+        return beta_from_evolution(shifted, lam, t)
+
+    monkeypatch.setattr(validation, "beta_from_evolution", scaled)
+
+
 def _scale_static_eigenstate(monkeypatch):
     monkeypatch.setattr(
         validation,
@@ -221,6 +321,14 @@ MUTATIONS = {
     "closed-form-chi-a-millionth-high": (
         _scale_closed_form_chi,
         [(4, "closed-form scale residual")],
+    ),
+    "splitting-primitive-a-millionth-high": (
+        _scale_splitting_primitive,
+        [(6, "Hermitian coefficients, evolution vs matching")],
+    ),
+    "c8-a-millionth-high": (
+        _scale_c8,
+        [(6, "Hermitian coefficients, evolution vs matching")],
     ),
     "static-eigenstate-a-millionth-high": (
         _scale_static_eigenstate,

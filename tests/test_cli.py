@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptdyson import cli, modes, profiles, validation
+from ptdyson import cli, fock_oracle, modes, profiles, validation
 from ptdyson.errors import ConfigError
 from ptdyson.static_models import BrokenRegime, KModel, XYModel, decouple_K, decouple_xy
 
@@ -516,6 +516,38 @@ def test_spectrum_tables_match_a_per_level_reference(tmp_path, static):
     assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     for name, text in per_level_spectra(cli.load_config(cfg)).items():
         assert_same_text((out / name).read_text(encoding="utf-8"), text)
+
+
+@pytest.mark.parametrize(
+    "a, b, lam",
+    [(1.0, 2.0, 3.0), (1.0, 1.5, 0.8), (1.0, 1.5, -0.8), (2.0, 1.0, -3.0),
+     (0.3, -0.4, 2.0), (1.0, 2.0, 1.0)],
+)
+def test_partially_broken_spectrum_matches_the_number_basis(tmp_path, a, b, lam):
+    # every level with n + m <= 12 against the eigenvalues of a K1 + b K2 +
+    # i lam K3 on that block; at the exceptional point |lam| = |a - b| the
+    # blocks are defective, so there each block's trace and the trace of its
+    # square are compared instead
+    size = 12
+    static = {"k": {"a": a, "b": b, "lam": lam, "n_max": size}}
+    cfg = write_config(tmp_path, {"static": static})
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "spectrum_k.csv")
+    table = np.array(rows, dtype=float)
+    energy, total = table[:, 0] + 1j * table[:, 1], table[:, 2] + table[:, 3]
+    gens = fock_oracle.build_generators(fock_oracle.FockBasis(size))
+    for k, g in enumerate(gens):
+        ham = a * g[0] + b * g[1] + 1j * lam * g[2]
+        levels = energy[total == k]
+        if abs(lam) == abs(a - b):
+            assert abs(np.trace(ham) - levels.sum()) < 1e-12 * (k + 1) ** 2
+            square = np.trace(ham @ ham) - np.sum(levels**2)
+            assert abs(square) < 1e-12 * (k + 1) ** 3
+        else:
+            numeric = np.linalg.eigvals(ham)
+            got, want = (v[np.argsort(v.imag)] for v in (levels, numeric))
+            assert np.max(np.abs(got - want)) < 1e-10
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from ptdyson import (
     conjugate,
     dyson_residual,
     energy_operator,
-    ep_dissipative_residual,
+    ep_residual,
     fit_ep_constants,
     gamma_closed_form,
     gamma_rates,
@@ -253,14 +253,14 @@ def test_dissipative_equation_zero_coupling():
     c = EPConstants(q2=1.0, q3=0.0)
     chi = chi_closed_form(LAM, c)
     for t in (0.3, 1.1, 2.6):
-        assert ep_dissipative_residual(chi, LAM, c.kappa, t) < 1e-8
+        assert ep_residual(chi, LAM, t, 5e-3, -1.0, c.kappa**2) < 1e-8
 
 
 def test_dissipative_equation_generic():
     c = EPConstants(q2=1.0, q3=0.4)
     chi = chi_closed_form(LAM, c)
     for t in (0.3, 1.1, 2.6):
-        assert ep_dissipative_residual(chi, LAM, c.kappa, t) < 1e-8
+        assert ep_residual(chi, LAM, t, 5e-3, -1.0, c.kappa**2) < 1e-8
 
 
 def test_dissipative_equation_rejects_bystander():
@@ -268,14 +268,14 @@ def test_dissipative_equation_rejects_bystander():
     fake = lambda t: 1.0 + 0.3 * np.sin(2.0 * t)
     c = EPConstants(q2=1.0, q3=0.4)
     for t in (0.3, 1.1, 2.6):
-        assert ep_dissipative_residual(fake, LAM, c.kappa, t) > 1e-3
+        assert ep_residual(fake, LAM, t, 5e-3, -1.0, c.kappa**2) > 1e-3
 
 
 def test_dissipative_equation_guards_vanishing_driver():
     c = EPConstants(q2=1.0, q3=0.4)
     chi = chi_closed_form(LAM, c)
     with pytest.raises(SingularEvaluationError):
-        ep_dissipative_residual(chi, TimeProfile.constant(0.0), c.kappa, 1.0)
+        ep_residual(chi, TimeProfile.constant(0.0), 1.0, 5e-3, -1.0, c.kappa**2)
 
 
 def test_first_derivative_is_exact_on_quartics_inside_the_domain():

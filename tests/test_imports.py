@@ -2,8 +2,7 @@
 
 The import check covers the package, the tests and the demos.  Each
 private name of the package is read by the package, and each name
-`ptdyson` exports by the package, a demo or the benchmark, or by the test
-that a short allow-list names.
+`ptdyson` exports by the package, a demo or the benchmark.
 """
 
 import ast
@@ -147,21 +146,6 @@ def test_the_check_sees_an_unread_export():
     assert unread_names(sources, exports.__contains__) == ["a.spare"]
 
 
-# Exports that only tests read, each with the test that reads it.
-TEST_ONLY_EXPORTS = {
-    "invariants.b_diff_integral": "test_invariants.py::test_two_beta_routes_agree",
-    "invariants.beta_from_evolution": "test_invariants.py::test_two_beta_routes_agree",
-    "modes.ep_classical_rate": (
-        "test_modes.py::test_scale_rate_matches_difference_quotient"
-    ),
-    "modes.ep_oscillator_residual": (
-        "test_modes.py::test_scale_function_solves_auxiliary_equation"
-    ),
-    "modes.hermite": "test_modes.py::test_hermite_low_orders",
-    "modes.pedrosa_mode_xx": "test_modes.py::test_second_derivative_closed_form",
-}
-
-
 def test_every_export_has_a_reader():
     package = Path(ptdyson.__file__).parent
     exports = exported_names((package / "__init__.py").read_text(encoding="utf-8"))
@@ -169,16 +153,4 @@ def test_every_export_has_a_reader():
     for folder in ("demos", "bench"):
         for p in sorted((ROOT / folder).glob("*.py")):
             sources[f"{folder}/{p.stem}"] = p.read_text(encoding="utf-8")
-    assert unread_names(sources, exports.__contains__) == sorted(TEST_ONLY_EXPORTS)
-    for export, test in TEST_ONLY_EXPORTS.items():
-        path, name = test.split("::")
-        tree = ast.parse((ROOT / "tests" / path).read_text(encoding="utf-8"))
-        (function,) = (
-            node for node in tree.body if getattr(node, "name", None) == name
-        )
-        loads = {
-            node.id
-            for node in ast.walk(function)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-        }
-        assert export.split(".")[1] in loads, test
+    assert unread_names(sources, exports.__contains__) == []

@@ -9,7 +9,6 @@ from ptdyson import (
     InvariantCoeffs,
     TimeProfile,
     alpha_coeffs,
-    b_diff_integral,
     basis_element,
     beta_from_evolution,
     beta_from_match,
@@ -177,9 +176,7 @@ def test_two_beta_routes_agree():
         c = default_coeffs(branch=branch)
         for t in (0.0, 0.9, 3.7, 8.1):
             match = beta_from_match(c, LAM, t)
-            evo = beta_from_evolution(
-                c.c5, c.c6, c.c7, c.c8, b_diff_integral(c, LAM, t)
-            )
+            evo = beta_from_evolution(c, LAM, t)
             assert np.max(np.abs(match - evo)) < 1e-9
 
 
@@ -210,10 +207,10 @@ def test_splitting_integral_against_quadrature():
 
     for t in (0.8, 3.1, 9.0):
         ref, _ = quad(splitting, 0.0, t, limit=200)
-        assert abs(b_diff_integral(c, LAM, t) - ref) < 1e-8
-    assert b_diff_integral(c, LAM, 0.0) == 0.0
+        assert abs(ep._splitting_integral(LAM, t) - ref) < 1e-8
+    assert ep._splitting_integral(LAM, 0.0) == 0.0
     static = InvariantCoeffs(1.0, 0.5, 0.8, 1.0)
-    assert b_diff_integral(static, LAM, 5.0) == 0.0
+    assert static.ep_constants()._splitting_integral(LAM, 5.0) == 0.0
 
 
 def test_splitting_integral_against_quadrature_for_negative_re_c3():
@@ -229,8 +226,8 @@ def test_splitting_integral_against_quadrature_for_negative_re_c3():
 
     for t in (0.8, 3.1, 9.0):
         ref, _ = quad(splitting, 0.0, t, limit=200)
-        assert abs(b_diff_integral(c, LAM, t) - ref) < 1e-8
-    assert b_diff_integral(c, LAM, 0.0) == 0.0
+        assert abs(ep._splitting_integral(LAM, t) - ref) < 1e-8
+    assert ep._splitting_integral(LAM, 0.0) == 0.0
 
 
 def test_conservation_for_commuting_pair():

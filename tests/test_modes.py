@@ -8,12 +8,10 @@ from ptdyson import (
     TimeProfile,
     ep_classical,
     ep_classical_rate,
-    ep_oscillator_residual,
+    ep_residual,
     ermakov_quantity,
-    hermite,
     k1_expectation,
     pedrosa_mode,
-    pedrosa_mode_xx,
     phase_integral,
     product_state,
 )
@@ -25,6 +23,16 @@ from ptdyson.errors import (
 )
 
 DRIVER = TimeProfile.sinusoid(1.0, 0.2, 2.0)
+
+
+def hermite(n, x):
+    """H_n(x): the last of the H_0..H_n that one recurrence run yields."""
+    return list(modes._hermite_upto(n, x))[-1]
+
+
+def mode_xx(spec, x, t):
+    """The second x-derivative of pedrosa_mode, the second half of the pair."""
+    return modes._mode_pair_at(spec, x, modes._time_factors(spec, t))[1]
 
 
 def gauss_inner(f, g, lo=-12.0, hi=12.0, panels=6, order=32):
@@ -95,18 +103,18 @@ def test_scale_function_solves_auxiliary_equation():
     for ktilde in (0.5, 2.0):
         fn = lambda t: ep_classical(ktilde, DRIVER, t)
         for t in (0.3, 1.4, 4.1):
-            assert ep_oscillator_residual(fn, DRIVER, t, fd_step=1e-3) < 1e-7
+            assert ep_residual(fn, DRIVER, t, 1e-3, 1.0, 1.0) < 1e-7
 
 
 def test_auxiliary_equation_rejects_bystander():
     fake = lambda t: 1.0 + 0.1 * np.sin(t)
-    assert ep_oscillator_residual(fake, DRIVER, 1.0) > 1e-3
+    assert ep_residual(fake, DRIVER, 1.0, 1e-2, 1.0, 1.0) > 1e-3
 
 
 def test_auxiliary_equation_guards_vanishing_driver():
     silent = TimeProfile.constant(0.0)
     with pytest.raises(SingularEvaluationError):
-        ep_oscillator_residual(lambda t: 1.0, silent, 1.0)
+        ep_residual(lambda t: 1.0, silent, 1.0, 1e-2, 1.0, 1.0)
 
 
 def test_ermakov_quantity_on_closed_form():
@@ -115,8 +123,7 @@ def test_ermakov_quantity_on_closed_form():
         fn = lambda t: ep_classical(ktilde, DRIVER, t)
         rate = lambda t: ep_classical_rate(ktilde, DRIVER, t)
         for t in (0.2, 1.9, 6.3):
-            assert abs(ermakov_quantity(fn, DRIVER, t, rate_fn=rate) - want) < 1e-12
-            assert abs(ermakov_quantity(fn, DRIVER, t) - want) < 1e-9
+            assert abs(ermakov_quantity(fn, rate, DRIVER, t) - want) < 1e-12
 
 
 def test_ermakov_quantity_on_numerical_solution():
@@ -134,9 +141,9 @@ def test_ermakov_quantity_on_numerical_solution():
     assert sol.success
     fn = lambda t: float(sol.sol(t)[0])
     rate = lambda t: float(sol.sol(t)[1])
-    ref = ermakov_quantity(fn, DRIVER, 0.3, rate_fn=rate)
+    ref = ermakov_quantity(fn, rate, DRIVER, 0.3)
     for t in (1.1, 3.7, 7.6):
-        assert abs(ermakov_quantity(fn, DRIVER, t, rate_fn=rate) - ref) < 1e-8
+        assert abs(ermakov_quantity(fn, rate, DRIVER, t) - ref) < 1e-8
 
 
 def test_phase_integral_against_quadrature():
@@ -187,7 +194,7 @@ def test_second_derivative_closed_form():
             - 2.0 * pedrosa_mode(spec, x, t)
             + pedrosa_mode(spec, x - h, t)
         ) / h**2
-        assert abs(pedrosa_mode_xx(spec, x, t) - fd) < 1e-5
+        assert abs(mode_xx(spec, x, t) - fd) < 1e-5
 
 
 def test_modes_take_the_running_integral_once(monkeypatch):
@@ -205,7 +212,7 @@ def test_modes_take_the_running_integral_once(monkeypatch):
 
     monkeypatch.setattr(TimeProfile, "cumulative", counted)
     pedrosa_mode(spec, x, t)
-    pedrosa_mode_xx(spec, x, t)
+    mode_xx(spec, x, t)
     assert len(calls) == 2
 
 
@@ -214,9 +221,8 @@ def test_mode_pair_equals_the_two_modes(monkeypatch):
     for t in (1.1, np.array([[0.4], [2.3], [7.9]])):
         for n in range(4):
             spec = ModeSpec(n, DRIVER, 0.5)
-            psi, psi_xx = modes._mode_pair_at(spec, x, modes._time_factors(spec, t))
+            psi, _ = modes._mode_pair_at(spec, x, modes._time_factors(spec, t))
             assert np.array_equal(psi, pedrosa_mode(spec, x, t))
-            assert np.array_equal(psi_xx, pedrosa_mode_xx(spec, x, t))
     # one pass over the shared factors: one read of the running integral
     calls = []
     cumulative = TimeProfile.cumulative
@@ -247,9 +253,9 @@ def test_mode_guards_vanishing_driver():
     with pytest.raises(SingularEvaluationError):
         pedrosa_mode(spec, 0.5, 1.0)
     with pytest.raises(SingularEvaluationError):
-        pedrosa_mode_xx(spec, 0.5, 1.0)
+        mode_xx(spec, 0.5, 1.0)
     with pytest.raises(SingularEvaluationError):
-        ermakov_quantity(lambda t: 1.0, silent, 1.0)
+        ermakov_quantity(lambda t: 1.0, lambda t: 0.0, silent, 1.0)
 
 
 def test_oscillator_expectation_values():

@@ -10,7 +10,6 @@ from ptdyson import (
     broken_spectrum,
     decouple_K,
     decouple_xy,
-    hermite,
     spectrum_xy,
     static_eigenstate,
     to_matrix,
@@ -20,6 +19,12 @@ from ptdyson.errors import (
     ExceptionalPointError,
     UnsupportedDegreeError,
 )
+from ptdyson.modes import _hermite_upto
+
+
+def hermite(n, x):
+    """H_n(x): the last of the H_0..H_n that one recurrence run yields."""
+    return list(_hermite_upto(n, x))[-1]
 
 
 def test_xy_model_guards():
@@ -122,6 +127,18 @@ def test_k_model_broken_regimes():
     assert isinstance(partially, BrokenRegime) and not partially.complete
     boundary = decouple_K(KModel(a=1.0, b=1.5, lam=0.5))
     assert isinstance(boundary, BrokenRegime)
+
+
+def test_complete_breaking_carries_a_and_lam_bit_for_bit():
+    # the a = b levels stay a (1 + n + m) + i (lam/2)(n - m) exactly, with
+    # no overflow where a + b would overflow
+    for a, lam in ((1.0, 0.4), (1.0, -0.7), (0.3, 1e-300), (1e308, 0.4), (-2.5, 3.0)):
+        regime = decouple_K(KModel(a=a, b=a, lam=lam))
+        assert (regime.mean, regime.split) == (a, lam)
+    # partially broken: (a + b)/2 and sgn(lam) sqrt(lam^2 - (a - b)^2)
+    regime = decouple_K(KModel(a=1.0, b=2.0, lam=-3.0))
+    assert regime.mean == 1.5
+    assert abs(regime.split + math.sqrt(8.0)) < 1e-15
 
 
 def test_broken_spectrum_values():

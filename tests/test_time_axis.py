@@ -31,8 +31,7 @@ from ptdyson import (
     energy_expectation,
     ep_classical,
     ep_classical_rate,
-    ep_dissipative_residual,
-    ep_oscillator_residual,
+    ep_residual,
     ermakov_quantity,
     f_minus_profile,
     f_plus_profile,
@@ -40,7 +39,6 @@ from ptdyson import (
     invariant_coeffs_for,
     invariant_element,
     pedrosa_mode,
-    pedrosa_mode_xx,
     product_state,
     quasi_hermiticity_residuals,
     scenario_hamiltonian,
@@ -52,6 +50,7 @@ from ptdyson import (
     verify_quasi_hermiticity,
 )
 from ptdyson.dyson import central_derivatives, driver_value
+from ptdyson.modes import _mode_pair_at, _time_factors
 from ptdyson.validation import (
     default_scenario,
     mode_k1_quadrature,
@@ -184,7 +183,10 @@ def stacked(fn, times):
 
 def test_modes_broadcast_time_against_position():
     x = np.linspace(-4.0, 4.0, 23)
-    for mode in (pedrosa_mode, pedrosa_mode_xx):
+    def mode_xx(spec, x, t):
+        return _mode_pair_at(spec, x, _time_factors(spec, t))[1]
+
+    for mode in (pedrosa_mode, mode_xx):
         for spec in SPECS:
             got = mode(spec, x, INNER[:, None])
             assert got.shape == (INNER.size, x.size)
@@ -213,10 +215,9 @@ def test_scale_equation_residuals_take_array_t():
         return ep_classical_rate(spec.ktilde, spec.driver, t)
 
     cases = (
-        lambda t: ep_dissipative_residual(chi, lam, CONSTS.kappa, t),
-        lambda t: ep_oscillator_residual(scale, spec.driver, t),
-        lambda t: ermakov_quantity(scale, spec.driver, t),
-        lambda t: ermakov_quantity(scale, spec.driver, t, rate_fn=rate),
+        lambda t: ep_residual(chi, lam, t, 5e-3, -1.0, CONSTS.kappa**2),
+        lambda t: ep_residual(scale, spec.driver, t, 1e-2, 1.0, 1.0),
+        lambda t: ermakov_quantity(scale, rate, spec.driver, t),
     )
     for fn in cases:
         got = fn(INNER)
@@ -261,7 +262,7 @@ def test_driver_value_names_the_first_singular_time():
     with pytest.raises(SingularEvaluationError, match=r"at t = 1\.0$"):
         driver_value(driver, times)
     with pytest.raises(SingularEvaluationError, match=r"at t = 1\.0$"):
-        ep_oscillator_residual(lambda t: 1.0 + 0.0 * t, driver, times)
+        ep_residual(lambda t: 1.0 + 0.0 * t, driver, times, 1e-2, 1.0, 1.0)
     np.testing.assert_array_equal(driver_value(driver, times[::2]), [0.75, -0.25])
     # a driver that overflows, e^(800 t) = inf from t = 1 on, is refused as well
     steep = TimeProfile.exponential(0.0, 1.0, 800.0)
