@@ -12,7 +12,6 @@ import numpy as np
 
 from ptdyson import (
     ExceptionalPointError,
-    KModel,
     XYModel,
     broken_spectrum,
     decouple_K,
@@ -43,16 +42,15 @@ for coupling in (0.9, 0.999, 1.001, 1.5):
 
 # --- algebraic coupling: broken regime ----------------------------------
 
-kmod = KModel(a=1.0, b=1.0, lam=0.4)
-result = decouple_K(kmod)
+result = decouple_K(1.0, 1.0, 0.4)
 print(f"\nalgebraic pair a = b = 1, lam = 0.4: {result}")
 print("levels (n, m) -> a (n + m + 1) + i lam (n - m) / 2:")
 for n in range(3):
     for m in range(3):
-        e = broken_spectrum(kmod.a, kmod.lam, n, m)
+        e = broken_spectrum(result.mean, result.split, n, m)
         print(f"  ({n},{m}): {e.real:+.4f} {e.imag:+.4f}i")
 
 # away from a = b the same model can decouple
-theta, herm = decouple_K(KModel(a=1.0, b=3.0, lam=1.0))
+theta, herm = decouple_K(1.0, 3.0, 1.0)
 print(f"\na = 1, b = 3, lam = 1 decouples: theta = {theta:.6f}")
 print(f"  hermitian coefficients: {np.round(herm.vector.real, 6)}")

@@ -43,10 +43,10 @@ for t in (0.0, 1.7, 4.2, 8.9):
     params = scenario_params(consts, lam, t)
     rates = scenario_rates(consts, lam, t)
     res = dyson_residual(a, lam, params, rates, t)
-    herm = hermitian_counterpart(a(t), lam(t), params.gamma3, params.gamma4)
+    herm = hermitian_counterpart(a(t), lam(t), params[2], params[3])
     f_plus, f_minus = herm.vector.real[:2]
     print(
-        f"{t:4.1f}  {params.gamma3:+.5f}  {params.gamma4:+.5f}  {res:.2e}"
+        f"{t:4.1f}  {params[2]:+.5f}  {params[3]:+.5f}  {res:.2e}"
         f"   ({f_plus:.5f}, {f_minus:.5f})"
     )
 

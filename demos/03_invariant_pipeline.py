@@ -35,7 +35,7 @@ def inv_h(t):
 
 def ham_h(t):
     params = scenario_params(coeffs.ep_constants(), lam, t)
-    return hermitian_counterpart(a(t), lam(t), params.gamma3, params.gamma4)
+    return hermitian_counterpart(a(t), lam(t), params[2], params[3])
 
 print("\n t    conservation (non-Hermitian)   conservation (Hermitian)")
 for t in (0.4, 2.1, 6.3):
@@ -59,4 +59,4 @@ t = 2.1
 g3, g4 = gamma_from_alpha(alpha_coeffs(coeffs, lam, t))
 params = scenario_params(coeffs.ep_constants(), lam, t)
 print(f"\nangles from alpha at t = {t}: ({g3:.10f}, {g4:.10f})")
-print(f"angles from closed form:      ({params.gamma3:.10f}, {params.gamma4:.10f})")
+print(f"angles from closed form:      ({params[2]:.10f}, {params[3]:.10f})")

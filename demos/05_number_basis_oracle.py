@@ -63,7 +63,7 @@ for k in (1, 4, 7):
 
 # broken spectrum, matrix route vs closed form; blocks come back sorted
 # along their imaginary line already
-per_block = broken_spectrum_numeric(1.0, 0.4, basis)
+per_block = broken_spectrum_numeric(1.0, 1.0, 0.4, basis)
 worst = 0.0
 for k, evals in enumerate(per_block[:6]):
     ref = np.array(

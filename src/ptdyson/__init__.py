@@ -10,7 +10,6 @@ finite differences, quadrature, and a truncated number-state realization).
 from .algebra_u2 import (
     BASIS_MATRICES,
     AlgebraElement,
-    DysonParams,
     basis_element,
     commutator,
     conjugate,
@@ -92,7 +91,6 @@ from .modes import (
 from .profiles import TimeProfile
 from .static_models import (
     BrokenRegime,
-    KModel,
     XYModel,
     broken_spectrum,
     decouple_K,

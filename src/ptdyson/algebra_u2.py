@@ -15,14 +15,19 @@ conjugation and the time-derivative term carry no matrix-exponential
 truncation error.  The tests verify the six brackets in both pictures
 before anything else runs.
 
-Coefficients and group parameters may be stacked along trailing axes (one
-entry per time sample, coefficient axis first).  Inside, the 2x2 layer
-works entry-wise on entry-first stacks of shape (2, 2, ...): one product
-helper writes each matrix product out as broadcast multiplies and adds
-over whole sample axes, so no step makes a BLAS call per sample, and a
-stacked call agrees bit for bit with the same samples taken one at a
-time.  The public shapes are unchanged: the matrix helpers return
-(..., 2, 2) stacks and coefficient vectors have shape (4, ...).
+The map's group parameters are the four reals of the ordered product
+
+    eta = exp(g1 K1) exp(g2 K2) exp(g3 K3) exp(g4 K4),
+
+passed, like their rates, as one float array of shape (4, ...): row i - 1
+holds g_i, and trailing axes hold one entry per time sample.  (A valid map
+of the time-dependent model has g1 = g2 = const; the dyson module builds
+such stacks.)  Coefficients are stacked the same way, coefficient axis
+first, and the matrix helpers return (..., 2, 2) stacks.  Inside, the 2x2
+layer works entry-wise on entry-first stacks of shape (2, 2, ...): one
+product helper writes each matrix product out as broadcast multiplies and
+adds over whole sample axes, so no step makes a BLAS call per sample, and a
+stacked call agrees bit for bit with the same samples taken one at a time.
 """
 
 from dataclasses import dataclass
@@ -76,30 +81,6 @@ def basis_element(i):
     c = np.zeros(4, dtype=complex)
     c[i - 1] = 1.0
     return AlgebraElement(c)
-
-
-@dataclass(frozen=True)
-class DysonParams:
-    """Group parameters of the ordered product
-
-        eta = exp(g1 K1) exp(g2 K2) exp(g3 K3) exp(g4 K4).
-
-    For a valid map of the time-dependent model g1 = g2 = const; the
-    constructor does not enforce that, the dyson module does.  Parameters
-    may be arrays (one entry per sample) that broadcast together.
-    """
-
-    gamma1: float
-    gamma2: float
-    gamma3: float
-    gamma4: float
-
-    def as_array(self):
-        """The four parameters broadcast together, shape (4, ...)."""
-        return np.array(
-            np.broadcast_arrays(self.gamma1, self.gamma2, self.gamma3, self.gamma4),
-            dtype=float,
-        )
 
 
 def commutator(a, b):
@@ -174,8 +155,8 @@ def to_matrix(a):
 
 
 def group_matrix(params):
-    """eta in the 2x2 image, ordered-product convention."""
-    return _last(_product(params.as_array(), (1, 2, 3, 4)))
+    """eta of a (4, ...) parameter stack in the 2x2 image, shape (..., 2, 2)."""
+    return _last(_product(np.asarray(params, dtype=float), (1, 2, 3, 4)))
 
 
 def conjugate(params, a):
@@ -184,7 +165,7 @@ def conjugate(params, a):
     Preserves the central K1 + K2 coefficient and the spectrum of the
     matrix image.
     """
-    g, c = _broadcast(params.as_array(), a.vector)
+    g, c = _broadcast(np.asarray(params, dtype=float), a.vector)
     eta, eta_inv = _product(g, (1, 2, 3, 4)), _product(-g, (4, 3, 2, 1))
     return _element(_mul(_mul(eta, _image(c)), eta_inv))
 
@@ -196,8 +177,11 @@ def time_term(params, params_dot):
     the right:
 
         etadot eta^{-1} = gdot_1 K1 + F_1 (gdot_2 K2 + F_2 (...) F_2^{-1}) F_1^{-1}.
+
+    The parameters and their rates are (4, ...) stacks that broadcast
+    together over their sample axes.
     """
-    g, gdot = _broadcast(params.as_array(), np.asarray(params_dot, dtype=float))
+    g, gdot = _broadcast(*(np.asarray(p, dtype=float) for p in (params, params_dot)))
     # row i - 1 of unit times gdot_i is the coefficient stack of gdot_i K_i
     unit = np.eye(4).reshape((4, 4) + (1,) * (gdot.ndim - 1))
     total = _image(unit[3] * gdot[3])

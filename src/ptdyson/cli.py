@@ -18,11 +18,8 @@ every table for NaN and inf before it opens a file, so a run writes all of
 its files or none.  stdout echoes each text output and lists each file
 written.  All output is deterministic for a fixed config: nothing depends on
 wall time or dict iteration order, and each CSV field is the text of
-`'%.17g' % x` for its value x.  The writer (_csv_text) finds the 17 digits
-with numpy, a block of rows at a time; it hands to '%.17g' itself only the
-values it cannot settle: subnormals, |x| below about 1e-264 or above 1e296,
-and values within 1e-6 of a rounding tie in the 17th digit.  Its time is
-part of `cli.self_s` in the benchmark's per-layer trace.
+`'%.17g' % x` for its value x.  `oracle` subsamples a grid of more than 25
+samples to 25 times evenly spaced over [t_start, t_end].
 
 Exit codes: 0 success, 1 validation-suite failure, 2 config violation
 (message names the invariant or key path), 3 numerical failure (message carries the
@@ -62,7 +59,6 @@ from .modes import MAX_HERMITE_DEGREE, product_state
 from .profiles import _is_finite_number, _kind_fields
 from .static_models import (
     BrokenRegime,
-    KModel,
     XYModel,
     _levels,
     broken_spectrum,
@@ -475,8 +471,8 @@ def cmd_evolve(cfg, built):
     beta = beta_from_match(coeffs, scenario.lam, t)
     columns = (
         ("t", t),
-        ("gamma3", params.gamma3),
-        ("gamma4", params.gamma4),
+        ("gamma3", params[2]),
+        ("gamma4", params[3]),
         *((f"beta{i}", b) for i, b in enumerate(beta, start=1)),
         ("f_plus", f_plus),
         ("f_minus", f_minus),
@@ -504,7 +500,7 @@ def cmd_spectrum(cfg, built):
         report.append("  wrote spectrum_xy.csv")
     except ExceptionalPointError as err:
         report.append(f"  no real decoupling: {err}")
-    result = decouple_K(KModel(a=k_cfg["a"], b=k_cfg["b"], lam=k_cfg["lam"]))
+    result = decouple_K(k_cfg["a"], k_cfg["b"], k_cfg["lam"])
     n_max = k_cfg["n_max"]
     if isinstance(result, BrokenRegime):
         tag = "completely" if result.complete else "partially"
@@ -593,13 +589,16 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        built = validate_config(cfg)
-        outputs, status = _COMMANDS[args.subcommand](cfg, built)
-        texts = {
-            name: out if isinstance(out, str) else _csv_text(name, *out)
-            for name, out in outputs.items()
-        }
+        # the tables' NaN/inf check decides exit 3, so numpy's floating-point
+        # warnings on the way there would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            cfg = load_config(args.config)
+            built = validate_config(cfg)
+            outputs, status = _COMMANDS[args.subcommand](cfg, built)
+            texts = {
+                name: out if isinstance(out, str) else _csv_text(name, *out)
+                for name, out in outputs.items()
+            }
     except (
         ConfigError,
         ConstraintViolationError,

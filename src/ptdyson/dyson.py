@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra_u2 import AlgebraElement, DysonParams, conjugate, time_term
+from .algebra_u2 import AlgebraElement, conjugate, time_term
 from .errors import ConstraintViolationError, IntegrationError, SingularEvaluationError
 
 # Below this magnitude a driver coefficient counts as singular for the
@@ -323,20 +323,21 @@ def dyson_residual(a, lam, params, params_dot, t):
     || eta H eta^{-1} + i etadot eta^{-1} - h || with H built from the
     profiles and h from the Hermitian counterpart closed form at the given
     parameters.  Small only when (params, params_dot) lie on the constraint
-    manifold.  Array t takes parameters and velocities stacked to match.
+    manifold.  Parameters and velocities are (4, ...) stacks; array t takes
+    them stacked to match.
     """
     a_t = a(t)
     lam_t = lam(t)
     big_h = nonhermitian_hamiltonian(a_t, lam_t)
     lhs = conjugate(params, big_h) + time_term(params, params_dot)
-    h = hermitian_counterpart(a_t, lam_t, params.gamma3, params.gamma4)
+    h = hermitian_counterpart(a_t, lam_t, params[2], params[3])
     return (lhs - h).norm()
 
 
 def scenario_params(constants, lam, t, q1=0.0):
-    """DysonParams at time t from the closed-form trajectory."""
+    """Map parameters (q1, q1, g3, g4) at time t, closed form, shape (4, ...)."""
     g3, g4 = gamma_closed_form(lam, constants, t)
-    return DysonParams(q1, q1, g3, g4)
+    return np.array(np.broadcast_arrays(q1, q1, g3, g4), dtype=float)
 
 
 def scenario_rates(constants, lam, t):

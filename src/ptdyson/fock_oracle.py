@@ -33,7 +33,6 @@ so that default is a convention for existing callers, not an accuracy need.
 
 import numpy as np
 
-from .algebra_u2 import DysonParams
 from .dyson import first_derivative, scenario_params
 from .energy import f_pm
 from .errors import ConstraintViolationError
@@ -127,15 +126,15 @@ def _block_map(factors, params, inverse=False, rates=None):
     The two exponentials meet through the eigenbasis overlap W, so the
     block is V3 M V4^H with M = D3 W D4: two products, the diagonal factors
     applied entry-wise.  The inverse is the reversed product with negated
-    parameters, V4 (D4 W^H D3) V3^H.  Stacked params (one set per time)
-    give a (..., k+1, k+1) stack.  Given the parameters' `rates` (forward
-    only), the map and its exact time derivative come stacked as
-    (2, ..., k+1, k+1): by the product rule the derivative's middle factor is
-    (g3' vals3[:, None] + g4' vals4[None, :]) * M, through the same two
-    products, plus (g1' d1 + g2' d2) times the map.
+    parameters, V4 (D4 W^H D3) V3^H.  A (4, ...) params stack (one set per
+    time) gives a (..., k+1, k+1) stack.  Given the parameters' `rates`, an
+    array of the same shape (forward only), the map and its exact time
+    derivative come stacked as (2, ..., k+1, k+1): by the product rule the
+    derivative's middle factor is (g3' vals3[:, None] + g4' vals4[None, :])
+    * M, through the same two products, plus (g1' d1 + g2' d2) times the map.
     """
     d1, d2, vals3, vecs3, vals4, vecs4, overlap = factors
-    g1, g2, g3, g4 = (-1.0 if inverse else 1.0) * params.as_array()[..., None]
+    g1, g2, g3, g4 = (-1.0 if inverse else 1.0) * np.asarray(params)[..., None]
     diag = np.exp(g1 * d1 + g2 * d2)
     e3, e4 = np.exp(g3 * vals3), np.exp(g4 * vals4)
     if inverse:
@@ -147,7 +146,7 @@ def _block_map(factors, params, inverse=False, rates=None):
     out = np.empty((1 if rates is None else 2,) + e_left.shape[:-1] + (n, n), complex)
     np.multiply(e_left[..., :, None] * middle, e_right[..., None, :], out=out[0])
     if rates is not None:
-        r1, r2, r3, r4 = rates.as_array()[..., None]
+        r1, r2, r3, r4 = rates[..., None]
         out[1] = out[0] * ((r3 * vals3)[..., :, None] + (r4 * vals4)[..., None, :])
     # the right factor multiplies every row of the stack: one flat product
     rows = out.reshape(-1, n)
@@ -160,7 +159,7 @@ def _block_map(factors, params, inverse=False, rates=None):
 
 
 def build_eta(basis, gens, params):
-    """Dense matrix of the ordered-product group map, assembled block by block."""
+    """Dense matrix of the group map of the (4,) params, assembled block by block."""
     # the only dense (dim x dim) array of the module: the blocks on a diagonal
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     for k, f in enumerate(_block_factors(gens)):
@@ -257,7 +256,7 @@ def _block_residuals(defect, power, scenario, basis, times, gens, buffer):
     consts = scenario.ep_constants()
 
     def gammas_at(t):
-        return scenario_params(consts, scenario.lam, t, q1=scenario.q1).as_array()
+        return scenario_params(consts, scenario.lam, t, q1=scenario.q1)
 
     gammas = gammas_at(times)
     rates = first_derivative(gammas_at, times, _FD_STEP, scenario.t_max())
@@ -266,7 +265,7 @@ def _block_residuals(defect, power, scenario, basis, times, gens, buffer):
         [scenario.a(times), scenario.lam(times), *f_pm(scenario, times)]
     )[..., None, None]
     factors = list(_block_factors(gens[: k_top + 1]))
-    low = [_block_map(f, DysonParams(*gammas)) for f in factors[:2]]
+    low = [_block_map(f, gammas) for f in factors[:2]]
     scales = _spin_ladder(*low, k_top)[0] ** power
     del low  # only the scales live through the block loop
     # 16 bytes per complex entry, the map and its derivative per time
@@ -277,9 +276,7 @@ def _block_residuals(defect, power, scenario, basis, times, gens, buffer):
         (k1, k2, k3), f, scale = gens[k][:3], factors[k], scales[k]
         for sl in chunks:
             a_t, lam_t, f_plus, f_minus = coeffs[:, sl]
-            eta, eta_dot = _block_map(
-                f, DysonParams(*gammas[:, sl]), rates=DysonParams(*rates[:, sl])
-            )
+            eta, eta_dot = _block_map(f, gammas[:, sl], rates=rates[:, sl])
             ham = a_t * (k1 + k2) + 1j * lam_t * k3
             herm = f_plus * k1 + f_minus * k2
             resid = defect(eta, eta_dot, ham, herm)
@@ -371,15 +368,15 @@ def sort_along_line(vals):
     return vals.reshape(-1)[rows + order]
 
 
-def broken_spectrum_numeric(a_value, lam_value, basis):
-    """Eigenvalues of the equal-frequency non-Hermitian generator, per block.
+def broken_spectrum_numeric(a, b, lam, basis):
+    """Eigenvalues of the static generator a K1 + b K2 + i lam K3, per block.
 
-    Block of total k carries a_value (k + 1) on the diagonal plus i lam
-    times the symmetric mixing generator; returns a list over blocks of
-    eigenvalue arrays ordered along the (vertical) line they lie on.
+    Returns a list over blocks of eigenvalue arrays ordered along the line
+    they lie on: vertical in the broken regime |lam| >= |a - b|, where block
+    k carries mean (k + 1) on its real axis.
     """
     gens = build_generators(basis)
-    hams = (a_value * (g[0] + g[1]) + 1j * lam_value * g[2] for g in gens)
+    hams = (a * g[0] + b * g[1] + 1j * lam * g[2] for g in gens)
     return [sort_along_line(np.linalg.eigvals(ham)) for ham in hams]
 
 
@@ -468,9 +465,10 @@ def metric_floor(params, k):
     mixing factor has singular values no smaller than exp(-|gamma| k / 2)
     because the mixing generators have spectrum in [-k/2, k/2] there.
     The metric block inherits the square of the bound.  Strictly positive
-    for every finite parameter set, which is the point.
+    for every finite parameter set, which is the point.  params is a
+    (4, ...) stack; the bound has its sample shape.
     """
-    g1, g2, g3, g4 = params.as_array()
+    g1, g2, g3, g4 = np.asarray(params, dtype=float)
     lowest_diag = np.minimum(g1 * k, g2 * k) + 0.5 * (g1 + g2)
     sigma = np.exp(lowest_diag - 0.5 * (np.abs(g3) + np.abs(g4)) * k)
     return sigma * sigma
@@ -490,7 +488,8 @@ def metric_spectrum_report(basis, gens, params):
     trusting the numerics (criterion 12 checks the floor against the exact
     minimum of _spin_ladder on blocks 1..size; on block 0 they are equal);
     the observed value shows the actual margin.
-    Block eigensystems are computed once per call; stacked params give arrays.
+    Block eigensystems are computed once per call; a (4, ...) params stack
+    gives arrays.
     """
     floors = [metric_floor(params, k) for k in basis.blocks()]
     observed = []

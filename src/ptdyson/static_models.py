@@ -57,15 +57,6 @@ class XYModel:
 
 
 @dataclass(frozen=True)
-class KModel:
-    """Coefficients of the algebraic model a K1 + b K2 + i lam K3."""
-
-    a: float
-    b: float
-    lam: float
-
-
-@dataclass(frozen=True)
 class BrokenRegime:
     """Marker value: no real decoupling rotation exists.
 
@@ -128,15 +119,15 @@ def spectrum_xy(omega_x, omega_y, n_max, m_max):
     return _levels(omega_x, omega_y, n_max, m_max)
 
 
-def decouple_K(model):
+def decouple_K(a, b, lam):
     """Rotation parameter and Hermitian image of model two, if they exist.
 
-    Returns (theta, h) with h = (a+b)/2 (K1+K2)
+    Takes the model a K1 + b K2 + i lam K3 as its three numbers and returns
+    (theta, h) with h = (a+b)/2 (K1+K2)
     + sqrt((a-b)^2 - lam^2)/2 (K1-K2) when |lam| < |a - b|, and a
     BrokenRegime marker otherwise.  The broken regime is a value, not an
     error: the spectrum there is still exact, just complex.
     """
-    a, b, lam = model.a, model.b, model.lam
     if lam == 0.0:
         return 0.0, AlgebraElement([a, b, 0.0, 0.0])
     if abs(lam) < abs(a - b):

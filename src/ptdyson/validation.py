@@ -22,7 +22,6 @@ from numpy.polynomial.hermite import hermgauss
 from .algebra_u2 import (
     AlgebraElement,
     BASIS_MATRICES,
-    DysonParams,
     basis_element,
     commutator,
     conjugate,
@@ -48,7 +47,7 @@ from .energy import (
     scenario_h,
     scenario_hamiltonian,
 )
-from .errors import ExceptionalPointError
+from .errors import ConstraintViolationError, ExceptionalPointError
 from .fock_oracle import (
     FockBasis,
     _block_factors,
@@ -79,8 +78,14 @@ from .modes import (
     pedrosa_mode,
     product_specs,
 )
-from .static_models import XYModel, broken_spectrum, decouple_xy
-from .static_models import static_eigenstate
+from .static_models import (
+    BrokenRegime,
+    XYModel,
+    broken_spectrum,
+    decouple_K,
+    decouple_xy,
+    static_eigenstate,
+)
 
 # The gate's inputs in the config schema; cli.DEFAULT_CONFIG holds these dicts
 REFERENCE_CONFIG = {
@@ -463,7 +468,8 @@ def check_invariant_similarity():
     times = sample_times()
     alpha = alpha_coeffs(coeffs, scenario.lam, times)
     g3, g4 = gamma_from_alpha(alpha)
-    image = conjugate(DysonParams(0.0, 0.0, g3, g4), AlgebraElement(alpha)).vector
+    params = np.array(np.broadcast_arrays(0.0, 0.0, g3, g4))
+    image = conjugate(params, AlgebraElement(alpha)).vector
     beta = beta_from_match(coeffs, scenario.lam, times)
     worst_norm = _max_abs(np.linalg.norm(image - beta, axis=0))
     worst_imag = _max_abs(image.imag)
@@ -483,12 +489,18 @@ def check_invariant_similarity():
 
 
 def check_broken_spectrum():
-    a_value, lam_value = _STATIC["k"]["a"], _STATIC["k"]["lam"]
+    a, b, lam = (_STATIC["k"][key] for key in ("a", "b", "lam"))
+    regime = decouple_K(a, b, lam)
+    if not isinstance(regime, BrokenRegime):
+        raise ConstraintViolationError(
+            "static.k must lie in the broken regime |a - b| <= |lam|, lam != 0, "
+            f"got a = {a}, b = {b}, lam = {lam}"
+        )
     basis = FockBasis(_ORACLE["size"])
-    numeric = broken_spectrum_numeric(a_value, lam_value, basis)
+    numeric = broken_spectrum_numeric(a, b, lam, basis)
     # every level n + m <= size, block k holding n + m = k by m = 0..k
     total, m = np.tril_indices(basis.size + 1)
-    exact = broken_spectrum(a_value, lam_value, total - m, m)
+    exact = broken_spectrum(regime.mean, regime.split, total - m, m)
     worst = worst_conj = 0.0
     for k, block in enumerate(numeric):
         closed = sort_along_line(exact[basis.block_slice(k)])
@@ -595,7 +607,7 @@ def _fock_frame_equivalence(scenario, times):
     params = scenario_params(consts, scenario.lam, times, q1=scenario.q1)
     f_plus, f_minus = (f[:, None, None] for f in f_pm(scenario, times))
     tilde = energy_operator(
-        scenario.a(times), scenario.lam(times), params.gamma3, params.gamma4
+        scenario.a(times), scenario.lam(times), params[2], params[3]
     )
     blocks = zip(gens, _block_factors(gens), element_matrix(tilde, gens))
     lhs = rhs = 0.0
@@ -623,7 +635,7 @@ def check_metric_positivity():
     params = scenario_params(consts, scenario.lam, sample_times(), q1=scenario.q1)
     safe = build_generators(basis)[: size - buffer + 1]
     floors, observed = metric_spectrum_report(basis, safe, params)
-    eta0 = np.exp(0.5 * params.as_array()[:2].sum(0))[..., None, None]
+    eta0 = np.exp(0.5 * params[:2].sum(0))[..., None, None]
     exact = _spin_ladder(eta0, eta0 * group_matrix(params), size)[1] ** 2
     ladder_gap = max(_max_abs(obs / exact[k] - 1.0) for k, obs in enumerate(observed))
     # block 0's floor is its exact value by construction; the rest must lie below
@@ -659,7 +671,7 @@ def check_exceptional_point():
             raised_at.append(err.bound == bound)
     worst = 0.0
     all_real = True
-    for coupling in (0.2, 0.5, 0.9, 0.99):
+    for coupling in (0.2 * bound, 0.5 * bound, 0.9 * bound, 0.99 * bound):
         theta, wx, wy = decouple_xy(XYModel(mass, omega_x, omega_y, coupling))
         all_real = all_real and np.isfinite([theta, wx, wy]).all()
         matrix = np.array(

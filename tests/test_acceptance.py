@@ -16,6 +16,7 @@ from ptdyson import ModeSpec, f_minus_profile, f_plus_profile, k1_expectation
 from ptdyson import dyson, fock_oracle, invariants, modes, validation
 from ptdyson.algebra_u2 import AlgebraElement, commutator
 from ptdyson.dyson import chi_closed_form, first_derivative, gamma_closed_form
+from ptdyson.errors import ConstraintViolationError
 from ptdyson.invariants import beta_from_evolution, gamma_from_alpha
 from ptdyson.static_models import XYModel, broken_spectrum, static_eigenstate
 
@@ -393,3 +394,82 @@ def test_the_gate_reads_its_scenarios_q1(monkeypatch):
     assert [r.number for r in results if not r.passed] == []
     line = results[11].line()
     assert "observed block minimum (safe blocks): 3.480e-14" in line, line
+
+
+def _set_static_k(monkeypatch, a, b, lam):
+    for key, value in (("a", a), ("b", b), ("lam", lam)):
+        monkeypatch.setitem(validation.REFERENCE_CONFIG["static"]["k"], key, value)
+
+
+def test_criterion_07_checks_the_records_partially_broken_model(monkeypatch):
+    _set_static_k(monkeypatch, 1.0, 2.0, 3.0)
+    result = validation.check_broken_spectrum()
+    assert result.passed, result.line()
+    # the a = b model's levels, which ignore b, do not pass for this record
+    numeric = fock_oracle.broken_spectrum_numeric
+    monkeypatch.setattr(
+        validation,
+        "broken_spectrum_numeric",
+        lambda a, b, lam, basis: numeric(a, a, lam, basis),
+    )
+    assert _failing(validation.check_broken_spectrum) == [
+        "number-basis vs closed form (all blocks)"
+    ]
+
+
+def test_criterion_07_refuses_a_record_outside_the_broken_regime(monkeypatch):
+    _set_static_k(monkeypatch, 1.0, 2.0, 0.5)
+    with pytest.raises(ConstraintViolationError, match=r"^static\.k "):
+        validation.check_broken_spectrum()
+
+
+@pytest.mark.parametrize("factor", [1.01, 1.1])
+def test_criterion_13_holds_below_a_lowered_bound(monkeypatch, factor):
+    # raising omega_x lowers the exceptional-point bound below the
+    # couplings 0.9 and 0.99; the check scales its couplings to the bound
+    xy = validation.REFERENCE_CONFIG["static"]["xy"]
+    monkeypatch.setitem(xy, "omega_x", factor * xy["omega_x"])
+    result = validation.check_exceptional_point()
+    assert result.passed, result.line()
+
+
+# Fields of the record no criterion reads, and why
+UNREAD_FIELDS = {
+    "static.xy.coupling": "criterion 13 sets its own couplings from the bound",
+    "static.xy.n_max": "a table size of `ptdyson spectrum` only",
+    "static.xy.m_max": "a table size of `ptdyson spectrum` only",
+    "static.k.n_max": "a table size of `ptdyson spectrum` only",
+}
+
+
+def _numeric_fields(record, path=""):
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield from _numeric_fields(value, f"{path}{key}.")
+        elif not isinstance(value, str):
+            yield f"{path}{key}"
+
+
+RECORD_FIELDS = list(_numeric_fields(validation.REFERENCE_CONFIG))
+
+
+def test_the_record_has_31_numeric_fields():
+    assert len(RECORD_FIELDS) == 31
+    assert set(UNREAD_FIELDS) <= set(RECORD_FIELDS)
+
+
+@pytest.mark.parametrize("path", RECORD_FIELDS)
+def test_every_field_of_the_record_moves_the_gate(monkeypatch, results, path):
+    *parents, key = path.split(".")
+    section = validation.REFERENCE_CONFIG
+    for name in parents:
+        section = section[name]
+    value = section[key]
+    if isinstance(value, int):
+        moved = value + 1
+    else:
+        moved = 1.1 * value if value else 0.1
+    monkeypatch.setitem(section, key, moved)
+    report = validation.format_report(validation.run_all())
+    unchanged = report == validation.format_report(results)
+    assert unchanged == (path in UNREAD_FIELDS), report

@@ -5,7 +5,6 @@ from scipy.linalg import expm
 from ptdyson import (
     AlgebraElement,
     BASIS_MATRICES,
-    DysonParams,
     basis_element,
     commutator,
     conjugate,
@@ -18,7 +17,7 @@ from ptdyson.algebra_u2 import _element, _image, _last, _product
 
 def group_inverse(params):
     # eta^{-1} from the reversed negated factors, no matrix inverse
-    return _last(_product(-params.as_array(), (4, 3, 2, 1)))
+    return _last(_product(-params, (4, 3, 2, 1)))
 
 
 # full bracket table among the four generators; entries are the coefficient
@@ -107,7 +106,7 @@ def test_factor_matrix_vs_expm():
         for gamma in rng.normal(scale=0.8, size=3):
             g = np.zeros(4)
             g[i - 1] = gamma
-            direct = group_matrix(DysonParams(*g))
+            direct = group_matrix(g)
             ref = expm(gamma * BASIS_MATRICES[i - 1])
             assert np.max(np.abs(direct - ref)) < 1e-13
 
@@ -116,7 +115,7 @@ def test_group_matrix_is_ordered_product():
     rng = np.random.default_rng(17)
     for _ in range(8):
         g = rng.normal(scale=0.7, size=4)
-        params = DysonParams(*g)
+        params = g
         ref = np.eye(2, dtype=complex)
         for i in range(1, 5):
             ref = ref @ expm(g[i - 1] * BASIS_MATRICES[i - 1])
@@ -128,7 +127,7 @@ def test_group_matrix_is_ordered_product():
 def test_conjugate_identity_params():
     rng = np.random.default_rng(23)
     a = random_element(rng, complex_coeffs=True)
-    out = conjugate(DysonParams(0.0, 0.0, 0.0, 0.0), a)
+    out = conjugate(np.zeros(4), a)
     assert np.max(np.abs(out.vector - a.vector)) < 1e-15
 
 
@@ -137,7 +136,7 @@ def test_conjugate_fixes_central_element():
     central = basis_element(1) + basis_element(2)
     rng = np.random.default_rng(29)
     for _ in range(6):
-        params = DysonParams(*rng.normal(scale=0.9, size=4))
+        params = rng.normal(scale=0.9, size=4)
         out = conjugate(params, central)
         assert np.max(np.abs(out.vector - central.vector)) < 1e-12
 
@@ -146,7 +145,7 @@ def test_conjugate_preserves_spectrum():
     rng = np.random.default_rng(31)
     for _ in range(10):
         a = random_element(rng, complex_coeffs=True)
-        params = DysonParams(*rng.normal(scale=0.6, size=4))
+        params = rng.normal(scale=0.6, size=4)
         ev_before = np.sort_complex(np.linalg.eigvals(to_matrix(a)))
         ev_after = np.sort_complex(np.linalg.eigvals(to_matrix(conjugate(params, a))))
         assert np.max(np.abs(ev_before - ev_after)) < 1e-12
@@ -157,14 +156,14 @@ def test_conjugate_is_bracket_homomorphism():
     for _ in range(6):
         a = random_element(rng, complex_coeffs=True)
         b = random_element(rng, complex_coeffs=True)
-        params = DysonParams(*rng.normal(scale=0.5, size=4))
+        params = rng.normal(scale=0.5, size=4)
         lhs = conjugate(params, commutator(a, b)).vector
         rhs = commutator(conjugate(params, a), conjugate(params, b)).vector
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_time_term_zero_rates():
-    params = DysonParams(0.1, -0.2, 0.4, 0.3)
+    params = np.array([0.1, -0.2, 0.4, 0.3])
     out = time_term(params, np.zeros(4))
     assert np.max(np.abs(out.vector)) == 0.0
 
@@ -172,7 +171,7 @@ def test_time_term_zero_rates():
 def test_time_term_leading_mixing_rate():
     # with the first two angles zero, a pure rate on the third factor
     # contributes i * rate * K3 no matter what the angles are
-    params = DysonParams(0.0, 0.0, 0.8, -0.5)
+    params = np.array([0.0, 0.0, 0.8, -0.5])
     out = time_term(params, np.array([0.0, 0.0, 0.3, 0.0]))
     assert np.max(np.abs(out.vector - np.array([0, 0, 0.3j, 0]))) < 1e-14
 
@@ -187,10 +186,10 @@ def test_time_term_matches_difference_quotient():
 
     h = 1e-5
     for t in (0.3, 1.1, 2.4):
-        plus = group_matrix(DysonParams(*angles(t + h)))
-        minus = group_matrix(DysonParams(*angles(t - h)))
-        fd = (plus - minus) / (2.0 * h) @ group_inverse(DysonParams(*angles(t)))
-        term = time_term(DysonParams(*angles(t)), rates(t))
+        plus = group_matrix(angles(t + h))
+        minus = group_matrix(angles(t - h))
+        fd = (plus - minus) / (2.0 * h) @ group_inverse(angles(t))
+        term = time_term(angles(t), rates(t))
         # the returned element is i * etadot eta^-1
         assert np.max(np.abs(to_matrix(term) - 1j * fd)) < 1e-9
 
@@ -252,11 +251,11 @@ def test_group_helpers_match_expm_products(layout):
     g = rng.uniform(-8.0, 8.0, size=(4, count))
     if layout == "broadcast":
         g[1] = g[0] = g[0, 0]
-        params = DysonParams(g[0, 0], g[1, 0], g[2], g[3])
+        params = np.array(np.broadcast_arrays(g[0, 0], g[1, 0], g[2], g[3]))
     elif layout == "scalar":
-        params = DysonParams(*g[:, 0])
+        params = g[:, 0]
     else:
-        params = DysonParams(*g)
+        params = g
     c = rng.normal(size=(4, count)) + 1j * rng.normal(size=(4, count))
     gdot = rng.normal(size=(4, count))
     if layout == "scalar":
@@ -298,10 +297,10 @@ def test_stacked_group_helpers_equal_per_sample_calls_bit_for_bit():
     c = rng.normal(size=(4, count)) + 1j * rng.normal(size=(4, count))
     gdot = rng.normal(size=(4, count))
     for params, one in (
-        (DysonParams(*g), lambda k: DysonParams(*g[:, k])),
+        (g, lambda k: g[:, k]),
         (
-            DysonParams(0.4, 0.4, g[2], g[3]),
-            lambda k: DysonParams(0.4, 0.4, g[2, k], g[3, k]),
+            np.array(np.broadcast_arrays(0.4, 0.4, g[2], g[3])),
+            lambda k: np.array([0.4, 0.4, g[2, k], g[3, k]]),
         ),
     ):
         eta, inv = group_matrix(params), group_inverse(params)
@@ -317,7 +316,7 @@ def test_stacked_group_helpers_equal_per_sample_calls_bit_for_bit():
 
 def test_scalar_params_broadcast_against_stacked_coefficients():
     rng = np.random.default_rng(71)
-    params = DysonParams(*rng.normal(size=4))
+    params = rng.normal(size=4)
     c = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
     gdot = rng.normal(size=(4, 6))
     image = conjugate(params, AlgebraElement(c)).vector

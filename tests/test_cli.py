@@ -19,7 +19,7 @@ import pytest
 
 from ptdyson import cli, fock_oracle, modes, profiles, validation
 from ptdyson.errors import ConfigError
-from ptdyson.static_models import BrokenRegime, KModel, XYModel, decouple_K, decouple_xy
+from ptdyson.static_models import BrokenRegime, XYModel, decouple_K, decouple_xy
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -493,7 +493,7 @@ def per_level_spectra(cfg):
         for m in range(xy["m_max"] + 1)
     )
     pairs = [(n, m) for n in range(k["n_max"] + 1) for m in range(k["n_max"] + 1)]
-    result = decouple_K(KModel(k["a"], k["b"], k["lam"]))
+    result = decouple_K(k["a"], k["b"], k["lam"])
     if isinstance(result, BrokenRegime):
         a, lam = k["a"], k["lam"]
         energies = (complex(a * (1 + n + m), 0.5 * lam * (n - m)) for n, m in pairs)
@@ -585,6 +585,59 @@ def test_an_overflowing_level_table_fails_without_a_warning(tmp_path, static, me
     assert proc.returncode == 3
     assert proc.stderr == f"numerical failure: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+_EXPONENTIAL_LAM = {"kind": "exponential", "offset": 0.5, "amp": 0.3, "rate": 80.0}
+
+
+@pytest.mark.parametrize(
+    "command, config, status, failure",
+    [
+        # cosh(2 (q2 - L)) overflows, and the split it divides tends to 0
+        ("evolve", {"scenario": {"q2": 400}}, 0, None),
+        (
+            "oracle",
+            {"scenario": {"q2": 400}},
+            3,
+            "dyson_residual = nan at t = 0 in oracle.csv",
+        ),
+        (
+            "evolve",
+            {"scenario": {"lam": _EXPONENTIAL_LAM}},
+            3,
+            "gamma3 = -inf at t = 0.20100502512562815 in evolve.csv",
+        ),
+        (
+            "evolve",
+            {"scenario": {"a": {"kind": "polynomial", "coeffs": [1e200, 1e200]}}},
+            3,
+            "dyson_residual = inf at t = 0 in evolve.csv",
+        ),
+    ],
+    ids=["evolve-q2", "oracle-q2", "evolve-exponential-lam", "evolve-polynomial-a"],
+)
+def test_numpy_warnings_stay_off_stderr(tmp_path, command, config, status, failure):
+    cfg = write_config(tmp_path, config)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "ptdyson.cli",
+            command,
+            "--config",
+            cfg,
+            "--out",
+            str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == status
+    if failure is None:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr == f"numerical failure: {failure}; no file written\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ptdyson import (
-    DysonParams,
     EPConstants,
     TimeProfile,
     chi_closed_form,
@@ -323,7 +322,7 @@ def test_energy_operator_is_conjugated_counterpart():
     for _ in range(10):
         a_v, lam_v = rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0)
         g3, g4 = rng.normal(scale=0.8, size=2)
-        params = DysonParams(0.0, 0.0, g3, g4)
+        params = np.array([0.0, 0.0, g3, g4])
         h = hermitian_counterpart(a_v, lam_v, g3, g4)
         m = np.linalg.inv(group_matrix(params)) @ to_matrix(h) @ group_matrix(params)
         # decode the 2x2 image: K1, K2 on the diagonal, K3 and K4 off it
@@ -336,7 +335,7 @@ def test_energy_operator_is_conjugated_counterpart():
 
 def test_residual_vanishes_for_static_map():
     lam0 = TimeProfile.constant(0.0)
-    params = DysonParams(0.0, 0.0, 0.9, -0.3)
+    params = np.array([0.0, 0.0, 0.9, -0.3])
     # the coupling term is exactly absent; what remains is rounding in the
     # matrix sandwich
     assert dyson_residual(A, lam0, params, np.zeros(4), 1.7) < 1e-14
@@ -355,7 +354,7 @@ def test_residual_detects_off_manifold_parameters():
     t = 1.3
     params = scenario_params(c, LAM, t)
     rates = scenario_rates(c, LAM, t)
-    bad = DysonParams(0.0, 0.0, params.gamma3 + 0.1, params.gamma4)
+    bad = np.array([0.0, 0.0, params[2] + 0.1, params[3]])
     assert dyson_residual(A, LAM, bad, rates, t) > 1e-3
 
 
@@ -363,8 +362,8 @@ def test_scenario_rates_match_difference_quotient():
     c = EPConstants(q2=1.0, q3=0.4)
     h = 1e-5
     for t in (0.4, 1.9, 7.2):
-        plus = scenario_params(c, LAM, t + h).as_array()
-        minus = scenario_params(c, LAM, t - h).as_array()
+        plus = scenario_params(c, LAM, t + h)
+        minus = scenario_params(c, LAM, t - h)
         fd = (plus - minus) / (2 * h)
         assert np.max(np.abs(scenario_rates(c, LAM, t) - fd)) < 1e-7
 

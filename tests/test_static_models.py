@@ -5,7 +5,6 @@ import pytest
 
 from ptdyson import (
     BrokenRegime,
-    KModel,
     XYModel,
     broken_spectrum,
     decouple_K,
@@ -98,11 +97,11 @@ def test_spectrum_listing():
 
 
 def test_k_model_decoupling():
-    theta, h = decouple_K(KModel(a=1.0, b=1.0, lam=0.0))
+    theta, h = decouple_K(1.0, 1.0, 0.0)
     assert theta == 0.0
     assert np.max(np.abs(h.vector - np.array([1.0, 1.0, 0, 0]))) == 0.0
 
-    theta, h = decouple_K(KModel(a=1.0, b=3.0, lam=1.0))
+    theta, h = decouple_K(1.0, 3.0, 1.0)
     assert abs(theta - np.arctanh(0.5)) < 1e-15
     split = 0.5 * np.sqrt(3.0)
     assert abs(h.vector[0] - (2.0 + split)) < 1e-14
@@ -112,20 +111,20 @@ def test_k_model_decoupling():
 
 def test_k_model_decoupling_preserves_spectrum():
     # similarity transforms preserve the 2x2 image spectrum
-    model = KModel(a=1.0, b=3.0, lam=1.0)
-    theta, h = decouple_K(model)
-    start = np.array([[model.a, 0.5j * model.lam], [0.5j * model.lam, model.b]])
+    a, b, lam = 1.0, 3.0, 1.0
+    theta, h = decouple_K(a, b, lam)
+    start = np.array([[a, 0.5j * lam], [0.5j * lam, b]])
     ev_start = np.sort_complex(np.linalg.eigvals(start))
     ev_h = np.sort_complex(np.linalg.eigvals(to_matrix(h)))
     assert np.max(np.abs(ev_start - ev_h)) < 1e-14
 
 
 def test_k_model_broken_regimes():
-    fully = decouple_K(KModel(a=1.0, b=1.0, lam=0.4))
+    fully = decouple_K(1.0, 1.0, 0.4)
     assert isinstance(fully, BrokenRegime) and fully.complete
-    partially = decouple_K(KModel(a=1.0, b=1.5, lam=0.8))
+    partially = decouple_K(1.0, 1.5, 0.8)
     assert isinstance(partially, BrokenRegime) and not partially.complete
-    boundary = decouple_K(KModel(a=1.0, b=1.5, lam=0.5))
+    boundary = decouple_K(1.0, 1.5, 0.5)
     assert isinstance(boundary, BrokenRegime)
 
 
@@ -133,10 +132,10 @@ def test_complete_breaking_carries_a_and_lam_bit_for_bit():
     # the a = b levels stay a (1 + n + m) + i (lam/2)(n - m) exactly, with
     # no overflow where a + b would overflow
     for a, lam in ((1.0, 0.4), (1.0, -0.7), (0.3, 1e-300), (1e308, 0.4), (-2.5, 3.0)):
-        regime = decouple_K(KModel(a=a, b=a, lam=lam))
+        regime = decouple_K(a, a, lam)
         assert (regime.mean, regime.split) == (a, lam)
     # partially broken: (a + b)/2 and sgn(lam) sqrt(lam^2 - (a - b)^2)
-    regime = decouple_K(KModel(a=1.0, b=2.0, lam=-3.0))
+    regime = decouple_K(1.0, 2.0, -3.0)
     assert regime.mean == 1.5
     assert abs(regime.split + math.sqrt(8.0)) < 1e-15
 

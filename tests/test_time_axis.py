@@ -14,7 +14,6 @@ import pytest
 
 from ptdyson import (
     AlgebraElement,
-    DysonParams,
     EPConstants,
     ModeSpec,
     Scenario,
@@ -79,8 +78,8 @@ def value_columns(t):
     params = scenario_params(CONSTS, lam, t, q1=SCENARIO.q1)
     f_plus, f_minus = f_pm(SCENARIO, t)
     return [
-        params.gamma3,
-        params.gamma4,
+        params[2],
+        params[3],
         *scenario_rates(CONSTS, lam, t),
         *beta_from_match(COEFFS, lam, t),
         f_plus,
@@ -145,14 +144,14 @@ def test_stacked_conjugate_and_time_term_match_per_sample():
     count = 9
     # scalar first pair broadcast against per-sample mixing angles
     g3, g4 = rng.normal(scale=0.8, size=(2, count))
-    params = DysonParams(0.3, 0.3, g3, g4)
+    params = np.array(np.broadcast_arrays(0.3, 0.3, g3, g4))
     coeffs = rng.normal(size=(4, count)) + 1j * rng.normal(size=(4, count))
     rates = rng.normal(size=(4, count))
     image = conjugate(params, AlgebraElement(coeffs)).vector
     term = time_term(params, rates).vector
     assert image.shape == term.shape == (4, count)
     for k in range(count):
-        one = DysonParams(0.3, 0.3, g3[k], g4[k])
+        one = np.array([0.3, 0.3, g3[k], g4[k]])
         want_image = conjugate(one, AlgebraElement(coeffs[:, k])).vector
         want_term = time_term(one, rates[:, k]).vector
         np.testing.assert_allclose(image[:, k], want_image, rtol=1e-14, atol=1e-14)
