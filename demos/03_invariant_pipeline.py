@@ -9,7 +9,6 @@ from ptdyson import (
     gamma_from_alpha,
     hermitian_counterpart,
     invariant_coeffs_for,
-    invariant_element,
     nonhermitian_hamiltonian,
     similarity_residual,
     scenario_params,
@@ -24,7 +23,7 @@ print("derived constants: c5..c8 =", coeffs.c5, coeffs.c6, coeffs.c7, coeffs.c8)
 
 # non-Hermitian frame: the element built from the alpha flow is conserved
 def inv_nh(t):
-    return invariant_element(coeffs, lam, t)
+    return AlgebraElement(alpha_coeffs(coeffs, lam, t))
 
 def ham_nh(t):
     return nonhermitian_hamiltonian(a(t), lam(t))

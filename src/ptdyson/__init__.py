@@ -75,7 +75,6 @@ from .invariants import (
     conservation_residual,
     gamma_from_alpha,
     invariant_coeffs_for,
-    invariant_element,
     similarity_residual,
 )
 from .modes import (

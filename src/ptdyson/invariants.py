@@ -9,11 +9,14 @@ with L(t) the running integral of lam and complex constants c1..c4,
 
 Demanding that the similarity image eta I_H eta^{-1} be Hermitian pins the
 map parameters g3, g4 through ratios of the alpha components and imposes
-matching constraints on the constants (checked eagerly at construction):
+matching constraints on the constants:
 
     Im c1 = 0,   4 Re(c3) Im(c3) = -Re(c2) Im(c2),   2 |Re c3| > |Im c2|,
 
 plus Im c4 = 0, which every closed-form identity downstream relies on.
+InvariantCoeffs builds the constants from the map trajectory's (q2, q3) and
+the three free reals c1, Re c2, Re c3, so the constraints hold by
+construction (the third is |q3| < 1).
 The Hermitian-side invariant I_h = sum_i beta_i K_i comes out two ways, a
 radical closed form (beta_from_match) and the solution of its own evolution
 system (beta_from_evolution); both take (coeffs, lam, t), and with the
@@ -32,101 +35,66 @@ from .algebra_u2 import AlgebraElement, commutator, conjugate
 from .dyson import EPConstants, first_derivative
 from .errors import ConstraintViolationError, _square
 
-_CONSTRAINT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class InvariantCoeffs:
-    """Integration constants c1..c4 of the conserved-operator family.
+    """The conserved-operator family whose map trajectory has the given (q2, q3).
 
-    branch (+1 or -1) picks the sign pairing of the radical closed forms.
-    The derived real constants c5..c8 parameterize the evolution-route
-    solution; they are only defined for Re(c3) > 0 (None otherwise).
+    c1, Re c2 = c2_real and a nonzero Re c3 = c3_real are free; the complex
+    constants follow as c2 = c2_real - 2 i c3_real q3, Im c3 from the
+    matching constraint, and c4 = q2.  The derived real constants c5..c8
+    parameterize the evolution-route solution; they are only defined for
+    c3_real > 0 (None otherwise).
     """
 
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-    branch: int = 1
+    q2: float
+    q3: float
+    c1: float = 1.0
+    c2_real: float = 0.5
+    c3_real: float = 0.8
+    c2: complex = field(init=False)
+    c3: complex = field(init=False)
+    c4: complex = field(init=False)
     c5: float = field(init=False)
     c6: float = field(init=False)
     c7: float = field(init=False)
     c8: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c3", "c4"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        if self.branch not in (1, -1):
-            raise ConstraintViolationError("branch must be +1 or -1")
-        scale = max(1.0, *(abs(getattr(self, n)) for n in ("c1", "c2", "c3", "c4")))
-        if abs(self.c1.imag) > _CONSTRAINT_TOL * scale:
+        for name in ("q2", "q3", "c1", "c2_real", "c3_real"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        # Im c3 divides by Re c3; the refusal comes before the division
+        if self.c3_real == 0.0:
             raise ConstraintViolationError(
-                f"Im c1 = 0 required, got {self.c1.imag}"
+                f"c3_real must be nonzero, got {self.c3_real}"
             )
-        # relative to scale**2: the scaled products cannot overflow
-        c2, c3 = self.c2 / scale, self.c3 / scale
-        mismatch = 4.0 * c3.real * c3.imag + c2.real * c2.imag
-        if abs(mismatch) > _CONSTRAINT_TOL:
-            raise ConstraintViolationError(
-                "4 Re(c3) Im(c3) = -Re(c2) Im(c2) required, "
-                f"mismatch = {mismatch} relative to max(1, |c1|..|c4|)^2"
-            )
-        if not 2.0 * abs(self.c3.real) > abs(self.c2.imag):
-            raise ConstraintViolationError(
-                "2 |Re c3| > |Im c2| required, got "
-                f"2|Re c3| = {2 * abs(self.c3.real)}, |Im c2| = {abs(self.c2.imag)}"
-            )
-        if abs(self.c4.imag) > _CONSTRAINT_TOL * scale:
-            raise ConstraintViolationError(
-                f"Im c4 = 0 required, got {self.c4.imag}"
-            )
-        if self.c3.real > 0.0:
-            s = float(self.branch)
+        consts = self.ep_constants()  # EPConstants owns the |q3| < 1 check
+        c2 = complex(self.c2_real, -2.0 * self.c3_real * self.q3)
+        c3 = complex(self.c3_real, -self.c2_real * c2.imag / (4.0 * self.c3_real))
+        c5 = c6 = c7 = c8 = None
+        if self.c3_real > 0.0:
             root = np.sqrt(
-                4.0 * _square("Re c3", self.c3.real) - _square("Im c2", self.c2.imag)
+                4.0 * _square("Re c3", self.c3_real) - _square("Im c2", c2.imag)
             )
-            c5 = 0.5 * self.c1.real + 0.5 * s * root
-            c6 = 0.5 * self.c1.real - 0.5 * s * root
-            c7 = s * self.c2.real * root / (2.0 * self.c3.real)
-            c8 = -self.ep_constants()._splitting_primitive(self.c4.real)
-            for name, value in zip(("c5", "c6", "c7", "c8"), (c5, c6, c7, c8)):
-                object.__setattr__(self, name, float(value))
-        else:
-            for name in ("c5", "c6", "c7", "c8"):
-                object.__setattr__(self, name, None)
+            c5 = float(0.5 * self.c1 + 0.5 * root)
+            c6 = float(0.5 * self.c1 - 0.5 * root)
+            c7 = float(self.c2_real * root / (2.0 * self.c3_real))
+            c8 = float(-consts._splitting_primitive(self.q2))
+        derived = (c2, c3, complex(self.q2), c5, c6, c7, c8)
+        for name, value in zip(("c2", "c3", "c4", "c5", "c6", "c7", "c8"), derived):
+            object.__setattr__(self, name, value)
 
     def ep_constants(self):
         """Constants of the closed-form map trajectory this family selects.
 
-        q2 = Re c4 and q3 = -Im(c2) / (2 Re c3); the sign makes the
-        g3, g4 recovered from the Hermiticity ratios coincide with the
-        canonical closed forms (the other sign lands on the mirrored map
-        that negates g4).
+        With Im c2 = -2 Re(c3) q3 the g3, g4 recovered from the Hermiticity
+        ratios coincide with the canonical closed forms (the other sign
+        lands on the mirrored map that negates g4).
         """
-        return EPConstants(
-            q2=self.c4.real, q3=-self.c2.imag / (2.0 * self.c3.real)
-        )
+        return EPConstants(q2=self.q2, q3=self.q3)
 
 
-def invariant_coeffs_for(scenario_q2, scenario_q3, c1=1.0, c2_real=0.5,
-                         c3_real=0.8, branch=1):
-    """The constant family whose map trajectory has the given (q2, q3).
-
-    Inverts ep_constants: Im c2 = -2 Re(c3) q3, and Im c3 follows from the
-    matching constraint.  c1, Re c2 and a nonzero Re c3 stay free.
-    """
-    if c3_real == 0.0:
-        raise ConstraintViolationError(f"c3_real must be nonzero, got {c3_real}")
-    c2_imag = -2.0 * c3_real * scenario_q3
-    c3_imag = -c2_real * c2_imag / (4.0 * c3_real)
-    return InvariantCoeffs(
-        c1=complex(c1),
-        c2=complex(c2_real, c2_imag),
-        c3=complex(c3_real, c3_imag),
-        c4=complex(scenario_q2),
-        branch=branch,
-    )
+invariant_coeffs_for = InvariantCoeffs
 
 
 def alpha_coeffs(coeffs, lam, t):
@@ -141,11 +109,6 @@ def alpha_coeffs(coeffs, lam, t):
     alpha3 = np.full_like(alpha1, coeffs.c2)
     alpha4 = 2.0j * coeffs.c3 * np.sinh(u)
     return np.array([alpha1, alpha2, alpha3, alpha4], dtype=complex)
-
-
-def invariant_element(coeffs, lam, t):
-    """alpha_coeffs packaged as an AlgebraElement, stacked over array t."""
-    return AlgebraElement(alpha_coeffs(coeffs, lam, t))
 
 
 def gamma_from_alpha(alpha):
@@ -196,23 +159,21 @@ def gamma_from_alpha(alpha):
 def beta_from_match(coeffs, lam, t):
     """Hermitian-side coefficient 4-vector, radical closed form.
 
-    beta1 and beta2 are constant in t and anti-correlated in coeffs.branch
-    (their sum is Re c1); beta3, beta4 carry the time dependence.
+    beta1 and beta2 are constant in t (their sum is c1); beta3, beta4 carry
+    the time dependence.
     """
-    s = float(coeffs.branch)
-    c1r = coeffs.c1.real
-    c2r, c2i = coeffs.c2.real, coeffs.c2.imag
-    c3r = coeffs.c3.real
+    c2r, c2i = coeffs.c2_real, coeffs.c2.imag
+    c3r = coeffs.c3_real
     c3r_sq = _square("Re c3", c3r)
-    # The eager bound 2|Re c3| > |Im c2| keeps r2 > 0.
+    # r2 = 4 c3r^2 (1 - q3^2) > 0, since the family's |q3| < 1
     r2 = 4.0 * c3r_sq - _square("Im c2", c2i)
-    u = coeffs.c4.real - np.asarray(lam.cumulative(t), dtype=float)
+    u = coeffs.q2 - np.asarray(lam.cumulative(t), dtype=float)
     d = np.sqrt(4.0 * c3r_sq - (c2i / np.cosh(u)) ** 2)
     root = np.sqrt(r2)
-    beta1 = 0.5 * c1r + 0.5 * s * root
-    beta2 = 0.5 * c1r - 0.5 * s * root
-    beta3 = s * (c2r / (2.0 * c3r)) * r2 / d
-    beta4 = s * (c2r * c2i / (2.0 * c3r)) * (root / d) * np.tanh(u)
+    beta1 = 0.5 * coeffs.c1 + 0.5 * root
+    beta2 = 0.5 * coeffs.c1 - 0.5 * root
+    beta3 = (c2r / (2.0 * c3r)) * r2 / d
+    beta4 = (c2r * c2i / (2.0 * c3r)) * (root / d) * np.tanh(u)
     return np.array(np.broadcast_arrays(beta1, beta2, beta3, beta4), dtype=float)
 
 

@@ -68,7 +68,6 @@ from .invariants import (
     conservation_residual,
     gamma_from_alpha,
     invariant_coeffs_for,
-    invariant_element,
 )
 from .modes import (
     ModeSpec,
@@ -380,7 +379,7 @@ def check_route_equivalence():
     scenario = default_scenario()
     consts = scenario.ep_constants()
     times = sample_times()
-    g30, g40 = gamma_closed_form(scenario.lam, consts, 0.0)
+    g30, g40 = gamma_closed_form(scenario.lam, consts, times[0])
     ode3, ode4 = solve_gamma_ode(scenario.lam, g30, g40, times)
     g3, g4 = gamma_closed_form(scenario.lam, consts, times)
     d3 = _max_abs(ode3 - g3)
@@ -434,7 +433,7 @@ def check_invariant_conservation():
     coeffs = default_invariant_coeffs()
 
     def elem_broken(t):
-        return invariant_element(coeffs, scenario.lam, t)
+        return AlgebraElement(alpha_coeffs(coeffs, scenario.lam, t))
 
     def ham_broken(t):
         return scenario_hamiltonian(scenario, t)
@@ -661,7 +660,8 @@ def check_metric_positivity():
 def check_exceptional_point():
     xy = _STATIC["xy"]
     mass, omega_x, omega_y = xy["m"], xy["omega_x"], xy["omega_y"]
-    bound = mass * (omega_y**2 - omega_x**2) / 2.0
+    # the bound is recomputed here, not read from XYModel.ep_bound, which it checks
+    bound = mass * abs(omega_y**2 - omega_x**2) / 2.0
     raised_at = []
     for coupling in (bound, -bound, bound * (1.0 + 1e-12), 2.0 * bound):
         try:
@@ -682,7 +682,7 @@ def check_exceptional_point():
         worst = max(worst, _max_abs(eigs.imag))
         worst = max(
             worst,
-            _max_abs(eigs.real - mass * np.array([wx**2, wy**2])),
+            _max_abs(eigs.real - mass * np.sort([wx**2, wy**2])),
         )
     return CheckResult(
         13,

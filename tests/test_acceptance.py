@@ -451,6 +451,14 @@ def _numeric_fields(record, path=""):
 
 
 RECORD_FIELDS = list(_numeric_fields(validation.REFERENCE_CONFIG))
+# the one perturbation that is not a single field
+SWAPPED_XY = "static.xy.omega_x<->omega_y"
+
+# Subchecks a perturbed record fails, as (criterion, label); every other
+# perturbation passes the whole gate.  A longer grid lets the image's
+# imaginary leakage reach 1.046e-12 against its 1e-12 bound: rounding noise
+# (ROADMAP.md, open item on that reading), and the bound stays where it is.
+FAILING = {"grid.t_end": [(6, "imaginary leakage of the image")]}
 
 
 def test_the_record_has_31_numeric_fields():
@@ -458,8 +466,15 @@ def test_the_record_has_31_numeric_fields():
     assert set(UNREAD_FIELDS) <= set(RECORD_FIELDS)
 
 
-@pytest.mark.parametrize("path", RECORD_FIELDS)
-def test_every_field_of_the_record_moves_the_gate(monkeypatch, results, path):
+def _perturb(monkeypatch, path):
+    """Move one field of the record (an int by 1, a float by 10%), or swap
+    the two XY frequencies."""
+    if path == SWAPPED_XY:
+        xy = validation.REFERENCE_CONFIG["static"]["xy"]
+        omega_x, omega_y = xy["omega_x"], xy["omega_y"]
+        monkeypatch.setitem(xy, "omega_x", omega_y)
+        monkeypatch.setitem(xy, "omega_y", omega_x)
+        return
     *parents, key = path.split(".")
     section = validation.REFERENCE_CONFIG
     for name in parents:
@@ -470,6 +485,14 @@ def test_every_field_of_the_record_moves_the_gate(monkeypatch, results, path):
     else:
         moved = 1.1 * value if value else 0.1
     monkeypatch.setitem(section, key, moved)
-    report = validation.format_report(validation.run_all())
+
+
+@pytest.mark.parametrize("path", RECORD_FIELDS + [SWAPPED_XY])
+def test_every_field_of_the_record_moves_the_gate(monkeypatch, results, path):
+    _perturb(monkeypatch, path)
+    perturbed = validation.run_all()
+    report = validation.format_report(perturbed)
     unchanged = report == validation.format_report(results)
     assert unchanged == (path in UNREAD_FIELDS), report
+    failing = [(r.number, s.label) for r in perturbed for s in r.subchecks if not s.ok]
+    assert failing == FAILING.get(path, []), report

@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from ptdyson import (
     AlgebraElement,
-    InvariantCoeffs,
+    EPConstants,
     TimeProfile,
     alpha_coeffs,
     basis_element,
@@ -17,7 +15,6 @@ from ptdyson import (
     gamma_from_alpha,
     hermitian_counterpart,
     invariant_coeffs_for,
-    invariant_element,
     nonhermitian_hamiltonian,
     scenario_params,
     similarity_residual,
@@ -27,24 +24,34 @@ from ptdyson.errors import ConstraintViolationError
 LAM = TimeProfile.sinusoid(0.5, 0.3, 1.0)
 
 
-def default_coeffs(branch=1):
-    return invariant_coeffs_for(1.0, 0.4, branch=branch)
+def default_coeffs():
+    return invariant_coeffs_for(1.0, 0.4)
 
 
 def test_constructor_constraints():
-    with pytest.raises(ConstraintViolationError, match="c1"):
-        InvariantCoeffs(1.0 + 0.1j, 0.5, 0.8, 1.0)
-    with pytest.raises(ConstraintViolationError, match="mismatch"):
-        InvariantCoeffs(1.0, 0.5 - 0.64j, 0.8 + 0.2j, 1.0)
-    with pytest.raises(ConstraintViolationError, match="Im c2"):
-        InvariantCoeffs(1.0, 0.5 - 2.0j, 0.8 + 0.3125j, 1.0)
-    with pytest.raises(ConstraintViolationError, match="c4"):
-        InvariantCoeffs(1.0, 0.5, 0.8, 1.0 + 0.1j)
-    with pytest.raises(ConstraintViolationError, match="branch"):
-        InvariantCoeffs(1.0, 0.5, 0.8, 1.0, branch=2)
+    # the matching constraints hold by construction; what is left to refuse
+    # is a zero Re c3 (below) and a map trajectory outside |q3| < 1, for
+    # either sign of Re c3
+    for q3 in (1.0, -1.0, 1.5):
+        for c3_real in (0.8, -0.8):
+            with pytest.raises(ConstraintViolationError, match="^q3 must satisfy"):
+                invariant_coeffs_for(1.0, q3, c3_real=c3_real)
+
+
+def test_the_family_keeps_the_scenario_trajectory_bit_for_bit(workloads):
+    for seed in range(200):
+        cfg = workloads.make_config("evolve-long", seed, "smoke")
+        q2, q3 = cfg["scenario"]["q2"], cfg["scenario"]["q3"]
+        got = invariant_coeffs_for(q2, q3, **cfg["invariant"]).ep_constants()
+        assert got == EPConstants(q2, q3), seed
 
 
 def test_matched_family_for_default_scenario():
+    # the family is its five numbers, each stored as a float
+    ints = invariant_coeffs_for(1, 0, c1=1, c2_real=2, c3_real=3)
+    fields = (ints.q2, ints.q3, ints.c1, ints.c2_real, ints.c3_real)
+    assert fields == (1.0, 0.0, 1.0, 2.0, 3.0)
+    assert all(type(value) is float for value in fields)
     c = default_coeffs()
     assert c.c1 == 1.0 + 0.0j
     assert abs(c.c2 - (0.5 - 0.64j)) < 1e-15
@@ -145,13 +152,11 @@ def test_angle_recovery_names_the_first_failing_snapshot():
 
 
 def test_beta_without_imaginary_part_is_static():
-    c = InvariantCoeffs(1.0, 0.5, 0.8, 1.0)
+    c = invariant_coeffs_for(1.0, 0.0)
     t = np.linspace(0.0, 9.0, 20)
     beta = beta_from_match(c, LAM, t)
     assert np.max(np.abs(beta[3])) == 0.0
     assert np.max(np.abs(beta[2] - 0.5)) < 1e-14
-    flipped = beta_from_match(dataclasses.replace(c, branch=-1), LAM, t)
-    assert np.max(np.abs(flipped[2] + 0.5)) < 1e-14
 
 
 def test_beta_node_where_integral_hits_constant():
@@ -172,12 +177,11 @@ def test_beta_circle_identity():
 
 
 def test_two_beta_routes_agree():
-    for branch in (1, -1):
-        c = default_coeffs(branch=branch)
-        for t in (0.0, 0.9, 3.7, 8.1):
-            match = beta_from_match(c, LAM, t)
-            evo = beta_from_evolution(c, LAM, t)
-            assert np.max(np.abs(match - evo)) < 1e-9
+    c = default_coeffs()
+    for t in (0.0, 0.9, 3.7, 8.1):
+        match = beta_from_match(c, LAM, t)
+        evo = beta_from_evolution(c, LAM, t)
+        assert np.max(np.abs(match - evo)) < 1e-9
 
 
 def test_beta_rates_close_under_splitting():
@@ -209,7 +213,7 @@ def test_splitting_integral_against_quadrature():
         ref, _ = quad(splitting, 0.0, t, limit=200)
         assert abs(ep._splitting_integral(LAM, t) - ref) < 1e-8
     assert ep._splitting_integral(LAM, 0.0) == 0.0
-    static = InvariantCoeffs(1.0, 0.5, 0.8, 1.0)
+    static = invariant_coeffs_for(1.0, 0.0)
     assert static.ep_constants()._splitting_integral(LAM, 5.0) == 0.0
 
 
@@ -244,7 +248,7 @@ def test_conservation_both_frames():
     a = TimeProfile.sinusoid(1.0, 0.2, 2.0)
 
     def invariant_h_frame(t):
-        return invariant_element(c, LAM, t)
+        return AlgebraElement(alpha_coeffs(c, LAM, t))
 
     def hamiltonian_h_frame(t):
         return nonhermitian_hamiltonian(a(t), LAM(t))
@@ -292,7 +296,10 @@ def test_similarity_rejects_branch_mismatch():
     ep = c.ep_constants()
     t = 1.1
     alpha = alpha_coeffs(c, LAM, t)
-    wrong = beta_from_match(dataclasses.replace(c, branch=-1), LAM, t)
+    # the radical closed form's other sign: beta1 and beta2 swap places,
+    # beta3 and beta4 change sign
+    beta = beta_from_match(c, LAM, t)
+    wrong = np.array([beta[1], beta[0], -beta[2], -beta[3]])
     assert similarity_residual(alpha, wrong, scenario_params(ep, LAM, t)) > 1e-3
 
 
@@ -314,7 +321,7 @@ def test_random_families_full_pipeline():
         )
         for t in rng.uniform(0.05, 8.0, size=20):
             assert conservation_residual(
-                lambda s: invariant_element(c, lam, s),
+                lambda s: AlgebraElement(alpha_coeffs(c, lam, s)),
                 lambda s: nonhermitian_hamiltonian(1.0, lam(s)),
                 float(t),
             ) < 1e-7
@@ -329,10 +336,9 @@ def test_random_families_full_pipeline():
             ) < 1e-9
 
 
-@pytest.mark.parametrize("branch", [1, -1])
 @pytest.mark.parametrize("q2, q3", [(1.0, 0.4), (-0.8, -0.3), (0.3, 0.0), (2.0, 0.6)])
-def test_c8_is_the_splitting_primitive_at_t0(q2, q3, branch):
-    c = invariant_coeffs_for(q2, q3, branch=branch)
+def test_c8_is_the_splitting_primitive_at_t0(q2, q3):
+    c = invariant_coeffs_for(q2, q3)
     consts = c.ep_constants()
     assert c.c8 == -consts._splitting_primitive(c.c4.real)
     # arctan[kappa tanh(Re c4)], kappa the map's conserved combination

@@ -36,7 +36,6 @@ from ptdyson import (
     f_plus_profile,
     f_pm,
     invariant_coeffs_for,
-    invariant_element,
     pedrosa_mode,
     product_state,
     quasi_hermiticity_residuals,
@@ -119,7 +118,7 @@ def test_invariant_residuals_stack_over_t():
     inner = TIMES[1:-1]  # room for the difference step inside the domain
 
     def element(t):
-        return invariant_element(COEFFS, lam, t)
+        return AlgebraElement(alpha_coeffs(COEFFS, lam, t))
 
     def hamiltonian(t):
         return scenario_hamiltonian(SCENARIO, t)
