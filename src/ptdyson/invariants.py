@@ -183,9 +183,13 @@ def beta_from_evolution(coeffs, lam, t):
     (c5, c6, c7 cos(phase), -c7 sin(phase)) with phase = c8 minus the
     splitting integral of the Hermitian counterpart from 0 to t, so that
     beta3^2 + beta4^2 = c7^2 identically.  Needs Re c3 > 0, where c5..c8
-    are defined.
+    are defined, and raises ConstraintViolationError otherwise.
     """
-    phase = coeffs.c8 - coeffs.ep_constants()._splitting_integral(lam, t)
+    if coeffs.c3_real < 0.0:
+        raise ConstraintViolationError(
+            f"c3_real must be positive for the evolution route, got {coeffs.c3_real}"
+        )
+    phase = coeffs.c8 -coeffs.ep_constants()._splitting_integral(lam, t)
     beta3 = coeffs.c7 * np.cos(phase)
     beta4 = -coeffs.c7 * np.sin(phase)
     return np.array(

@@ -1,7 +1,10 @@
+import copy
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from ptdyson import validation
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -13,3 +16,9 @@ def workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def record():
+    """A deep copy of the gate's pinned record, free to change in a test."""
+    return copy.deepcopy(validation.REFERENCE_CONFIG)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ptdyson import ModeSpec, f_minus_profile, f_plus_profile, k1_expectation
-from ptdyson import dyson, fock_oracle, invariants, modes, validation
+from ptdyson import cli, dyson, fock_oracle, invariants, modes, validation
 from ptdyson.algebra_u2 import AlgebraElement, commutator
 from ptdyson.dyson import chi_closed_form, first_derivative, gamma_closed_form
 from ptdyson.errors import ConstraintViolationError
@@ -160,8 +160,8 @@ def test_mode_quadrature_is_exact_over_the_degree_range(n):
             assert np.max(np.abs(got - want)) <= 1e-12 * want
 
 
-def _failing(check):
-    return [s.label for s in check().subchecks if not s.ok]
+def _failing(check, record=validation.REFERENCE_CONFIG):
+    return [s.label for s in check(record).subchecks if not s.ok]
 
 
 def test_mode_checks_fail_on_a_scale_a_millionth_too_large(monkeypatch):
@@ -288,6 +288,25 @@ def _scale_mode_phase(monkeypatch, factor=1.0 + 1e-2):
     )
 
 
+def _scale_metric_floor(monkeypatch, factor=1.01):
+    # the floor reads 0.994 of the spin-ladder minimum at its tightest, so
+    # 1% more puts it above, at 1.004
+    floor = fock_oracle.metric_floor
+    monkeypatch.setattr(fock_oracle, "metric_floor", lambda p, k: factor * floor(p, k))
+
+
+def _plain_line_solver(monkeypatch):
+    # each invariant block straight to the general eigensolver, without the
+    # exact normal form whose conditioning criterion 05 relies on
+    monkeypatch.setattr(
+        fock_oracle,
+        "_line_eigenvalues",
+        lambda v, j_ops, center, k: np.linalg.eigvals(
+            center[:, None, None] * np.eye(k + 1) + np.tensordot(v, np.array(j_ops), 1)
+        ),
+    )
+
+
 MUTATIONS = {
     "commutator-k1-k2-sign": (
         _flip_k1_k2_of_commutator,
@@ -344,6 +363,14 @@ MUTATIONS = {
             (10, "2D halving ratio"),
         ],
     ),
+    "metric-floor-a-hundredth-high": (
+        _scale_metric_floor,
+        [(12, "closed-form floor / spin-ladder minimum (blocks 1..size)")],
+    ),
+    "line-eigenvalues-plain-solver": (
+        _plain_line_solver,
+        [(5, "number-basis eigenvalue drift")],
+    ),
 }
 
 
@@ -379,31 +406,52 @@ def test_criterion_10_passes_a_phase_ten_thousandth_high(monkeypatch):
     assert _failing(validation.check_schrodinger_residual) == []
 
 
-def test_criterion_07_reads_every_block_of_the_record(monkeypatch):
+def test_criterion_07_reads_every_block_of_the_record(record):
     # the blocks come from the record's basis size, whatever it is
-    monkeypatch.setitem(validation.REFERENCE_CONFIG["oracle"], "size", 6)
-    result = validation.check_broken_spectrum()
+    record["oracle"]["size"] = 6
+    result = validation.check_broken_spectrum(record)
     assert result.passed, result.line()
 
 
-def test_the_gate_reads_its_scenarios_q1(monkeypatch):
+def test_the_gate_reads_its_scenarios_q1(record):
     # q1 shifts every block of the map by exp(q1 k): criterion 12's block
     # minimum moves with it, and every criterion still passes
-    monkeypatch.setitem(validation.REFERENCE_CONFIG["scenario"], "q1", 0.7)
-    results = validation.run_all()
+    record["scenario"]["q1"] = 0.7
+    results = validation.run_all(record)
     assert [r.number for r in results if not r.passed] == []
     line = results[11].line()
     assert "observed block minimum (safe blocks): 3.480e-14" in line, line
 
 
-def _set_static_k(monkeypatch, a, b, lam):
-    for key, value in (("a", a), ("b", b), ("lam", lam)):
-        monkeypatch.setitem(validation.REFERENCE_CONFIG["static"]["k"], key, value)
+def test_the_gate_leaves_its_pinned_record_unchanged(record):
+    # cli.DEFAULT_CONFIG holds the record's sections, so it is pinned too
+    pinned = copy.deepcopy(validation.REFERENCE_CONFIG)
+    validation.run_all()
+    record["scenario"]["q1"] = 0.7
+    validation.run_all(record)
+    assert validation.REFERENCE_CONFIG == pinned
+    assert {key: cli.DEFAULT_CONFIG[key] for key in pinned} == pinned
 
 
-def test_criterion_07_checks_the_records_partially_broken_model(monkeypatch):
-    _set_static_k(monkeypatch, 1.0, 2.0, 3.0)
-    result = validation.check_broken_spectrum()
+def test_the_gate_passes_a_record_with_q3_zero(record):
+    # g4 vanishes, and the floor of criterion 12 equals the spin-ladder
+    # minimum up to rounding, which its comparison allows
+    record["scenario"]["q3"] = 0.0
+    results = validation.run_all(record)
+    assert [r.number for r in results if not r.passed] == []
+
+
+def test_criterion_12_sees_a_floor_a_billionth_high_at_q3_zero(monkeypatch, record):
+    record["scenario"]["q3"] = 0.0
+    _scale_metric_floor(monkeypatch, factor=1.0 + 1e-9)
+    results = validation.run_all(record)
+    got = [(r.number, s.label) for r in results for s in r.subchecks if not s.ok]
+    assert got == [(12, "closed-form floor / spin-ladder minimum (blocks 1..size)")]
+
+
+def test_criterion_07_checks_the_records_partially_broken_model(monkeypatch, record):
+    record["static"]["k"].update(a=1.0, b=2.0, lam=3.0)
+    result = validation.check_broken_spectrum(record)
     assert result.passed, result.line()
     # the a = b model's levels, which ignore b, do not pass for this record
     numeric = fock_oracle.broken_spectrum_numeric
@@ -412,24 +460,23 @@ def test_criterion_07_checks_the_records_partially_broken_model(monkeypatch):
         "broken_spectrum_numeric",
         lambda a, b, lam, basis: numeric(a, a, lam, basis),
     )
-    assert _failing(validation.check_broken_spectrum) == [
+    assert _failing(validation.check_broken_spectrum, record) == [
         "number-basis vs closed form (all blocks)"
     ]
 
 
-def test_criterion_07_refuses_a_record_outside_the_broken_regime(monkeypatch):
-    _set_static_k(monkeypatch, 1.0, 2.0, 0.5)
+def test_criterion_07_refuses_a_record_outside_the_broken_regime(record):
+    record["static"]["k"].update(a=1.0, b=2.0, lam=0.5)
     with pytest.raises(ConstraintViolationError, match=r"^static\.k "):
-        validation.check_broken_spectrum()
+        validation.check_broken_spectrum(record)
 
 
 @pytest.mark.parametrize("factor", [1.01, 1.1])
-def test_criterion_13_holds_below_a_lowered_bound(monkeypatch, factor):
+def test_criterion_13_holds_below_a_lowered_bound(record, factor):
     # raising omega_x lowers the exceptional-point bound below the
     # couplings 0.9 and 0.99; the check scales its couplings to the bound
-    xy = validation.REFERENCE_CONFIG["static"]["xy"]
-    monkeypatch.setitem(xy, "omega_x", factor * xy["omega_x"])
-    result = validation.check_exceptional_point()
+    record["static"]["xy"]["omega_x"] *= factor
+    result = validation.check_exceptional_point(record)
     assert result.passed, result.line()
 
 
@@ -466,31 +513,28 @@ def test_the_record_has_31_numeric_fields():
     assert set(UNREAD_FIELDS) <= set(RECORD_FIELDS)
 
 
-def _perturb(monkeypatch, path):
+def _perturb(record, path):
     """Move one field of the record (an int by 1, a float by 10%), or swap
     the two XY frequencies."""
     if path == SWAPPED_XY:
-        xy = validation.REFERENCE_CONFIG["static"]["xy"]
-        omega_x, omega_y = xy["omega_x"], xy["omega_y"]
-        monkeypatch.setitem(xy, "omega_x", omega_y)
-        monkeypatch.setitem(xy, "omega_y", omega_x)
+        xy = record["static"]["xy"]
+        xy["omega_x"], xy["omega_y"] = xy["omega_y"], xy["omega_x"]
         return
     *parents, key = path.split(".")
-    section = validation.REFERENCE_CONFIG
+    section = record
     for name in parents:
         section = section[name]
     value = section[key]
     if isinstance(value, int):
-        moved = value + 1
+        section[key] = value + 1
     else:
-        moved = 1.1 * value if value else 0.1
-    monkeypatch.setitem(section, key, moved)
+        section[key] = 1.1 * value if value else 0.1
 
 
 @pytest.mark.parametrize("path", RECORD_FIELDS + [SWAPPED_XY])
-def test_every_field_of_the_record_moves_the_gate(monkeypatch, results, path):
-    _perturb(monkeypatch, path)
-    perturbed = validation.run_all()
+def test_every_field_of_the_record_moves_the_gate(record, results, path):
+    _perturb(record, path)
+    perturbed = validation.run_all(record)
     report = validation.format_report(perturbed)
     unchanged = report == validation.format_report(results)
     assert unchanged == (path in UNREAD_FIELDS), report

@@ -79,6 +79,13 @@ def test_derived_constants_need_positive_real_part():
     assert abs(pos.c5 + pos.c6 - 1.0) < 1e-14
 
 
+def test_evolution_route_refuses_a_negative_real_c3():
+    # c5..c8 are undefined there; the refusal names the field, not a None
+    c = invariant_coeffs_for(1.0, 0.4, c3_real=-0.8)
+    with pytest.raises(ConstraintViolationError, match="^c3_real must be positive"):
+        beta_from_evolution(c, LAM, np.linspace(0.0, 1.0, 3))
+
+
 def test_alpha_sum_rule_and_constant_entry():
     c = default_coeffs()
     t = np.linspace(0.0, 9.0, 30)
